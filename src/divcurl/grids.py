@@ -45,18 +45,17 @@ def _diff_matrix(x, w):
 
 
 def _bary_eval_matrix(x, w, pts):
-    """Rows map samples at nodes x to interpolant values at pts."""
+    """
+    Rows map samples at nodes x to interpolant values at pts.  A point
+    within 1e-14 (relative) of a node gets the unit row of that node.
+    """
     pts = np.atleast_1d(pts)
-    E = np.zeros((len(pts), len(x)))
-    for i, p in enumerate(pts):
-        d = p - x
-        hit = np.nonzero(np.abs(d) < 1e-14 * max(1.0, abs(p)))[0]
-        if hit.size:
-            E[i, hit[0]] = 1.0
-        else:
-            c = w / d
-            E[i] = c / c.sum()
-    return E
+    d = pts[:, None] - x[None, :]
+    i, j = np.nonzero(np.abs(d) < 1e-14 * np.maximum(1.0, np.abs(pts))[:, None])
+    d[i] = np.inf                      # a hit row keeps only w_j / w_j = 1
+    d[i, j] = 1.0
+    c = w / d
+    return c / c.sum(axis=1, keepdims=True)
 
 
 class AngularGrid:
@@ -200,13 +199,15 @@ class RadialGrid:
         n = self.nodes_per_panel
         idx = np.clip(np.searchsorted(self.breakpoints, pts, side="right") - 1,
                       0, self.n_panels - 1)
-        out = np.empty(g.shape[:-1] + (pts.size,), dtype=np.result_type(g, float))
+        rows = g.reshape(-1, g.shape[-1])
+        # point-major buffer, filled by whole rows per panel, returned transposed
+        out = np.empty((pts.size, rows.shape[0]), dtype=np.result_type(g, float))
         for p in np.unique(idx):
-            mask = idx == p
+            at = np.flatnonzero(idx == p)
             sl = slice(p * n, (p + 1) * n)
-            E = _bary_eval_matrix(self.r[sl], self._bary[p], pts[mask])
-            out[..., mask] = g[..., sl] @ E.T
-        return out
+            E = _bary_eval_matrix(self.r[sl], self._bary[p], pts[at])
+            out[at] = E @ rows[:, sl].T
+        return out.T.reshape(g.shape[:-1] + (pts.size,))
 
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)

@@ -11,6 +11,15 @@ radial profiles per (l, m) live in a SpectralField.  Analysis uses the FFT
 over the uniform phi axis and Gauss-Legendre projection in cos(theta),
 which is exact for band-limited fields on the grids from `make_grids`.
 
+Both grid transforms are split by azimuthal order m, as in SHTns
+(Schaeffer 2013): one FFT along phi, and per order one dense product of
+the l >= |m| Legendre rows with the (n_theta, n_r) slab of frequency bin
+m % n_phi.  No array indexed by every mode and every grid node is ever
+formed, so synthesize peaks at about the size of the field it returns
+and analyze at one FFT copy of its input plus the coefficients.
+synthesize_at works through the points in fixed-size blocks for the same
+reason.
+
 In this basis divergence and curl act mode by mode on the radial profiles:
 
     div  v -> c_r' + (2/r) c_r - l(l+1)/r c_1                    (Y channel)
@@ -153,17 +162,16 @@ def _mode_tables(L_max, ct):
     Q = qbar_table(L_max, ct)
     S = dpbar_table(L_max, ct, P, Q)
     ells, ems = mode_degrees(L_max)
-    n_modes = ells.size
-    A = np.empty((n_modes, ct.size))
-    B = np.empty((n_modes, ct.size))
-    C = np.empty((n_modes, ct.size))
-    for k, (l, m) in enumerate(zip(ells, ems)):
-        mu = abs(m)
-        sign = (-1) ** mu if m < 0 else 1
-        A[k] = sign * P[l, mu]
-        B[k] = sign * S[l, mu]
-        C[k] = sign * m * Q[l, mu]
-    return A, B, C
+    mu = np.abs(ems)
+    sign = np.where((ems < 0) & (mu % 2 == 1), -1.0, 1.0)[:, None]
+    return (sign * P[ells, mu], sign * S[ells, mu],
+            sign * ems[:, None] * Q[ells, mu])
+
+
+def _order_rows(L_max):
+    """Pairs (m, flat indices of the modes of order m, l ascending), m = -L..L."""
+    _, ems = mode_degrees(L_max)
+    return [(m, np.flatnonzero(ems == m)) for m in range(-L_max, L_max + 1)]
 
 
 def _require_band_limit(angular, L_max):
@@ -173,13 +181,30 @@ def _require_band_limit(angular, L_max):
             f"L_max = {L_max}; need at least {L_max + 1} x {2 * L_max + 1}")
 
 
+def _real_gemm(M, Z):
+    """Real matrix M times complex matrix Z as one real product on Z's float view."""
+    Z = np.ascontiguousarray(Z)
+    return (M @ Z.view(float)).view(complex)
+
+
 ############################################
 # Transforms
+
+# points per block in synthesize_at; bounds its (n_modes, block) tables
+_POINT_BLOCK = 256
 
 
 def analyze(field, L_max):
     """
     Project a sampled vector field onto the VSH basis.
+
+    One FFT along phi gives the phi integral of v e^{-i m phi} for every
+    azimuthal order m at once; bin m % n_phi holds order m, since the grid
+    resolves L_max.  Then for each m one dense product of the weighted
+    l >= |m| Legendre rows with the (n_theta, 3 n_r) Fourier slab of that
+    bin gives all coefficients of that order.  Working memory is the one
+    FFT copy of the input plus the returned coefficients; per-order
+    temporaries are O(L_max n_theta n_r).
 
     Parameters
     ----------
@@ -197,34 +222,35 @@ def analyze(field, L_max):
     ang = field.angular
     _require_band_limit(ang, L_max)
     A, B, C = _mode_tables(L_max, ang.ct)
-    ells, ems = mode_degrees(L_max)
+    w = ang.w_phi * ang.w_ct                         # fold quadrature weights in
+    n_r = field.radial.n_r
+    ells, _ = mode_degrees(L_max)
+    inv = np.zeros(ells.size)                        # 1 / l(l+1), 0 at l = 0
+    inv[1:] = 1.0 / (ells[1:] * (ells[1:] + 1.0))
 
-    # phi integrals of v e^{-i m phi} for every azimuthal order, via the FFT
-    F = np.fft.fft(field.values, axis=2) * ang.w_phi
-    G = F[:, :, ems % ang.n_phi, :]                  # (n_r, n_t, n_modes, 3)
-
-    wA = ang.w_ct * A                                # fold quadrature weights in
-    wB = ang.w_ct * B
-    wC = ang.w_ct * C
-    c_r = np.einsum("kt,rtk->kr", wA, G[..., 0])
-    p_t = np.einsum("kt,rtk->kr", wB, G[..., 1])     # d/dtheta row projections
-    p_p = np.einsum("kt,rtk->kr", wB, G[..., 2])
-    q_t = np.einsum("kt,rtk->kr", wC, G[..., 1])     # m/sin(theta) row projections
-    q_p = np.einsum("kt,rtk->kr", wC, G[..., 2])
-
-    ll1 = ells * (ells + 1.0)
-    inv = np.zeros_like(ll1)
-    inv[1:] = 1.0 / ll1[1:]
+    F = np.fft.fft(field.values, axis=2)             # (n_r, n_t, n_p, 3)
     out = SpectralField(field.radial, L_max)
-    out.coeffs[:, 0] = c_r
-    out.coeffs[:, 1] = inv[:, None] * (p_t - 1j * q_p)
-    out.coeffs[:, 2] = inv[:, None] * (1j * q_t + p_p)
+    for m, k in _order_rows(L_max):
+        # (n_t, 3, n_r) slab of order m, channels side by side along columns
+        X = F[:, :, m % ang.n_phi, :].transpose(1, 2, 0).reshape(ang.n_theta, 3 * n_r)
+        c_r = _real_gemm(w * A[k], X[:, :n_r])
+        BC = _real_gemm(w * np.concatenate([B[k], C[k]]), X[:, n_r:])
+        p, q = BC[:k.size], BC[k.size:]              # d/dtheta and m/sin rows
+        out.coeffs[k, 0] = c_r
+        out.coeffs[k, 1] = inv[k, None] * (p[:, :n_r] - 1j * q[:, n_r:])
+        out.coeffs[k, 2] = inv[k, None] * (1j * q[:, :n_r] + p[:, n_r:])
     return out
 
 
 def synthesize(S, angular):
     """
     Evaluate a SpectralField on the tensor grid (inverse of analyze).
+
+    For each azimuthal order m, dense products of the l >= |m| Legendre
+    rows with that order's coefficients give the (n_theta, n_r) theta
+    profiles, written into frequency bin m % n_phi of the output buffer;
+    one in-place inverse FFT along phi then yields the samples.  Peak
+    memory is the output array plus O(L_max n_theta n_r) per order.
 
     Parameters
     ----------
@@ -237,26 +263,28 @@ def synthesize(S, angular):
     SampledField
         pointwise sum of c_r Y_lm + c_1 Psi_lm + c_2 Phi_lm.
     """
+    # numpy.fft has no in-place transform before numpy 2.0; scipy.fft is
+    # imported here so that processes which never synthesize skip its import
+    import scipy.fft
+
     from .grids import SampledField
 
     _require_band_limit(angular, S.L_max)
     A, B, C = _mode_tables(S.L_max, angular.ct)
-    c_r, c_1, c_2 = S.coeffs[:, 0], S.coeffs[:, 1], S.coeffs[:, 2]
-
-    # per-mode (r, theta) blocks, then scatter into phi frequency bins
-    T_r = np.einsum("kr,kt->krt", c_r, A)
-    T_t = np.einsum("kr,kt->krt", c_1, B) - 1j * np.einsum("kr,kt->krt", c_2, C)
-    T_p = 1j * np.einsum("kr,kt->krt", c_1, C) + np.einsum("kr,kt->krt", c_2, B)
-
     n_r, n_t, n_p = S.radial.n_r, angular.n_theta, angular.n_phi
-    bins = np.zeros((n_r, n_t, n_p, 3), dtype=complex)
-    bin_of = S.ems % n_p
-    for b in np.unique(bin_of):
-        sel = bin_of == b
-        bins[:, :, b, 0] = T_r[sel].sum(axis=0)
-        bins[:, :, b, 1] = T_t[sel].sum(axis=0)
-        bins[:, :, b, 2] = T_p[sel].sum(axis=0)
-    values = np.fft.ifft(bins, axis=2) * n_p
+
+    values = np.zeros((n_r, n_t, n_p, 3), dtype=complex)
+    for m, k in _order_rows(S.L_max):
+        c = S.coeffs[k]                              # (n_lm, 3, n_r)
+        T_r = _real_gemm(A[k].T, c[:, 0])
+        # [T_t | T_p] = [B^T C^T] [[c_1, c_2], [-i c_2, i c_1]]
+        coef = np.block([[c[:, 1], c[:, 2]], [-1j * c[:, 2], 1j * c[:, 1]]])
+        T_tp = _real_gemm(np.concatenate([B[k], C[k]]).T, coef)
+        slab = values[:, :, m % n_p]                 # (n_r, n_t, 3) view
+        slab[..., 0] = T_r.T
+        slab[..., 1] = T_tp[:, :n_r].T
+        slab[..., 2] = T_tp[:, n_r:].T
+    values = scipy.fft.ifft(values, axis=2, norm="forward", overwrite_x=True)
     return SampledField(S.radial, angular, values)
 
 
@@ -266,7 +294,9 @@ def synthesize_at(S, pts):
 
     Radial profiles are interpolated from the panel polynomials, the
     angular factors are summed directly, and the result is rotated to the
-    Cartesian frame.  Points must lie inside [r0, rmax] radially.
+    Cartesian frame.  Points are processed in blocks of _POINT_BLOCK, so the
+    per-mode tables stay (n_modes, _POINT_BLOCK) whatever the point count.
+    Points must lie inside [r0, rmax] radially.
 
     Parameters
     ----------
@@ -281,13 +311,22 @@ def synthesize_at(S, pts):
 
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     r, theta, phi = cart_to_sph_points(pts)
-    prof = S.radial.interp(S.coeffs, r)              # (n_modes, 3, N)
-    A, B, C = _mode_tables(S.L_max, np.cos(theta))
-    az = np.exp(1j * S.ems[:, None] * phi[None, :])
-    v_r = (prof[:, 0] * A * az).sum(axis=0)
-    v_t = ((prof[:, 1] * B - 1j * prof[:, 2] * C) * az).sum(axis=0)
-    v_p = ((1j * prof[:, 1] * C + prof[:, 2] * B) * az).sum(axis=0)
-    return sph_to_cart_vector(v_r, v_t, v_p, theta, phi).reshape(-1, 3)
+    orders = np.arange(-S.L_max, S.L_max + 1)
+    dot = lambda a, b: np.einsum("kn,kn->n", a, b)   # sum over modes per point
+    out = np.empty((r.size, 3), dtype=complex)
+    for lo in range(0, r.size, _POINT_BLOCK):
+        blk = slice(lo, lo + _POINT_BLOCK)
+        th, ph = theta[blk], phi[blk]
+        c_r, c_1, c_2 = S.radial.interp(S.coeffs, r[blk]).transpose(1, 0, 2)
+        A, B, C = _mode_tables(S.L_max, np.cos(th))
+        # e^{i m phi} once per order, then spread over the modes
+        az = np.exp(1j * orders[:, None] * ph[None, :])[S.ems + S.L_max]
+        A, B, C = A * az, B * az, C * az
+        v_r = dot(c_r, A)
+        v_t = dot(c_1, B) - 1j * dot(c_2, C)
+        v_p = 1j * dot(c_1, C) + dot(c_2, B)
+        out[blk] = sph_to_cart_vector(v_r, v_t, v_p, th, ph)
+    return out
 
 
 ############################################

@@ -5,8 +5,8 @@ Quadrature, differentiation, and interpolation on the shell grids.
 import numpy as np
 import pytest
 
-from divcurl.grids import (AngularGrid, RadialGrid, SampledField, make_grids,
-                           surface_integral)
+from divcurl.grids import (AngularGrid, RadialGrid, SampledField,
+                           _bary_eval_matrix, make_grids, surface_integral)
 from divcurl.harmonics import scalar_Y
 
 
@@ -67,6 +67,38 @@ def test_interp_reproduces_nodes_and_offgrid():
     assert np.abs(rad.interp(g, rad.r) - g).max() < 1e-12
     pts = np.linspace(1.1, 4.9, 17)
     assert np.abs(rad.interp(g, pts) - np.sin(pts)).max() < 1e-10
+
+
+def test_interp_batch_shape_and_range_check():
+    # a (2, 3, n_r) stack interpolates row by row into (2, 3, N)
+    _, rad = make_grids(1.0, 5.0, 64, 8)
+    g = np.stack([rad.r ** k for k in range(6)]).reshape(2, 3, -1) * (1 + 2j)
+    pts = np.array([4.9, 1.0, rad.breakpoints[2], rad.r[5], 2.5, 5.0])
+    out = rad.interp(g, pts)
+    assert out.shape == (2, 3, pts.size)
+    want = (1 + 2j) * pts[None, :] ** np.arange(6)[:, None]
+    assert np.abs(out.reshape(6, -1) - want).max() < 1e-10 * np.abs(want).max()
+    assert rad.interp(g, np.empty(0)).shape == (2, 3, 0)
+    with pytest.raises(ValueError):
+        rad.interp(g, [0.5])
+
+
+def test_bary_eval_matrix_matches_pointwise_loop():
+    # reference: one row per point, with the unit row at (near-)node hits
+    x = 1.0 + 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+    w = np.array([1.0 / np.prod(x[j] - np.delete(x, j)) for j in range(x.size)])
+    pts = np.concatenate([np.linspace(1.0, 2.0, 9), x, x[[2]] * (1 + 1e-15)])
+    ref = np.zeros((pts.size, x.size))
+    for i, p in enumerate(pts):
+        d = p - x
+        hit = np.nonzero(np.abs(d) < 1e-14 * max(1.0, abs(p)))[0]
+        if hit.size:
+            ref[i, hit[0]] = 1.0
+        else:
+            ref[i] = (w / d) / (w / d).sum()
+    E = _bary_eval_matrix(x, w, pts)
+    assert np.abs(E - ref).max() < 1e-15
+    assert np.all(E[9:] == np.vstack([np.eye(x.size), np.eye(x.size)[2]]))
 
 
 def test_radial_grid_rejects_bad_breakpoints():

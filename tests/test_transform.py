@@ -2,16 +2,18 @@
 Forward/inverse VSH transforms and the spectral differential operators.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from divcurl.frames import sph_to_cart_points, cart_to_sph_vector
-from divcurl.grids import SampledField, make_grids
+from divcurl.grids import AngularGrid, SampledField, make_grids
 from divcurl.harmonics import vsh_eval
-from divcurl.transform import (ScalarSpectral, SpectralField, analyze,
-                               mode_degrees, mode_index, spectral_curl,
-                               spectral_div, spectral_grad, synthesize,
-                               synthesize_at)
+from divcurl.transform import (_POINT_BLOCK, ScalarSpectral, SpectralField,
+                               analyze, mode_degrees, mode_index,
+                               spectral_curl, spectral_div, spectral_grad,
+                               synthesize, synthesize_at)
 
 SQRT_4PI_3 = 2.046653415892977     # coefficient of z_hat on the (1, 0) mode
 
@@ -85,6 +87,35 @@ def test_round_trip_random_band_limited():
     assert np.abs(back.coeffs - S.coeffs).max() < 1e-12
 
 
+@pytest.mark.parametrize("n_phi", [16, 17])
+def test_round_trip_on_oversampled_grids(n_phi):
+    # extra theta nodes and phi bins with no order of their own: every
+    # order m must still land in, and be read from, bin m % n_phi
+    _, rad = _grids()
+    ang = AngularGrid(10, n_phi)
+    S = _random_spectral(rad, 6, seed=11)
+    F = synthesize(S, ang)
+    back = analyze(F, 6)
+    assert np.abs(back.coeffs - S.coeffs).max() < 1e-12
+    # one negative order alone: its samples are that harmonic times the profile
+    one = SpectralField(rad, 6)
+    g = _bump(rad.r)
+    one.set_mode(5, -4, 1, g)
+    T, P = np.meshgrid(ang.theta, ang.phi, indexing="ij")
+    harmonic = np.stack(vsh_eval("Psi", 5, -4, T, P), axis=-1)
+    want = g[:, None, None, None] * harmonic[None]
+    assert np.abs(synthesize(one, ang).values - want).max() < 1e-13
+
+
+def test_analyze_below_band_limit_truncates_exactly():
+    # analyzing a band-6 field at L' = 3 returns its l <= 3 coefficients
+    ang, rad = _grids()
+    S = _random_spectral(rad, 6, seed=12, decay=1.0)
+    low = analyze(synthesize(S, ang), 3)
+    assert low.coeffs.shape == (16, 3, rad.n_r)
+    assert np.abs(low.coeffs - S.coeffs[:16]).max() < 1e-12
+
+
 def test_synthesize_single_mode_matches_reference_eval():
     # one Phi_{3,2} mode with profile g(r): samples must equal g(r) Phi(theta, phi)
     ang, rad = _grids()
@@ -148,6 +179,88 @@ def test_synthesize_at_matches_grid_synthesis():
         want_cart.append(sph_to_cart_vector(w[0], w[1], w[2],
                                             ang.theta[j], ang.phi[k]))
     assert np.abs(got - np.array(want_cart)).max() < 1e-12
+
+
+def _special_points(rad, rng, n):
+    """Poles, points on radial nodes and breakpoints, and random shell points."""
+    r_on = np.concatenate([rad.breakpoints, rad.r[[0, 7, 8, rad.n_r - 1]]])
+    poles = np.concatenate([[0.0, 0.0, 1.0] * r_on[:, None],
+                            [0.0, 0.0, -1.0] * r_on[:, None]])
+    theta = rng.uniform(0.0, np.pi, r_on.size)
+    phi = rng.uniform(0.0, 2.0 * np.pi, r_on.size)
+    on_nodes = sph_to_cart_points(r_on, theta, phi)
+    r = rng.uniform(rad.r0, rad.rmax, n)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, n))
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.concatenate([poles, on_nodes, sph_to_cart_points(r, theta, phi)])
+
+
+def test_synthesize_at_blocks_match_pointwise_calls():
+    # several full blocks plus a partial one, against one call per point
+    _, rad = _grids(L=4)
+    S = _random_spectral(rad, 4, seed=13)
+    rng = np.random.default_rng(14)
+    pts = _special_points(rad, rng, 2 * _POINT_BLOCK + 37)
+    assert pts.shape[0] > 2 * _POINT_BLOCK and pts.shape[0] % _POINT_BLOCK
+    got = synthesize_at(S, pts)
+    each = np.vstack([synthesize_at(S, p) for p in pts])
+    assert got.shape == (pts.shape[0], 3)
+    # block sizes change the BLAS and einsum summation order: rounding only
+    assert np.abs(got - each).max() <= 1e-14 * np.abs(each).max()
+
+
+def test_synthesize_at_empty_and_single_point():
+    _, rad = _grids()
+    S = _random_spectral(rad, 6, seed=15)
+    empty = synthesize_at(S, np.empty((0, 3)))
+    assert empty.shape == (0, 3) and empty.dtype == complex
+    one = synthesize_at(S, [0.0, 0.0, 3.0])
+    assert one.shape == (1, 3)
+    both = synthesize_at(S, [[0.0, 0.0, 3.0], [0.0, 0.0, -3.0]])
+    assert np.abs(both[:1] - one).max() <= 1e-14 * np.abs(one).max()
+
+
+def test_synthesize_at_poles_and_nodes_of_uniform_flows():
+    # uniform x and z flows are smooth through the poles: every point,
+    # including theta = 0, pi and points on nodes and breakpoints, must
+    # return the constant Cartesian vector
+    ang, rad = _grids()
+    T = ang.theta[None, :, None]
+    P = ang.phi[None, None, :]
+    x_flow = (np.sin(T) * np.cos(P), np.cos(T) * np.cos(P), -np.sin(P))
+    z_flow = (np.cos(T), -np.sin(T), 0.0 * P)
+    for e, comps in [((1.0, 0.0, 0.0), x_flow), ((0.0, 0.0, 1.0), z_flow)]:
+        vals = np.zeros((rad.n_r, ang.n_theta, ang.n_phi, 3), dtype=complex)
+        for c in range(3):
+            vals[..., c] = comps[c]
+        S = analyze(SampledField(rad, ang, vals), 6)
+        pts = _special_points(rad, np.random.default_rng(16), 20)
+        got = synthesize_at(S, pts)
+        assert np.abs(got - np.array(e)).max() < 1e-12
+
+
+def test_transform_peak_memory_stays_near_output_size():
+    # synthesize writes into its output and transforms it in place; analyze
+    # holds one FFT copy of its input plus the coefficients it returns
+    ang, rad = make_grids(1.0, 5.0, 64, 16)
+    S = _random_spectral(rad, 16, seed=17)
+    F = synthesize(S, ang)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        F2 = synthesize(S, ang)
+        synth_peak = tracemalloc.get_traced_memory()[1] - held
+        del F2
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        R = analyze(F, 16)
+        analyze_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert synth_peak <= 1.5 * F.values.nbytes
+    assert analyze_peak <= 3.0 * F.values.nbytes
+    assert np.abs(R.coeffs - S.coeffs).max() < 1e-12
 
 
 def test_synthesize_at_rejects_points_outside_shell():
