@@ -48,15 +48,24 @@ points  one evaluation point per row: ``x y z`` (blank lines ignored).
             rho phi re im                                        (one row
             per node, lexicographic in (rho, phi))
 
-Malformed input raises FileFormatError whose message carries the path and
-1-based line number of the offending line.
+Malformed input, NaN and infinities included, raises FileFormatError whose
+message carries the path and 1-based line number of the offending line.
+
+Files are streamed.  Readers parse the header line by line, then the body
+in bulk by numpy.loadtxt reading the open file; only if that fails is the
+body read again line by line, to name the first bad line.  Writers format
+about _BLOCK fields per `%` operation and write each block as it is made.
 """
+
+import contextlib
+import itertools
+import math
 
 import numpy as np
 
 from .grids import AngularGrid, RadialGrid, SampledField
 from .planar import PlanarGeometry, PolarGrid
-from .transform import SpectralField, mode_index
+from .transform import SpectralField
 
 __all__ = ["FileFormatError", "read_vfld", "write_vfld", "read_vshc",
            "write_vshc", "read_points", "write_points",
@@ -64,51 +73,111 @@ __all__ = ["FileFormatError", "read_vfld", "write_vfld", "read_vshc",
 
 CHANNELS = ("r", "psi", "phi")
 
+_BLOCK = 1 << 15         # fields per `%` operation; bounds a writer's buffers
+
 
 class FileFormatError(ValueError):
     """A data file violates its format; the message names path and line."""
 
 
-def _fmt(x):
-    return "%.17g" % x
+@contextlib.contextmanager
+def _output(out):
+    """A text file opened for writing at a path, or an open file object."""
+    if hasattr(out, "write"):
+        yield out
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _dump(text, out):
     """Write text to a path or to an already-open file object."""
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _fail(path, lineno, message):
     raise FileFormatError("%s: line %d: %s" % (path, lineno, message))
 
 
+def _write_rows(fh, n, width, block, head=""):
+    """
+    Write n rows of `head` (%s fields) and then width numbers at %.17g.
+    block(lo, hi) returns the fields of rows lo..hi-1 as a 2-D array; it
+    is called for about _BLOCK fields at a time, each block formatted by
+    one `%`.
+    """
+    fmt = head + " ".join(["%.17g"] * width) + "\n"
+    step = max(1, _BLOCK // fmt.count("%"))
+    for lo in range(0, n, step):
+        b = block(lo, min(lo + step, n))
+        fh.write((fmt * len(b)) % tuple(b.ravel().tolist()))
+
+
+def _grid_rows(axes, values):
+    """
+    block(lo, hi) for _write_rows over the nodes of the tensor grid of axes
+    in lexicographic order: the text of each node's coordinates, each axis
+    value formatted once, then the node's row of values.
+    """
+    text = [np.array(["%.17g" % x for x in a], dtype=object) for a in axes]
+    shape = [len(a) for a in axes]
+
+    def block(lo, hi):
+        at = np.unravel_index(np.arange(lo, hi), shape)
+        return np.column_stack([t[i] for t, i in zip(text, at)]
+                               + [values[lo:hi]])
+
+    return block
+
+
+def _check_nodes(path, lineno, rows, axes, tol):
+    """Fail at the first row whose leading numbers are not its grid node."""
+    grid = rows.reshape([len(a) for a in axes] + [-1])
+    err = np.zeros(grid.shape[:-1])
+    for d, a in enumerate(axes):
+        a = a.reshape([-1 if e == d else 1 for e in range(len(axes))])
+        np.maximum(err, np.abs(grid[..., d] - a), out=err)
+    bad = int(np.argmax(err))
+    if err.flat[bad] > tol:
+        _fail(path, lineno(bad), "node coordinates do not match the grid "
+              "declared by the header")
+
+
 class _Lines:
-    """Sequential reader over the nonblank lines of a text file."""
+    """Sequential reader over the lines of a text file, numbering them."""
 
     def __init__(self, path):
-        self.path = path
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().split("\n")
-        self.rows = [(i + 1, s.split()) for i, s in enumerate(raw) if s.strip()]
-        self.at = 0
+        self.path, self.fh = path, open(path, "r", encoding="utf-8")
+        self.lineno = self.count = 0         # physical / nonblank lines read
 
-    def next(self, what):
-        if self.at >= len(self.rows):
-            _fail(self.path, len(self.rows) + 1,
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def next(self, what=None):
+        """
+        The next nonblank line as (line number, tokens).  At the end of the
+        file, None if what is None, else an error saying what was expected.
+        """
+        for text in self.fh:
+            self.lineno += 1
+            toks = text.split()
+            if toks:
+                self.count += 1
+                return self.lineno, toks
+        if what is not None:
+            _fail(self.path, self.count + 1,
                   "unexpected end of file, expected %s" % what)
-        row = self.rows[self.at]
-        self.at += 1
-        return row
 
     def done(self):
-        if self.at < len(self.rows):
-            lineno, _ = self.rows[self.at]
-            _fail(self.path, lineno, "trailing data past the expected %d rows"
-                  % self.at)
+        at = self.count
+        row = self.next()
+        if row is not None:
+            _fail(self.path, row[0], "trailing data past the expected %d rows"
+                  % at)
 
     def keyword(self, key):
         """Consume a `key value` line and return the value token."""
@@ -121,9 +190,12 @@ class _Lines:
     def keyfloat(self, key):
         lineno, tok = self.keyword(key)
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             _fail(self.path, lineno, "%s is not a number: %r" % (key, tok))
+        if not math.isfinite(value):
+            _fail(self.path, lineno, "%s is not finite: %r" % (key, tok))
+        return value
 
     def keyint(self, key):
         lineno, tok = self.keyword(key)
@@ -132,15 +204,77 @@ class _Lines:
         except ValueError:
             _fail(self.path, lineno, "%s is not an integer: %r" % (key, tok))
 
-    def floats(self, count, what):
-        lineno, toks = self.next(what)
+    def numbers(self, lineno, toks, what):
+        """The tokens of one line as finite floats."""
+        try:
+            vals = [float(t) for t in toks]
+        except ValueError:
+            _fail(self.path, lineno, "non-numeric entry in %s" % what)
+        if not all(map(math.isfinite, vals)):
+            _fail(self.path, lineno, "non-finite entry in %s" % what)
+        return vals
+
+    def floats(self, count, what, row=None):
+        """The next line (or the given row) as exactly count finite floats."""
+        lineno, toks = self.next(what) if row is None else row
         if len(toks) != count:
             _fail(self.path, lineno, "expected %d numbers (%s), got %d"
                   % (count, what, len(toks)))
+        return lineno, self.numbers(lineno, toks, what + " row")
+
+    def bulk(self, mark, source, count, n=None):
+        """
+        Parse the lines source yields, the rest of the body read from mark
+        (lineno, count), with numpy.loadtxt as n rows (n None: all) of count
+        finite numbers.  Returns the array, or None, back at mark, if that
+        fails.
+        """
         try:
-            return lineno, [float(t) for t in toks]
+            table = np.loadtxt(source, comments=None, ndmin=2)
+            if (table.shape[1] == count and n in (None, len(table))
+                    and np.isfinite(table).all()):
+                self.count = mark[1] + len(table)
+                return table
         except ValueError:
-            _fail(self.path, lineno, "non-numeric entry in %s row" % what)
+            pass
+        self.rewind(mark)
+
+    def rewind(self, mark, rows=0):
+        """
+        Go back to where (lineno, count) was mark, then read on past `rows`
+        nonblank lines; returns the line number reached.
+        """
+        self.fh.seek(0)
+        for _ in range(mark[0]):
+            self.fh.readline()
+        self.lineno, self.count = mark
+        for _ in range(rows):
+            self.next()
+        return self.lineno
+
+    def table(self, count, what, n=None):
+        """
+        The next n rows (n None: all) of count finite numbers, as an array,
+        and a function from row index to line number.  The first row is
+        read here, so that its line number is known without a second read.
+        """
+        mark = self.lineno, self.count
+        first = self.next(None if n is None else what)
+        if first is None:
+            return np.empty((0, count)), None
+        rows = self.bulk(mark, itertools.chain([" ".join(first[1])], self.fh),
+                         count, n)
+        if rows is not None:
+            return rows, lambda k: self.rewind(mark, k + 1) if k else first[0]
+        linenos, rows = [], []
+        while n is None or len(rows) < n:
+            row = self.next(None if n is None else what)
+            if row is None:
+                break
+            lineno, vals = self.floats(count, what, row)
+            linenos.append(lineno)
+            rows.append(vals)
+        return np.array(rows).reshape(len(rows), count), linenos.__getitem__
 
 
 def _magic(lines, tag):
@@ -205,23 +339,13 @@ def write_vfld(path, field):
     Rows hold the spherical-frame components at every (r, theta, phi)
     node in lexicographic order, real and imaginary parts separately.
     """
-    rad, ang, v = field.radial, field.angular, field.values
-    out = ["vfld 1",
-           "r0 %s" % _fmt(rad.r0),
-           "rmax %s" % _fmt(rad.rmax),
-           "nr %d" % rad.n_r,
-           "ntheta %d" % ang.n_theta,
-           "nphi %d" % ang.n_phi]
-    for i in range(rad.n_r):
-        for j in range(ang.n_theta):
-            head = (_fmt(rad.r[i]), _fmt(ang.theta[j]))
-            for k in range(ang.n_phi):
-                row = head + (_fmt(ang.phi[k]),)
-                for c in range(3):
-                    z = complex(v[i, j, k, c])
-                    row += (_fmt(z.real), _fmt(z.imag))
-                out.append(" ".join(row))
-    _dump("\n".join(out) + "\n", path)
+    rad, ang = field.radial, field.angular
+    rows = field.values.reshape(-1, 3).view(float)
+    with _output(path) as fh:
+        fh.write("vfld 1\nr0 %.17g\nrmax %.17g\nnr %d\nntheta %d\nnphi %d\n"
+                 % (rad.r0, rad.rmax, rad.n_r, ang.n_theta, ang.n_phi))
+        _write_rows(fh, len(rows), 6,
+                    _grid_rows((rad.r, ang.theta, ang.phi), rows), "%s %s %s ")
 
 
 def read_vfld(path):
@@ -233,37 +357,25 @@ def read_vfld(path):
     coordinates in the rows are checked against the rebuilt grids, so a
     file edited out of shape fails with a pointed diagnostic.
     """
-    lines = _Lines(path)
-    _magic(lines, "vfld")
-    r0 = lines.keyfloat("r0")
-    rmax = lines.keyfloat("rmax")
-    n_r = lines.keyint("nr")
-    n_theta = lines.keyint("ntheta")
-    n_phi = lines.keyint("nphi")
-    if n_r < 1 or n_theta < 1 or n_phi < 1:
-        _fail(path, lines.rows[lines.at - 1][0], "grid sizes must be positive")
-
-    rows = np.empty((n_r * n_theta * n_phi, 9))
-    linenos = np.empty(rows.shape[0], dtype=int)
-    for i in range(rows.shape[0]):
-        linenos[i], vals = lines.floats(9, "field")
-        rows[i] = vals
-    lines.done()
-
-    r_nodes = rows[::n_theta * n_phi, 0]
-    radial = radial_from_nodes(r0, rmax, r_nodes, path, linenos[0])
-    angular = AngularGrid(n_theta, n_phi)
-    want = np.stack([
-        np.repeat(radial.r, n_theta * n_phi),
-        np.tile(np.repeat(angular.theta, n_phi), n_r),
-        np.tile(angular.phi, n_r * n_theta)], axis=1)
-    err = np.abs(rows[:, :3] - want).max(axis=1)
-    bad = int(np.argmax(err))
-    if err[bad] > 1e-9 * max(rmax, 1.0):
-        _fail(path, int(linenos[bad]), "node coordinates do not match the "
-              "grid declared by the header")
-    v = (rows[:, 3::2] + 1j * rows[:, 4::2]).reshape(n_r, n_theta, n_phi, 3)
-    return SampledField(radial, angular, v)
+    with _Lines(path) as lines:
+        _magic(lines, "vfld")
+        r0 = lines.keyfloat("r0")
+        rmax = lines.keyfloat("rmax")
+        n_r = lines.keyint("nr")
+        n_theta = lines.keyint("ntheta")
+        n_phi = lines.keyint("nphi")
+        if n_r < 1 or n_theta < 1 or n_phi < 1:
+            _fail(path, lines.lineno, "grid sizes must be positive")
+        rows, lineno = lines.table(9, "field", n_r * n_theta * n_phi)
+        lines.done()
+        radial = radial_from_nodes(r0, rmax, rows[::n_theta * n_phi, 0],
+                                   path, lineno(0))
+        angular = AngularGrid(n_theta, n_phi)
+        _check_nodes(path, lineno, rows,
+                     (radial.r, angular.theta, angular.phi),
+                     1e-9 * max(rmax, 1.0))
+    v = np.ascontiguousarray(rows[:, 3:]).view(complex)
+    return SampledField(radial, angular, v.reshape(n_r, n_theta, n_phi, 3))
 
 
 ############################################
@@ -277,22 +389,34 @@ def write_vshc(path, S):
     One line per (l, m, channel) in deterministic order: l ascending,
     m ascending within l, channels r / psi / phi.
     """
-    rad = S.radial
-    out = ["vshc 1",
-           "r0 %s" % _fmt(rad.r0),
-           "rmax %s" % _fmt(rad.rmax),
-           "nr %d" % rad.n_r,
-           "lmax %d" % S.L_max,
-           " ".join(_fmt(x) for x in rad.r)]
-    for l in range(S.L_max + 1):
-        for m in range(-l, l + 1):
-            prof = S.mode(l, m)
-            for c, name in enumerate(CHANNELS):
-                row = ["%d %d %s" % (l, m, name)]
-                row += ["%s %s" % (_fmt(z.real), _fmt(z.imag))
-                        for z in prof[c]]
-                out.append(" ".join(row))
-    _dump("\n".join(out) + "\n", path)
+    rad, n_r = S.radial, S.radial.n_r
+    rows = S.coeffs.reshape(-1, n_r)            # flat mode order = file order
+    heads = ["%d %d %s" % (l, m, c) for l, m in zip(S.ells, S.ems)
+             for c in CHANNELS]
+
+    def block(lo, hi):
+        out = np.empty((hi - lo, 1 + 2 * n_r), dtype=object)
+        out[:, 0], out[:, 1:] = heads[lo:hi], rows[lo:hi].view(float)
+        return out
+
+    with _output(path) as fh:
+        fh.write("vshc 1\nr0 %.17g\nrmax %.17g\nnr %d\nlmax %d\n"
+                 % (rad.r0, rad.rmax, n_r, S.L_max))
+        _write_rows(fh, 1, n_r, lambda lo, hi: rad.r[None])
+        _write_rows(fh, len(rows), 2 * n_r, block, "%s ")
+
+
+def _numbers_after(lines, heads):
+    """
+    The numbers of each next line of lines, after its leading tokens; a
+    line whose leading tokens are not the next of heads raises ValueError.
+    """
+    for head in heads:
+        parts = lines.fh.readline().split(None, 3)
+        lines.lineno += 1
+        if len(parts) < 4 or parts[:3] != head:
+            raise ValueError("not a '%s' row" % " ".join(head))
+        yield parts[3]
 
 
 def read_vshc(path):
@@ -302,39 +426,37 @@ def read_vshc(path):
     Enforces the declared ordering, the |m| <= l index structure, and the
     l = 0 convention (psi and phi channels identically zero).
     """
-    lines = _Lines(path)
-    _magic(lines, "vshc")
-    r0 = lines.keyfloat("r0")
-    rmax = lines.keyfloat("rmax")
-    n_r = lines.keyint("nr")
-    L_max = lines.keyint("lmax")
-    if n_r < 1 or L_max < 0:
-        _fail(path, lines.rows[lines.at - 1][0],
-              "nr must be positive and lmax nonnegative")
-    node_lineno, nodes = lines.floats(n_r, "radial nodes")
-    radial = radial_from_nodes(r0, rmax, nodes, path, node_lineno)
-
-    S = SpectralField(radial, L_max)
-    for l in range(L_max + 1):
-        for m in range(-l, l + 1):
-            for c, name in enumerate(CHANNELS):
-                what = "coefficients for mode (%d, %d) channel %s" % (l, m, name)
+    with _Lines(path) as lines:
+        _magic(lines, "vshc")
+        r0 = lines.keyfloat("r0")
+        rmax = lines.keyfloat("rmax")
+        n_r = lines.keyint("nr")
+        L_max = lines.keyint("lmax")
+        if n_r < 1 or L_max < 0:
+            _fail(path, lines.lineno,
+                  "nr must be positive and lmax nonnegative")
+        node_lineno, nodes = lines.floats(n_r, "radial nodes")
+        radial = radial_from_nodes(r0, rmax, nodes, path, node_lineno)
+        heads = [[str(l), str(m), c] for l in range(L_max + 1)
+                 for m in range(-l, l + 1) for c in CHANNELS]
+        mark = lines.lineno, lines.count
+        vals = lines.bulk(mark, _numbers_after(lines, heads), 2 * n_r,
+                          len(heads))
+        if vals is None or vals[1:3].any():          # l = 0: r data only
+            lines.rewind(mark)
+            vals = np.empty((len(heads), 2 * n_r))
+            for i, (l, m, c) in enumerate(heads):
+                what = "coefficients for mode (%s, %s) channel %s" % (l, m, c)
                 lineno, toks = lines.next(what)
-                if (len(toks) != 3 + 2 * n_r or toks[0] != str(l)
-                        or toks[1] != str(m) or toks[2] != name):
-                    _fail(path, lineno, "expected '%d %d %s' plus %d numbers"
-                          % (l, m, name, 2 * n_r))
-                try:
-                    vals = np.array([float(t) for t in toks[3:]])
-                except ValueError:
-                    _fail(path, lineno, "non-numeric entry in %s" % what)
-                prof = vals[::2] + 1j * vals[1::2]
-                if l == 0 and c > 0 and np.any(prof != 0.0):
+                if len(toks) != 3 + 2 * n_r or toks[:3] != heads[i]:
+                    _fail(path, lineno, "expected '%s %s %s' plus %d numbers"
+                          % (l, m, c, 2 * n_r))
+                vals[i] = lines.numbers(lineno, toks[3:], what)
+                if l == "0" and c != "r" and vals[i].any():
                     _fail(path, lineno, "l = 0 has no %s channel; the "
-                          "profile must be zero" % name)
-                S.coeffs[mode_index(l, m), c] = prof
-    lines.done()
-    return S
+                          "profile must be zero" % c)
+        lines.done()
+    return SpectralField(radial, L_max, vals.view(complex).reshape(-1, 3, n_r))
 
 
 ############################################
@@ -343,18 +465,15 @@ def read_vshc(path):
 
 def read_points(path):
     """Read a text file of `x y z` rows into an (n, 3) float array."""
-    lines = _Lines(path)
-    pts = []
-    while lines.at < len(lines.rows):
-        _, vals = lines.floats(3, "point")
-        pts.append(vals)
-    return np.array(pts).reshape(len(pts), 3)
+    with _Lines(path) as lines:
+        return lines.table(3, "point")[0]
 
 
 def write_points(path, pts):
     """Write an (n, 3) array as `x y z` rows."""
-    rows = [" ".join(_fmt(x) for x in p) for p in np.asarray(pts, dtype=float)]
-    _dump("".join(s + "\n" for s in rows), path)
+    pts = np.asarray(pts, dtype=float)
+    with _output(path) as fh:
+        _write_rows(fh, len(pts), pts.shape[1], lambda lo, hi: pts[lo:hi])
 
 
 def write_eval_table(path, pts, values):
@@ -363,14 +482,12 @@ def write_eval_table(path, pts, values):
     vz_re vz_im`.
     """
     pts = np.asarray(pts, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    out = []
-    for p, v in zip(pts, values):
-        row = [_fmt(x) for x in p]
-        for z in v:
-            row += [_fmt(z.real), _fmt(z.imag)]
-        out.append(" ".join(row))
-    _dump("\n".join(out) + "\n", path)
+    values = np.ascontiguousarray(values, dtype=complex)
+    with _output(path) as fh:
+        if not len(pts):
+            fh.write("\n")                      # an empty table is one newline
+        _write_rows(fh, len(pts), 9, lambda lo, hi: np.column_stack(
+            [pts[lo:hi], values[lo:hi].view(float)]))
 
 
 ############################################
@@ -386,18 +503,16 @@ def write_polar(path, samples, grid, geom):
     if samples.shape != (grid.n_rho, grid.n_phi):
         raise ValueError("samples shape %r does not match the grid"
                          % (samples.shape,))
-    out = ["pfld 1", "kind %s" % geom.kind, "r0 %s" % _fmt(geom.r0)]
+    rows = samples.reshape(-1, 1).view(float)
+    head = "pfld 1\nkind %s\nr0 %.17g\n" % (geom.kind, geom.r0)
     if geom.kind == "annulus":
-        out.append("r1 %s" % _fmt(geom.r1))
+        head += "r1 %.17g\n" % geom.r1
     elif geom.kind == "exterior":
-        out.append("rsup %s" % _fmt(geom.R_sup))
-    out += ["nrho %d" % grid.n_rho, "nphi %d" % grid.n_phi]
-    for i in range(grid.n_rho):
-        for k in range(grid.n_phi):
-            z = samples[i, k]
-            out.append(" ".join((_fmt(grid.rho[i]), _fmt(grid.phi[k]),
-                                 _fmt(z.real), _fmt(z.imag))))
-    _dump("\n".join(out) + "\n", path)
+        head += "rsup %.17g\n" % geom.R_sup
+    with _output(path) as fh:
+        fh.write(head + "nrho %d\nnphi %d\n" % (grid.n_rho, grid.n_phi))
+        _write_rows(fh, len(rows), 2, _grid_rows((grid.rho, grid.phi), rows),
+                    "%s %s ")
 
 
 def read_polar(path):
@@ -410,41 +525,29 @@ def read_polar(path):
         complex (n_rho, n_phi) samples, the rebuilt PolarGrid, and the
         PlanarGeometry from the header.
     """
-    lines = _Lines(path)
-    _magic(lines, "pfld")
-    kind_lineno, kind = lines.keyword("kind")
-    if kind not in ("disk", "exterior", "annulus"):
-        _fail(path, kind_lineno, "kind must be disk, exterior, or annulus")
-    r0 = lines.keyfloat("r0")
-    if kind == "annulus":
-        geom = PlanarGeometry(kind, r0, r1=lines.keyfloat("r1"))
-    elif kind == "exterior":
-        geom = PlanarGeometry(kind, r0, R_sup=lines.keyfloat("rsup"))
-    else:
-        geom = PlanarGeometry(kind, r0)
-    n_rho = lines.keyint("nrho")
-    n_phi = lines.keyint("nphi")
-    if n_rho < 1 or n_phi < 1:
-        _fail(path, lines.rows[lines.at - 1][0], "grid sizes must be positive")
-
-    rows = np.empty((n_rho * n_phi, 4))
-    linenos = np.empty(rows.shape[0], dtype=int)
-    for i in range(rows.shape[0]):
-        linenos[i], vals = lines.floats(4, "sample")
-        rows[i] = vals
-    lines.done()
-
-    lo, hi = geom.domain()
-    radial = radial_from_nodes(lo, hi, rows[::n_phi, 0], path, linenos[0])
-    grid = PolarGrid(lo, hi, n_rho, n_phi,
-                     breakpoints=radial.breakpoints,
-                     nodes_per_panel=radial.nodes_per_panel)
-    want = np.stack([np.repeat(grid.rho, n_phi),
-                     np.tile(grid.phi, n_rho)], axis=1)
-    err = np.abs(rows[:, :2] - want).max(axis=1)
-    bad = int(np.argmax(err))
-    if err[bad] > 1e-9 * max(hi, 1.0):
-        _fail(path, int(linenos[bad]), "node coordinates do not match the "
-              "grid declared by the header")
-    samples = (rows[:, 2] + 1j * rows[:, 3]).reshape(n_rho, n_phi)
-    return samples, grid, geom
+    with _Lines(path) as lines:
+        _magic(lines, "pfld")
+        kind_lineno, kind = lines.keyword("kind")
+        if kind not in ("disk", "exterior", "annulus"):
+            _fail(path, kind_lineno, "kind must be disk, exterior, or annulus")
+        r0 = lines.keyfloat("r0")
+        if kind == "annulus":
+            geom = PlanarGeometry(kind, r0, r1=lines.keyfloat("r1"))
+        elif kind == "exterior":
+            geom = PlanarGeometry(kind, r0, R_sup=lines.keyfloat("rsup"))
+        else:
+            geom = PlanarGeometry(kind, r0)
+        n_rho = lines.keyint("nrho")
+        n_phi = lines.keyint("nphi")
+        if n_rho < 1 or n_phi < 1:
+            _fail(path, lines.lineno, "grid sizes must be positive")
+        rows, lineno = lines.table(4, "sample", n_rho * n_phi)
+        lines.done()
+        lo, hi = geom.domain()
+        radial = radial_from_nodes(lo, hi, rows[::n_phi, 0], path, lineno(0))
+        grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=radial.breakpoints,
+                         nodes_per_panel=radial.nodes_per_panel)
+        _check_nodes(path, lineno, rows, (grid.rho, grid.phi),
+                     1e-9 * max(hi, 1.0))
+    samples = np.ascontiguousarray(rows[:, 2:]).view(complex)
+    return samples.reshape(n_rho, n_phi), grid, geom

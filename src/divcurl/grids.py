@@ -202,7 +202,8 @@ class RadialGrid:
         rows = g.reshape(-1, g.shape[-1])
         # point-major buffer, filled by whole rows per panel, returned transposed
         out = np.empty((pts.size, rows.shape[0]), dtype=np.result_type(g, float))
-        for p in np.unique(idx):
+        # the panels holding points (np.unique would import numpy.ma)
+        for p in np.flatnonzero(np.bincount(idx)):
             at = np.flatnonzero(idx == p)
             sl = slice(p * n, (p + 1) * n)
             E = _bary_eval_matrix(self.r[sl], self._bary[p], pts[at])

@@ -25,8 +25,9 @@ P_l^m(cos theta)/sin(theta), which is recursed directly so the poles
 theta = 0, pi never involve a division by sin(theta).
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 LMAX_SUPPORTED = 64
 
@@ -178,8 +179,8 @@ def assoc_legendre(l, m, x):
         raise ValueError("argument x must lie in [-1, 1]")
     xa = np.clip(xa, -1.0, 1.0)
     # Pbar = sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!) * P
-    lognorm = 0.5 * (np.log((2.0 * l + 1.0) / (4.0 * np.pi))
-                     + gammaln(l - m + 1.0) - gammaln(l + m + 1.0))
+    lognorm = 0.5 * (math.log((2.0 * l + 1.0) / (4.0 * math.pi))
+                     + math.lgamma(l - m + 1.0) - math.lgamma(l + m + 1.0))
     out = pbar(l, m, xa) * np.exp(-lognorm)
     return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
 

@@ -65,6 +65,7 @@ class SpectralField:
     channel axis holds (c_r, c_1, c_2) for the (Y, Psi, Phi) components.
     Mode (l, m) sits at flat index l^2 + l + m.  The l = 0 mode has no
     tangential harmonics, so its c_1, c_2 rows are kept identically zero.
+    A coeffs array given to the constructor is copied, never modified.
     """
 
     def __init__(self, radial, L_max, coeffs=None):
@@ -74,7 +75,7 @@ class SpectralField:
         if coeffs is None:
             coeffs = np.zeros((n_modes, 3, radial.n_r), dtype=complex)
         else:
-            coeffs = np.asarray(coeffs, dtype=complex)
+            coeffs = np.array(coeffs, dtype=complex)
             if coeffs.shape != (n_modes, 3, radial.n_r):
                 raise ValueError(f"coeffs shape {coeffs.shape} does not match "
                                  f"({n_modes}, 3, {radial.n_r})")
@@ -105,7 +106,7 @@ class SpectralField:
         self.mode(l, m)[channel] = profile
 
     def copy(self):
-        return SpectralField(self.radial, self.L_max, self.coeffs.copy())
+        return SpectralField(self.radial, self.L_max, self.coeffs)
 
     def norm(self):
         """
@@ -263,10 +264,6 @@ def synthesize(S, angular):
     SampledField
         pointwise sum of c_r Y_lm + c_1 Psi_lm + c_2 Phi_lm.
     """
-    # numpy.fft has no in-place transform before numpy 2.0; scipy.fft is
-    # imported here so that processes which never synthesize skip its import
-    import scipy.fft
-
     from .grids import SampledField
 
     _require_band_limit(angular, S.L_max)
@@ -284,7 +281,7 @@ def synthesize(S, angular):
         slab[..., 0] = T_r.T
         slab[..., 1] = T_tp[:, :n_r].T
         slab[..., 2] = T_tp[:, n_r:].T
-    values = scipy.fft.ifft(values, axis=2, norm="forward", overwrite_x=True)
+    np.fft.ifft(values, axis=2, norm="forward", out=values)   # in place
     return SampledField(S.radial, angular, values)
 
 

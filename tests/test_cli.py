@@ -2,8 +2,14 @@
 Command-line drive of the full pipeline through in-process main() calls.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import divcurl
 
 from divcurl.biotsavart import biot_savart_eval
 from divcurl.cli import main
@@ -310,3 +316,21 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     stdout = capsys.readouterr().out
     assert "PASS" in stdout and "FAIL" not in stdout
+
+
+def test_cli_processes_never_import_scipy():
+    # scipy's import alone costs a CLI process about 0.3 s of start-up
+    code = ("import sys, divcurl.cli\n"
+            "from divcurl.grids import make_grids\n"
+            "from divcurl.transform import SpectralField, synthesize\n"
+            "seen = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "ang, rad = make_grids(1.0, 5.0, 8, 2)\n"
+            "synthesize(SpectralField(rad, 2), ang)\n"
+            "print(seen + [m for m in sys.modules if m.startswith('scipy')])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divcurl.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -2,17 +2,24 @@
 Text formats: sampled fields, spectral coefficients, points, planar data.
 """
 
+import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from divcurl import fileio
 from divcurl.fileio import (FileFormatError, radial_from_nodes, read_points,
                             read_polar, read_vfld, read_vshc, write_eval_table,
                             write_points, write_polar, write_vfld, write_vshc)
-from divcurl.grids import make_grids
+from divcurl.grids import AngularGrid, SampledField, make_grids
 from divcurl.planar import PlanarGeometry
 from divcurl.transform import SpectralField, synthesize
+
+# doubles whose %.17g text is easy to get wrong
+SPECIAL = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+           -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, -1e-300)
 
 
 def _random_spectral(radial, L_max, seed):
@@ -215,3 +222,279 @@ def test_nonnumeric_entry(tmp_path):
 
 def test_format_error_is_a_value_error():
     assert issubclass(FileFormatError, ValueError)
+
+
+############################################
+# Writers against the per-number %.17g loops they replaced
+
+
+def _g(x):
+    return "%.17g" % x
+
+
+def _oracle_vfld(field):
+    rad, ang, v = field.radial, field.angular, field.values
+    out = ["vfld 1", "r0 " + _g(rad.r0), "rmax " + _g(rad.rmax),
+           "nr %d" % rad.n_r, "ntheta %d" % ang.n_theta, "nphi %d" % ang.n_phi]
+    for i in range(rad.n_r):
+        for j in range(ang.n_theta):
+            for k in range(ang.n_phi):
+                row = [_g(rad.r[i]), _g(ang.theta[j]), _g(ang.phi[k])]
+                for z in v[i, j, k]:
+                    row += [_g(z.real), _g(z.imag)]
+                out.append(" ".join(row))
+    return "\n".join(out) + "\n"
+
+
+def _oracle_vshc(S):
+    rad = S.radial
+    out = ["vshc 1", "r0 " + _g(rad.r0), "rmax " + _g(rad.rmax),
+           "nr %d" % rad.n_r, "lmax %d" % S.L_max,
+           " ".join(_g(x) for x in rad.r)]
+    for l in range(S.L_max + 1):
+        for m in range(-l, l + 1):
+            for c, name in enumerate(("r", "psi", "phi")):
+                row = ["%d %d %s" % (l, m, name)]
+                row += ["%s %s" % (_g(z.real), _g(z.imag))
+                        for z in S.mode(l, m)[c]]
+                out.append(" ".join(row))
+    return "\n".join(out) + "\n"
+
+
+def _oracle_points(pts):
+    return "".join(" ".join(_g(x) for x in p) + "\n" for p in pts)
+
+
+def _oracle_eval_table(pts, values):
+    out = []
+    for p, v in zip(pts, values):
+        row = [_g(x) for x in p]
+        for z in v:
+            row += [_g(z.real), _g(z.imag)]
+        out.append(" ".join(row))
+    return "\n".join(out) + "\n"
+
+
+def _oracle_polar(samples, grid, geom):
+    out = ["pfld 1", "kind " + geom.kind, "r0 " + _g(geom.r0)]
+    if geom.kind == "annulus":
+        out.append("r1 " + _g(geom.r1))
+    elif geom.kind == "exterior":
+        out.append("rsup " + _g(geom.R_sup))
+    out += ["nrho %d" % grid.n_rho, "nphi %d" % grid.n_phi]
+    for i in range(grid.n_rho):
+        for k in range(grid.n_phi):
+            z = samples[i, k]
+            out.append(" ".join((_g(grid.rho[i]), _g(grid.phi[k]),
+                                 _g(z.real), _g(z.imag))))
+    return "\n".join(out) + "\n"
+
+
+def _complex_with_specials(rng, shape):
+    """Random complex data, negative imaginary parts included, with SPECIAL
+    planted as real and as imaginary parts."""
+    z = rng.standard_normal(shape) - 1j * rng.standard_normal(shape)
+    flat = z.reshape(-1)
+    flat.real[:len(SPECIAL)] = SPECIAL
+    flat.imag[len(SPECIAL):2 * len(SPECIAL)] = SPECIAL
+    return z
+
+
+def _written(write, *args):
+    out = io.StringIO()
+    write(out, *args)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("block", [None, 50])
+@pytest.mark.parametrize("n_phi", [9, 8])
+def test_writers_match_per_number_loops(monkeypatch, block, n_phi):
+    # block 50 forces many blocks, most of them cut inside a row's fields
+    if block is not None:
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+    rng = np.random.default_rng(n_phi)
+    _, rad = make_grids(1.0, 5.0, 16, 3, breakpoints=[1.0, 2.0, 5.0])
+    ang = AngularGrid(5, n_phi)
+    field = SampledField(rad, ang, _complex_with_specials(
+        rng, (rad.n_r, ang.n_theta, ang.n_phi, 3)))
+    assert _written(write_vfld, field) == _oracle_vfld(field)
+
+    S = SpectralField(rad, 3, _complex_with_specials(rng, (16, 3, rad.n_r)))
+    assert _written(write_vshc, S) == _oracle_vshc(S)
+
+    pts = rng.standard_normal((2 * n_phi + 1, 3))
+    pts.reshape(-1)[:len(SPECIAL)] = SPECIAL
+    values = _complex_with_specials(rng, pts.shape)
+    assert _written(write_points, pts) == _oracle_points(pts)
+    assert _written(write_eval_table, pts, values) \
+        == _oracle_eval_table(pts, values)
+    assert _written(write_eval_table, pts[:0], values[:0]) == "\n"
+
+    geom = PlanarGeometry("exterior", 1.0, R_sup=3.0)
+    grid = geom.grid(16, n_phi)
+    samples = _complex_with_specials(rng, (16, n_phi))
+    assert _written(write_polar, samples, grid, geom) \
+        == _oracle_polar(samples, grid, geom)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_round_trips_are_bit_exact(tmp_path):
+    # -0.0 in real and imaginary parts, subnormals and the largest double
+    # come back with every bit
+    rng = np.random.default_rng(11)
+    ang, rad = make_grids(1.0, 5.0, 16, 2)
+    field = SampledField(rad, ang, _complex_with_specials(
+        rng, (rad.n_r, ang.n_theta, ang.n_phi, 3)))
+    write_vfld(tmp_path / "f.vfld", field)
+    assert np.array_equal(_bits(read_vfld(tmp_path / "f.vfld").values),
+                          _bits(field.values))
+
+    coeffs = _complex_with_specials(rng, (9, 3, rad.n_r))
+    coeffs[0, 1:] = -0.0                         # l = 0 tangential rows
+    S = SpectralField(rad, 2, coeffs)
+    write_vshc(tmp_path / "c.vshc", S)
+    assert np.array_equal(_bits(read_vshc(tmp_path / "c.vshc").coeffs),
+                          _bits(S.coeffs))
+
+    pts = rng.standard_normal((7, 3))
+    pts.reshape(-1)[:len(SPECIAL)] = SPECIAL
+    write_points(tmp_path / "p.txt", pts)
+    assert np.array_equal(_bits(read_points(tmp_path / "p.txt")), _bits(pts))
+
+    geom = PlanarGeometry("disk", 2.0)
+    grid = geom.grid(16, 5)
+    samples = _complex_with_specials(rng, (16, 5))
+    write_polar(tmp_path / "s.pfld", samples, grid, geom)
+    assert np.array_equal(_bits(read_polar(tmp_path / "s.pfld")[0]),
+                          _bits(samples))
+
+
+############################################
+# Diagnostics of the line-by-line pass
+
+
+def _small_vfld(tmp_path):
+    """A .vfld path and its 54 lines: the header is lines 1-6, rows 7-54."""
+    ang, rad = make_grids(1.0, 5.0, 8, 1)
+    path = tmp_path / "body.vfld"
+    write_vfld(path, synthesize(_random_spectral(rad, 1, 8), ang))
+    text = path.read_text().split("\n")[:-1]
+    assert len(text) == 54
+    return path, text
+
+
+def _with_token(line, k, tok):
+    toks = line.split()
+    toks[k] = tok
+    return " ".join(toks)
+
+
+# each message is the one the per-line reader gave before bulk parsing
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t[:10] + [" ".join(t[10].split()[:8])] + t[11:],
+     "line 11: expected 9 numbers (field), got 8"),
+    (lambda t: t[:8] + [_with_token(t[8], 4, "0x1")] + t[9:],
+     "line 9: non-numeric entry in field row"),
+    (lambda t: t[:9] + ["# a comment"] + t[9:],
+     "line 10: expected 9 numbers (field), got 3"),
+    (lambda t: t[:9] + ["", "  "] + [_with_token(t[9], 0, "r")] + t[10:],
+     "line 12: non-numeric entry in field row"),
+    (lambda t: t[:-1],
+     "line 54: unexpected end of file, expected field"),
+    (lambda t: t + [t[-1]],
+     "line 55: trailing data past the expected 54 rows"),
+])
+def test_vfld_body_errors_name_their_line(tmp_path, edit, message):
+    path, text = _small_vfld(tmp_path)
+    path.write_text("\n".join(edit(text)) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        read_vfld(path)
+    assert str(err.value) == "%s: %s" % (path, message)
+
+
+def test_blank_lines_in_a_body_are_skipped(tmp_path):
+    path, text = _small_vfld(tmp_path)
+    field = read_vfld(path)
+    path.write_text("\n".join(text[:20] + ["", " \t"] + text[20:]) + "\n\n")
+    assert np.array_equal(read_vfld(path).values, field.values)
+    path.write_text("\n".join(text[:20] + [""] + text[20:30]
+                              + [_with_token(text[30], 2, "7")] + text[31:]))
+    with pytest.raises(FileFormatError, match="line 32.*do not match"):
+        read_vfld(path)
+
+
+############################################
+# Non-finite numbers
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e999"])
+def test_readers_reject_non_finite_numbers(tmp_path, bad):
+    path, text = _small_vfld(tmp_path)
+    toks = text[9].split()
+    toks[5] = bad
+    path.write_text("\n".join(text[:9] + [" ".join(toks)] + text[10:]) + "\n")
+    with pytest.raises(FileFormatError,
+                       match=r"line 10: non-finite entry in field row"):
+        read_vfld(path)
+
+    path.write_text("\n".join([text[0], "r0 " + bad] + text[2:]) + "\n")
+    with pytest.raises(FileFormatError, match=r"line 2: r0 is not finite"):
+        read_vfld(path)
+
+    _, rad = make_grids(1.0, 5.0, 16, 1)
+    path = tmp_path / "c.vshc"
+    write_vshc(path, _random_spectral(rad, 1, 9))
+    text = path.read_text().split("\n")
+    toks = text[9].split()                       # the `1 -1 r` row
+    toks[4] = bad
+    text[9] = " ".join(toks)
+    path.write_text("\n".join(text))
+    with pytest.raises(FileFormatError, match=r"line 10: non-finite entry in "
+                       r"coefficients for mode \(1, -1\) channel r"):
+        read_vshc(path)
+
+    path = tmp_path / "p.txt"
+    path.write_text("1 2 3\n4 %s 6\n" % bad)
+    with pytest.raises(FileFormatError,
+                       match=r"line 2: non-finite entry in point row"):
+        read_points(path)
+
+    geom = PlanarGeometry("disk", 1.0)
+    path = tmp_path / "s.pfld"
+    write_polar(path, np.ones((8, 3)), geom.grid(8, 3), geom)
+    text = path.read_text().split("\n")
+    text[8] = " ".join(text[8].split()[:3] + [bad])
+    path.write_text("\n".join(text))
+    with pytest.raises(FileFormatError,
+                       match=r"line 9: non-finite entry in sample row"):
+        read_polar(path)
+
+
+############################################
+# Memory
+
+
+def test_vfld_io_memory_is_bounded_by_the_field(tmp_path):
+    # streamed text and bulk parsing: no whole-file string or token list
+    ang, rad = make_grids(1.0, 5.0, 64, 16)
+    field = synthesize(_random_spectral(rad, 16, 12), ang)
+    path = tmp_path / "big.vfld"
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_vfld(path, field)
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = read_vfld(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    size = field.values.nbytes
+    assert write_peak <= 2.0 * size
+    assert read_peak <= 3.0 * size
+    assert np.array_equal(back.values, field.values)

@@ -400,3 +400,7 @@ def test_l0_tangential_channels_stay_zero():
     coeffs = np.ones((9, 3, rad.n_r), dtype=complex)
     T = SpectralField(rad, 2, coeffs)
     assert np.abs(T.coeffs[0, 1:]).max() == 0.0
+    assert np.all(coeffs == 1.0)                 # the caller's array is a copy
+    U = T.copy()
+    U.coeffs[:] = 2.0
+    assert np.all(T.coeffs[1:] == 1.0)
