@@ -11,6 +11,14 @@ deliberately independent of the spherical-harmonic machinery, which makes
 it a cross-check for the spectral exterior solver: for compatible data
 the two must produce the same field.
 
+The sum is direct and exact: no multipole expansion, no truncation.
+Only source nodes where f is exactly zero are left out of it, since
+they contribute exactly zero; the proximity check still covers them.
+The points are summed in fixed blocks of _POINT_BLOCK, cut at the same
+offsets for every thread count, and with `threads` > 1 each worker sums
+whole blocks.  A GEMM row is thus always rounded inside a block of the
+same size, and the result is bitwise identical for any thread count.
+
 `circulation_diagnostic` evaluates the circulation pair
 
     surface integral of n x v over |x| = R   and   volume integral of f.
@@ -30,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .frames import sph_to_cart_points, sph_to_cart_vector
+from .frames import sph_to_cart_points, spherical_frame
 
 __all__ = ["biot_savart_eval", "circulation_diagnostic", "sphere_points",
            "ProximityError"]
@@ -51,23 +59,19 @@ def _source_arrays(field):
     Returns (pts, fc, w, spacing): Cartesian node positions (M, 3), the
     Cartesian field values (M, 3), the volume quadrature weights
     w_r r^2 w_ct w_phi (M,), and the local grid spacing per node (M,)
-    used by the proximity check.
+    used by the proximity check.  Only the angular frame is tabulated
+    on the (n_theta, n_phi) grid; the radial axis is broadcast.
     """
     rad, ang = field.radial, field.angular
-    r = rad.r
-    theta = ang.theta
-    phi = ang.phi
-    R, T, P = np.meshgrid(r, theta, phi, indexing="ij")
-    pts = sph_to_cart_points(R, T, P).reshape(-1, 3)
+    r, theta = rad.r, ang.theta
+    shape = field.values.shape[:3]
+    T, P = np.meshgrid(theta, ang.phi, indexing="ij")
+    frame = np.stack(spherical_frame(T, P), axis=-2)   # (n_t, n_p, 3, 3)
+    pts = (r[:, None, None, None] * frame[:, :, 0]).reshape(-1, 3)
+    fc = np.einsum("rtpk,tpkc->rtpc", field.values, frame).reshape(-1, 3)
 
-    vr = field.values[..., 0]
-    vt = field.values[..., 1]
-    vp = field.values[..., 2]
-    fc = sph_to_cart_vector(vr, vt, vp, T, P).reshape(-1, 3)
-
-    w = (rad.w * r ** 2)[:, None, None] * ang.w_ct[None, :, None] \
-        * ang.w_phi
-    w = np.broadcast_to(w, R.shape).reshape(-1)
+    w = (rad.w * r ** 2)[:, None, None] * ang.w_ct[:, None] * ang.w_phi
+    w = np.broadcast_to(w, shape).reshape(-1)
 
     # local spacing: nearest radial neighbour and the angular arc lengths
     dr = np.empty_like(r)
@@ -80,41 +84,71 @@ def _source_arrays(field):
     dtheta[1:] = np.minimum(dtheta[1:], np.diff(theta))
     st = np.abs(np.sin(theta))
     dphi = 2.0 * np.pi / ang.n_phi
-    spacing = np.minimum(
-        dr[:, None, None],
-        np.minimum(R * dtheta[None, :, None], R * st[None, :, None] * dphi))
-    return pts, fc, np.asarray(w), spacing.reshape(-1)
+    spacing = np.minimum(dr[:, None], np.minimum(r[:, None] * dtheta,
+                                                 r[:, None] * st * dphi))
+    spacing = np.broadcast_to(spacing[:, :, None], shape).reshape(-1)
+    return pts, fc, w, spacing
 
 
-def biot_savart_eval(field, pts, chunk=4096, threads=1):
+############################################
+# Direct sum
+
+# evaluation points per block.  A worker thread always sums whole blocks,
+# and blocks are cut at fixed offsets, so every GEMM row is rounded inside
+# a block of the same size whatever the thread count
+_POINT_BLOCK = 64
+
+
+def biot_savart_eval(field, pts, chunk=512, threads=1):
     """
     Evaluate the Biot-Savart-Laplace integral of a sampled source field.
+
+    The sum is exact over every source node that carries a nonzero value
+    (the others contribute exactly zero and are skipped).  For a block of
+    _POINT_BLOCK points and a chunk of such nodes it forms the real
+    differences d_a = x_a - y_a and k = |x - y|^-3, and accumulates the
+    three real products (d_a k) @ G against the (chunk, 6) float view G
+    of the weighted complex source w f; the cross product is assembled
+    once per block from those 3 x 6 partial sums.  Temporaries are
+    (_POINT_BLOCK, chunk) whatever the number of points.
 
     Parameters
     ----------
     field: SampledField
-        source f in spherical-frame components on the tensor grid
+        source f in spherical-frame components on the tensor grid; its
+        values must be finite
     pts: (N, 3) array
-        Cartesian evaluation points; each must keep a distance of at
-        least half the local grid spacing from every source node that
+        finite Cartesian evaluation points; each must keep a distance of
+        at least half the local grid spacing from every source node that
         carries a nonzero value (nodes where f vanishes contribute
         nothing, so only strict separation is required there), and lie
         strictly outside the inner sphere
     chunk: int
         number of source nodes per vectorized block
     threads: int
-        worker threads over evaluation points; each point's sum is
-        computed whole by one worker, so the result is bitwise identical
+        worker threads over fixed blocks of _POINT_BLOCK points; a block
+        is summed whole by one worker, so the result is bitwise identical
         for every thread count
 
     Returns
     -------
     (N, 3) complex array of Cartesian field values
         v(x) = -(1/4 pi) * sum of w_i (x - y_i) x f_i / |x - y_i|^3.
+
+    Raises
+    ------
+    ValueError
+        on a malformed or non-finite `pts`, or non-finite field values
+    ProximityError
+        when a point violates the separation above
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"pts must be (N, 3), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("evaluation points must be finite")
+    if not np.isfinite(field.values).all():
+        raise ValueError("source field values must be finite")
     r0 = field.radial.r0
     rr = np.linalg.norm(pts, axis=1)
     if np.any(rr <= r0):
@@ -122,33 +156,83 @@ def biot_savart_eval(field, pts, chunk=4096, threads=1):
         raise ProximityError(
             f"evaluation point {bad} lies inside the sphere r0 = {r0:g}")
     src, fc, w, spacing = _source_arrays(field)
-    wf = w[:, None] * fc
-    live = np.abs(fc).max(axis=1) > 0.0
+    live = (fc != 0.0).any(axis=1)
+    G = (w[live, None] * fc[live]).view(float)          # (n_live, 6)
+    del fc, w
+    # clamped to the least positive double so that `|d| < half` also
+    # catches a point exactly on a live node
+    half = np.maximum(0.5 * spacing[live], np.nextafter(0.0, 1.0))
+    del spacing
+    live_src, dead_src = src[live].T.copy(), src[~live].T.copy()
+    del src
+    chunk = max(1, min(int(chunk), max(live_src.shape[1], dead_src.shape[1])))
+    n = pts.shape[0]
+    out = np.empty((n, 3), dtype=complex)
 
-    def accumulate(block):
-        out = np.zeros((block.shape[0], 3), dtype=complex)
-        for lo in range(0, src.shape[0], chunk):
-            sl = slice(lo, lo + chunk)
-            diff = block[:, None, :] - src[None, sl, :]      # (N, M, 3)
-            dist = np.sqrt((diff ** 2).sum(axis=2))
-            near = dist < np.where(live[sl], 0.5 * spacing[sl], 0.0)[None, :]
-            coincident = dist == 0.0
-            if np.any(near) or np.any(coincident):
-                i, j = np.argwhere(near | coincident)[0]
-                raise ProximityError(
-                    f"evaluation point {block[i]} is {dist[i, j]:.3g} from a "
-                    f"source node (minimum {0.5 * spacing[sl][j]:.3g})")
-            out += np.cross(diff, wf[sl][None, :, :]
-                            / dist[:, :, None] ** 3).sum(axis=1)
-        return out
+    def too_close(x, dist, lim):
+        return ProximityError(
+            f"evaluation point {x} is {dist:.3g} from a source node "
+            f"(minimum {lim:.3g})")
 
+    def block_sum(lo):
+        p = pts[lo:lo + _POINT_BLOCK]
+        b = p.shape[0]
+        px, py, pz = (p[:, a, None] for a in range(3))
+        buf = np.empty(5 * b * chunk)
+        # a point only has to miss a node where f vanishes: |d|^2 == 0
+        # needs every squared difference to underflow, so test x first
+        for s in range(0, dead_src.shape[1], chunk):
+            sx, sy, sz = dead_src[:, s:s + chunk]
+            t = buf[:b * sx.size].reshape(b, sx.size)
+            np.subtract(px, sx, out=t)
+            np.multiply(t, t, out=t)
+            if (t == 0.0).any():
+                t += (py - sy) ** 2
+                t += (pz - sz) ** 2
+                hit = np.argwhere(t == 0.0)
+                if hit.size:
+                    raise too_close(p[hit[0, 0]], 0.0, 0.0)
+        acc = np.zeros((3 * b, 6))
+        for s in range(0, live_src.shape[1], chunk):
+            sx, sy, sz = live_src[:, s:s + chunk]
+            c = sx.size
+            m = b * c
+            d = buf[:3 * m].reshape(3, b, c)
+            t = buf[3 * m:4 * m].reshape(b, c)
+            d2 = buf[4 * m:5 * m].reshape(b, c)
+            np.subtract(px, sx, out=d[0])
+            np.subtract(py, sy, out=d[1])
+            np.subtract(pz, sz, out=d[2])
+            np.multiply(d[0], d[0], out=d2)
+            np.multiply(d[1], d[1], out=t)
+            d2 += t
+            np.multiply(d[2], d[2], out=t)
+            d2 += t                                     # |d|^2
+            np.sqrt(d2, out=t)                          # |d|
+            near = t < half[s:s + c]
+            if near.any():
+                i, j = np.argwhere(near)[0]
+                raise too_close(p[i], t[i, j], half[s + j])
+            np.multiply(d2, t, out=t)
+            np.divide(1.0, t, out=t)                    # |d|^-3
+            d *= t
+            acc += d.reshape(3 * b, c) @ G[s:s + c]
+        P = acc.view(complex).reshape(3, b, 3)          # P[a, :, c] = sum d_a k g_c
+        v = out[lo:lo + b]
+        v[:, 0] = P[1, :, 2] - P[2, :, 1]
+        v[:, 1] = P[2, :, 0] - P[0, :, 2]
+        v[:, 2] = P[0, :, 1] - P[1, :, 0]
+        v /= -4.0 * np.pi
+
+    starts = range(0, n, _POINT_BLOCK)
     threads = max(1, int(threads))
-    if threads == 1 or pts.shape[0] < 2:
-        return accumulate(pts) / (-4.0 * np.pi)
-    splits = np.array_split(np.arange(pts.shape[0]), min(threads, pts.shape[0]))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ix: accumulate(pts[ix]), splits))
-    return np.concatenate(parts, axis=0) / (-4.0 * np.pi)
+    if threads == 1 or len(starts) < 2:
+        for lo in starts:
+            block_sum(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(block_sum, starts))
+    return out
 
 
 ############################################

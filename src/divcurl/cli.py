@@ -20,9 +20,10 @@ phi), so repeated runs with the same inputs are byte-identical.
 
 Exit codes: 0 success, 1 operational failure (incompatible data, point
 too close to a source node, missing file), 2 malformed input file.
-`--threads` (default 1) fans the Biot-Savart point loop out over worker
-threads; each point is summed whole by one worker, so the output does
-not depend on the thread count.
+`--threads` (default 1) fans the Biot-Savart sum out over worker
+threads.  The points are cut into fixed blocks of 64 at the same offsets
+for every thread count, and each block is summed whole by one worker, so
+the output is byte-identical for any `--threads`.
 """
 
 import argparse
@@ -307,7 +308,7 @@ def build_parser():
     q = add("biot", "direct Biot-Savart evaluation at listed points")
     q.add_argument("--points", required=True, help="text file of x y z rows")
     q.add_argument("--threads", type=int, default=1,
-                   help="worker threads over points (default 1)")
+                   help="worker threads over blocks of points (default 1)")
     q.set_defaults(func=cmd_biot)
 
     q = add("moments2d", "planar moment table of a polar scalar file")

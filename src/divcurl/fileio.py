@@ -58,6 +58,7 @@ about _BLOCK fields per `%` operation and write each block as it is made.
 """
 
 import contextlib
+import io
 import itertools
 import math
 
@@ -149,6 +150,12 @@ class _Lines:
 
     def __init__(self, path):
         self.path, self.fh = path, open(path, "r", encoding="utf-8")
+        if not self.fh.seekable():
+            # a pipe is read once: keep its bytes, so that a failed bulk
+            # parse can still go back and name the bad line
+            with self.fh:
+                data = self.fh.buffer.read()
+            self.fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         self.lineno = self.count = 0         # physical / nonblank lines read
 
     def __enter__(self):

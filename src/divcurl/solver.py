@@ -159,6 +159,7 @@ class CompatReport:
         Returns
         -------
         (l, m, name, value)
+            a NaN residual counts as the largest; the first one is named
         """
         gap = np.abs(self.moment if required_moment is None
                      else self.moment - required_moment)
@@ -167,9 +168,11 @@ class CompatReport:
                  "boundary_deriv": self.boundary_deriv, "moment": gap}
         best = (0, 0, "normal_trace", -1.0)
         for name, arr in stack.items():
-            k = int(np.argmax(arr))
-            if arr[k] > best[3]:
+            k = int(np.argmax(arr))         # the first NaN, if there is one
+            if not arr[k] <= best[3]:       # true for a NaN, which wins
                 best = (int(self.ells[k]), int(self.ems[k]), name, float(arr[k]))
+                if np.isnan(arr[k]):
+                    break
         return best
 
     def as_table(self):
@@ -243,7 +246,8 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     Raises
     ------
     IncompatibilityError
-        when a residual exceeds REFUSE_TOL, carrying the offending mode.
+        when a residual exceeds REFUSE_TOL, carrying the offending mode,
+        or when a coefficient is NaN or Inf (the data norm is not finite).
     """
     far = _as_far(far)
     report = check_compatibility(f)
@@ -260,7 +264,8 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     if denom == 0.0:
         denom = 1.0
     l_bad, m_bad, name, value = report.worst(required)
-    if value > REFUSE_TOL * denom:
+    # a NaN or Inf coefficient makes the data norm non-finite
+    if not (np.isfinite(denom) and value <= REFUSE_TOL * denom):
         raise IncompatibilityError(l_bad, m_bad, name, value / denom)
     if value > tol * denom:
         warnings.warn(

@@ -2,10 +2,12 @@
 The direct volume-integral evaluator and the circulation diagnostic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from divcurl.biotsavart import (ProximityError, biot_savart_eval,
+from divcurl.biotsavart import (_POINT_BLOCK, ProximityError, biot_savart_eval,
                                 circulation_diagnostic, sphere_points)
 from divcurl.grids import SampledField, make_grids
 from divcurl.solver import solve_exterior
@@ -103,6 +105,55 @@ def test_zero_source_gives_zero_field():
     assert np.abs(v).max() == 0.0
 
 
+def _random_shell(ang, rad, seed):
+    """
+    Random complex f on the shell, zero elsewhere; on some nodes purely
+    imaginary, on others only its phi component is nonzero.
+    """
+    rng = np.random.default_rng(seed)
+    chi = ((rad.r > A_IN) & (rad.r < B_OUT)).astype(float)
+    shape = (rad.n_r, ang.n_theta, ang.n_phi, 3)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals[:, 0::3] = 1j * vals[:, 0::3].imag
+    vals[:, 1::3, :, :2] = 0.0
+    return SampledField(rad, ang, chi[:, None, None, None] * vals)
+
+
+def _per_pair_reference(field, pts):
+    """The quadrature sum term by term: one source node at a time."""
+    rad, ang = field.radial, field.angular
+    out = np.zeros((len(pts), 3), dtype=complex)
+    for i, r in enumerate(rad.r):
+        for j, (t, ct, wt) in enumerate(zip(ang.theta, ang.ct, ang.w_ct)):
+            st = np.sin(t)
+            for k, p in enumerate(ang.phi):
+                cp, sp = np.cos(p), np.sin(p)
+                vr, vt, vp = field.values[i, j, k]
+                f = (vr * np.array([st * cp, st * sp, ct])
+                     + vt * np.array([ct * cp, ct * sp, -st])
+                     + vp * np.array([-sp, cp, 0.0]))
+                y = r * np.array([st * cp, st * sp, ct])
+                w = rad.w[i] * r ** 2 * wt * ang.w_phi
+                for n, x in enumerate(pts):
+                    d = x - y
+                    out[n] += w * np.cross(d, f) / np.linalg.norm(d) ** 3
+    return out / (-4.0 * np.pi)
+
+
+def test_matches_per_pair_sum_with_dead_nodes():
+    ang, rad = _shell_grids(n_r=12, L=3)
+    field = _random_shell(ang, rad, seed=6)
+    assert 0 < np.count_nonzero(field.values[..., 0]) < field.values[..., 0].size
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((5, 3))
+    pts *= rng.uniform(1.1, 6.0, (5, 1)) / np.linalg.norm(pts, axis=1,
+                                                          keepdims=True)
+    ref = _per_pair_reference(field, pts)
+    for chunk in (512, 37):
+        v = biot_savart_eval(field, pts, chunk=chunk)
+        assert np.abs(v - ref).max() < 1e-13 * np.abs(ref).max()
+
+
 ############################################
 # Decay at infinity
 
@@ -159,6 +210,42 @@ def test_point_near_dead_node_is_fine():
     assert np.all(np.isfinite(v))
 
 
+def test_point_on_dead_node_rejected():
+    # a point exactly on a node where f = 0 still meets 0 / 0 there
+    ang, rad = _shell_grids()
+    field = _axial_shell(ang, rad)
+    dead = np.argmin(np.abs(rad.r - 4.5))
+    theta, phi = ang.theta[3], ang.phi[5]
+    st = np.sin(theta)
+    node = rad.r[dead] * np.array([st * np.cos(phi), st * np.sin(phi),
+                                   np.cos(theta)])
+    assert np.all(field.values[dead, 3, 5] == 0.0)
+    pts = np.array([[0.0, 4.2, 1.0], node])
+    with pytest.raises(ProximityError):
+        biot_savart_eval(field, pts)
+    with pytest.raises(ProximityError):
+        biot_savart_eval(field, pts, chunk=13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_rejected(bad):
+    ang, rad = _shell_grids(n_r=12, L=2)
+    field = _axial_shell(ang, rad)
+    pts = np.array([[4.0, 0.0, 1.0], [bad, 3.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        biot_savart_eval(field, pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_source_rejected(bad):
+    # a NaN at a node outside the support must not drop out of the sum
+    ang, rad = _shell_grids(n_r=12, L=2)
+    field = _axial_shell(ang, rad)
+    field.values[-1, 0, 0, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        biot_savart_eval(field, np.array([[4.0, 0.0, 9.0]]))
+
+
 def test_bad_point_shape_rejected():
     ang, rad = _shell_grids(n_r=12, L=2)
     field = _axial_shell(ang, rad)
@@ -171,13 +258,38 @@ def test_bad_point_shape_rejected():
 
 
 def test_threads_are_bitwise_identical():
+    # two whole point blocks and a partial third
     ang, rad = _shell_grids()
     field = _azimuthal_shell(ang, rad)
     rng = np.random.default_rng(2)
-    pts = rng.uniform(4.0, 6.0, (7, 3))
+    pts = rng.uniform(4.0, 6.0, (2 * _POINT_BLOCK + 7, 3))
     v1 = biot_savart_eval(field, pts, threads=1)
-    v3 = biot_savart_eval(field, pts, threads=3)
-    assert np.array_equal(v1, v3)
+    for threads in (2, 3):
+        assert np.array_equal(v1, biot_savart_eval(field, pts, threads=threads))
+
+
+def test_peak_memory_does_not_grow_with_points():
+    # temporaries are (_POINT_BLOCK, chunk): going from one block (64
+    # points) to 1000 points adds little more than the larger output, not
+    # 1000 x chunk entries
+    ang, rad = _shell_grids()
+    field = _azimuthal_shell(ang, rad)
+    rng = np.random.default_rng(8)
+
+    def peak(n):
+        pts = rng.standard_normal((n, 3))
+        pts *= 5.5 / np.linalg.norm(pts, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            biot_savart_eval(field, pts)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(_POINT_BLOCK), peak(1000)
+    out_bytes = 1000 * 3 * 16
+    assert large - small < 3 * out_bytes
 
 
 def test_chunk_size_only_reorders_rounding():

@@ -152,6 +152,41 @@ def test_solve_incompatible_exits_1_with_mode(tmp_path, capsys):
     assert "--partial-slip" in err
 
 
+def test_solve_non_finite_source_exits_1(tmp_path, capsys, monkeypatch):
+    # the readers reject NaN, so hand the solver one through the reader
+    f, _ = _manufactured_source()
+    f.coeffs[mode_index(2, 1), 2, 30] = np.nan
+    monkeypatch.setattr("divcurl.cli.read_vshc", lambda path: f)
+    out = tmp_path / "never.vshc"
+    assert main(["solve", "any.vshc", "--out", str(out)]) == 1
+    assert "incompatible data" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_input_on_a_pipe_exits_2(tmp_path):
+    # a pipe cannot be rewound, yet the bad line is still named
+    src = tmp_path / "z.vfld"
+    write_vfld(src, _zhat_field(8, 2))
+    text = src.read_bytes()
+    cli = [sys.executable, "-m", "divcurl.cli", "analyze", "/dev/stdin"]
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(divcurl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    lines = text.splitlines(keepends=True)
+    cut = b"".join(lines[:20])
+    lines[14] = b"0.5 " + lines[14]                     # ten numbers
+    for body, line in ((cut, "line 21"), (b"".join(lines), "line 15")):
+        proc = subprocess.run(cli, input=body, capture_output=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert b"/dev/stdin: " + line.encode() in proc.stderr
+    proc = subprocess.run(cli, input=text, capture_output=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == subprocess.run(
+        cli[:-1] + [str(src)], capture_output=True, timeout=120,
+        env=env).stdout
+
+
 def test_partial_slip_recovers_solvability(tmp_path, capsys):
     _, rad = make_grids(1.0, 5.0, 48, 4, breakpoints=[1, 2, 3, 4, 5])
     g1 = np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3

@@ -201,6 +201,22 @@ def test_large_violation_refuses_with_mode_attribution():
     assert "moment" in str(e)
 
 
+@pytest.mark.parametrize("channel, bad", [(2, np.nan), (2, np.inf),
+                                          (0, complex(0.0, np.nan)),
+                                          (1, -np.inf)])
+def test_non_finite_source_refused(channel, bad):
+    # a NaN residual compares False against any threshold; the gate must
+    # still refuse, and name the mode the NaN sits in
+    _, rad = _panel_grids()
+    f, _ = _manufactured(rad, seed=10)
+    f.coeffs[mode_index(3, -2), channel, 20] = bad
+    with pytest.raises(IncompatibilityError) as err, \
+            np.errstate(invalid="ignore"):
+        solve_exterior(f)
+    assert err.value.mode == (3, -2)
+    assert not np.isfinite(err.value.scaled_residual)
+
+
 def test_as_table_shape():
     _, rad = _panel_grids(L=3)
     f, _ = _manufactured(rad, L=3, seed=9)
