@@ -20,8 +20,9 @@ from divcurl.fileio import read_vshc, write_vfld, write_vshc
 from divcurl.grids import make_grids
 from divcurl.transform import SpectralField, synthesize, mode_index
 
-work = Path(tempfile.mkdtemp(prefix="divcurl_demo_"))
-print("working directory:", work)
+tmp = tempfile.TemporaryDirectory(prefix="divcurl_demo_")
+work = Path(tmp.name)
+print("working directory:", work, "(removed at the end)")
 
 ############################################
 # Make a compatible source and write it as a sampled field
@@ -79,3 +80,5 @@ with contextlib.redirect_stderr(io.StringIO()):
     main(["solve", str(work / "source.vshc"), "--out", str(work / "again.vshc")])
 same = (work / "solution.vshc").read_bytes() == (work / "again.vshc").read_bytes()
 print("\nrerun byte-identical  :", same)
+
+tmp.cleanup()

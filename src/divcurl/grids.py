@@ -190,24 +190,42 @@ class RadialGrid:
         total = np.asarray(g @ self.w)
         return total[..., None] - self.running_integral(g)
 
+    def locate(self, pts):
+        """
+        Group points in [r0, rmax] by the radial panel that holds them.
+
+        Returns (order, runs): order is a stable permutation of the points
+        that sorts them by panel, and runs lists (p, a, b) for each panel p
+        holding points, which are order[a:b].  Points outside [r0, rmax]
+        raise ValueError.
+        """
+        pts = np.atleast_1d(np.asarray(pts, dtype=float))
+        if np.any(pts < self.r0 - 1e-12) or np.any(pts > self.rmax + 1e-12):
+            raise ValueError("interpolation points must lie in [r0, rmax]")
+        idx = np.clip(np.searchsorted(self.breakpoints, pts, side="right") - 1,
+                      0, self.n_panels - 1)
+        counts = np.bincount(idx, minlength=self.n_panels)
+        ends = np.cumsum(counts)
+        runs = [(p, ends[p] - counts[p], ends[p]) for p in np.flatnonzero(counts)]
+        return np.argsort(idx, kind="stable"), runs
+
+    def eval_matrix(self, p, pts):
+        """Rows mapping the samples of panel p to its interpolant at pts."""
+        n = self.nodes_per_panel
+        return _bary_eval_matrix(self.r[p * n:(p + 1) * n], self._bary[p], pts)
+
     def interp(self, g, pts):
         """Evaluate the panel-wise interpolant of sampled g at points in [r0, rmax]."""
         g = np.asarray(g)
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        if np.any(pts < self.r0 - 1e-12) or np.any(pts > self.rmax + 1e-12):
-            raise ValueError("interpolation points must lie in [r0, rmax]")
+        order, runs = self.locate(pts)
         n = self.nodes_per_panel
-        idx = np.clip(np.searchsorted(self.breakpoints, pts, side="right") - 1,
-                      0, self.n_panels - 1)
         rows = g.reshape(-1, g.shape[-1])
         # point-major buffer, filled by whole rows per panel, returned transposed
         out = np.empty((pts.size, rows.shape[0]), dtype=np.result_type(g, float))
-        # the panels holding points (np.unique would import numpy.ma)
-        for p in np.flatnonzero(np.bincount(idx)):
-            at = np.flatnonzero(idx == p)
-            sl = slice(p * n, (p + 1) * n)
-            E = _bary_eval_matrix(self.r[sl], self._bary[p], pts[at])
-            out[at] = E @ rows[:, sl].T
+        for p, a, b in runs:
+            at = order[a:b]
+            out[at] = self.eval_matrix(p, pts[at]) @ rows[:, p * n:(p + 1) * n].T
         return out.T.reshape(g.shape[:-1] + (pts.size,))
 
     def __eq__(self, other):

@@ -19,10 +19,11 @@ The vector harmonics are the triple
 
 with surface norms 1, l(l+1), l(l+1) and vanishing cross products.
 
-Everything is evaluated by stable upward recurrences in l on the
-normalized functions; the tangential components are built from
-P_l^m(cos theta)/sin(theta), which is recursed directly so the poles
-theta = 0, pi never involve a division by sin(theta).
+Everything is evaluated by one stable upward recurrence in l on the
+normalized functions, taken for all orders m at once; the tangential
+components are built from P_l^m(cos theta)/sin(theta), which is recursed
+directly (the same recurrence from a different sectorial seed) so the
+poles theta = 0, pi never involve a division by sin(theta).
 """
 
 import math
@@ -57,6 +58,29 @@ def _check_degree_order(l, m):
 # Normalized Legendre recurrences
 
 
+def _upward(T, x, m0):
+    """
+    Fill T[l, m] for m0 <= m <= l from the seed T[m0, m0] (in place).
+
+    The sectorial band T[m, m] follows from the seed by
+    T[m, m] = -sqrt((2m+1)/(2m)) sin(theta) T[m-1, m-1], the first step up by
+    T[m+1, m] = sqrt(2m+3) x T[m, m], and the rest by the three-term
+    recurrence in l, taken for all orders m <= l - 2 at once.
+    """
+    L = T.shape[0] - 1
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    for m in range(m0 + 1, L + 1):
+        T[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * T[m - 1, m - 1]
+    m = np.arange(m0, L)
+    T[m + 1, m] = np.sqrt(2.0 * m + 3.0)[:, None] * x * T[m, m]
+    for l in range(m0 + 2, L + 1):
+        m = np.arange(m0, l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        T[l, m0:l - 1] = a * (x * T[l - 1, m0:l - 1] - b * T[l - 2, m0:l - 1])
+    return T
+
+
 def pbar_table(L, x):
     """
     Table of normalized associated Legendre functions Pbar_l^m(x).
@@ -77,20 +101,9 @@ def pbar_table(L, x):
         P[l, m] holds Pbar_l^m(x) for 0 <= m <= l; entries with m > l are 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     P = np.zeros((L + 1, L + 1, x.size))
     P[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
-    # sectorial band P_m^m, then one step up, then the three-term recurrence
-    for m in range(1, L + 1):
-        P[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * P[m - 1, m - 1]
-    for m in range(0, L):
-        P[m + 1, m] = np.sqrt(2.0 * m + 3.0) * x * P[m, m]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
-    return P
+    return _upward(P, x, 0)
 
 
 def qbar_table(L, x):
@@ -103,21 +116,11 @@ def qbar_table(L, x):
     Entries with m = 0 or m > l are 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     Q = np.zeros((L + 1, L + 1, x.size))
     if L == 0:
         return Q
     Q[1, 1] = -np.sqrt(3.0 / (8.0 * np.pi))
-    for m in range(2, L + 1):
-        Q[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * Q[m - 1, m - 1]
-    for m in range(1, L):
-        Q[m + 1, m] = np.sqrt(2.0 * m + 3.0) * x * Q[m, m]
-    for m in range(1, L + 1):
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            Q[l, m] = a * (x * Q[l - 1, m] - b * Q[l - 2, m])
-    return Q
+    return _upward(Q, x, 1)
 
 
 def dpbar_table(L, x, P=None, Q=None):
@@ -135,10 +138,10 @@ def dpbar_table(L, x, P=None, Q=None):
     S = np.zeros_like(P)
     for l in range(1, L + 1):
         S[l, 0] = np.sqrt(l * (l + 1.0)) * P[l, 1]
-        for m in range(1, l + 1):
-            S[l, m] = l * x * Q[l, m]
-            if l > m:
-                S[l, m] -= np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0)) * Q[l - 1, m]
+        S[l, 1:l + 1] = l * x * Q[l, 1:l + 1]
+        m = np.arange(1, l)
+        c = np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
+        S[l, 1:l] -= c[:, None] * Q[l - 1, 1:l]
     return S
 
 

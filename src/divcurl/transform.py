@@ -17,8 +17,10 @@ the l >= |m| Legendre rows with the (n_theta, n_r) slab of frequency bin
 m % n_phi.  No array indexed by every mode and every grid node is ever
 formed, so synthesize peaks at about the size of the field it returns
 and analyze at one FFT copy of its input plus the coefficients.
-synthesize_at works through the points in fixed-size blocks for the same
-reason.
+synthesize_at sorts its points by radial panel and works through them in
+blocks of at most _POINT_BLOCK: per block one real product interpolates
+every radial profile, and one batched real product of each point's
+Legendre rows with its coefficients does the sum over modes.
 
 In this basis divergence and curl act mode by mode on the radial profiles:
 
@@ -112,10 +114,24 @@ class SpectralField:
         """
         L2 norm of the represented field over the shell,
         using the VSH norms (1, l(l+1), l(l+1)) per channel.
+
+        Data whose squares could overflow or underflow is first divided by
+        its largest |coefficient|, so finite data has a finite norm at any
+        amplitude; NaN or Inf data gives a non-finite norm.
         """
+        n = self._norm(self.coeffs)
+        if 1e-100 < n < 1e100:                   # squares safely in range
+            return n
+        scale = np.abs(self.coeffs).max(initial=0.0)
+        if not (0.0 < scale < np.inf):           # zero, NaN or Inf data
+            return n
+        return scale * self._norm(self.coeffs / scale)
+
+    def _norm(self, c):
         ll1 = (self.ells * (self.ells + 1.0))[:, None]
-        dens = np.abs(self.coeffs[:, 0]) ** 2 \
-            + ll1 * (np.abs(self.coeffs[:, 1]) ** 2 + np.abs(self.coeffs[:, 2]) ** 2)
+        with np.errstate(over="ignore", under="ignore"):    # norm() rescales
+            dens = np.abs(c[:, 0]) ** 2 + ll1 * (np.abs(c[:, 1]) ** 2
+                                                 + np.abs(c[:, 2]) ** 2)
         return np.sqrt(self.radial.integrate(dens.sum(axis=0) * self.radial.r ** 2).real)
 
     def __repr__(self):
@@ -191,7 +207,7 @@ def _real_gemm(M, Z):
 ############################################
 # Transforms
 
-# points per block in synthesize_at; bounds its (n_modes, block) tables
+# points per block in synthesize_at; bounds its (block, n_modes) buffers
 _POINT_BLOCK = 256
 
 
@@ -289,11 +305,15 @@ def synthesize_at(S, pts):
     """
     Evaluate a SpectralField at arbitrary Cartesian points.
 
-    Radial profiles are interpolated from the panel polynomials, the
-    angular factors are summed directly, and the result is rotated to the
-    Cartesian frame.  Points are processed in blocks of _POINT_BLOCK, so the
-    per-mode tables stay (n_modes, _POINT_BLOCK) whatever the point count.
-    Points must lie inside [r0, rmax] radially.
+    The points are sorted by radial panel and taken in blocks of at most
+    _POINT_BLOCK, so every temporary is bounded by the block, whatever the
+    point count.  Per block, one real product of the barycentric rows with
+    each panel's node-major coefficient slab interpolates every (mode,
+    channel) profile, e^{i m phi} multiplies the interpolated coefficients,
+    and the sum over modes is one batched real product of the point's
+    Legendre rows with the float view of its coefficients.  The result is
+    rotated to the Cartesian frame.  Points must lie inside [r0, rmax]
+    radially.
 
     Parameters
     ----------
@@ -308,21 +328,37 @@ def synthesize_at(S, pts):
 
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     r, theta, phi = cart_to_sph_points(pts)
+    order, runs = S.radial.locate(r)
+    n, K = S.radial.nodes_per_panel, S.n_modes
     orders = np.arange(-S.L_max, S.L_max + 1)
-    dot = lambda a, b: np.einsum("kn,kn->n", a, b)   # sum over modes per point
+    slab = (None, None)                  # (panel, its node-major float view)
     out = np.empty((r.size, 3), dtype=complex)
     for lo in range(0, r.size, _POINT_BLOCK):
-        blk = slice(lo, lo + _POINT_BLOCK)
-        th, ph = theta[blk], phi[blk]
-        c_r, c_1, c_2 = S.radial.interp(S.coeffs, r[blk]).transpose(1, 0, 2)
-        A, B, C = _mode_tables(S.L_max, np.cos(th))
-        # e^{i m phi} once per order, then spread over the modes
-        az = np.exp(1j * orders[:, None] * ph[None, :])[S.ems + S.L_max]
-        A, B, C = A * az, B * az, C * az
-        v_r = dot(c_r, A)
-        v_t = dot(c_1, B) - 1j * dot(c_2, C)
-        v_p = 1j * dot(c_1, C) + dot(c_2, B)
-        out[blk] = sph_to_cart_vector(v_r, v_t, v_p, th, ph)
+        hi = min(lo + _POINT_BLOCK, r.size)
+        at = order[lo:hi]
+        # per point the (K, 3) columns A, B, C; laid out (K, block, 3)
+        T = np.stack(_mode_tables(S.L_max, np.cos(theta[at])), axis=-1)
+        # (block, 6 K): (Re, Im) of (c_r, c_1, c_2) for every mode, per point
+        c = np.empty((hi - lo, 6 * K))
+        for p, a, b in runs:
+            a, b = max(a, lo), min(b, hi)
+            if a >= b:
+                continue
+            if slab[0] != p:             # panels come in order: one view each
+                view = S.coeffs[:, :, p * n:(p + 1) * n].transpose(2, 0, 1)
+                slab = (p, np.ascontiguousarray(view).view(float).reshape(n, 6 * K))
+            np.matmul(S.radial.eval_matrix(p, r[order[a:b]]), slab[1],
+                      out=c[a - lo:b - lo])
+        c = c.view(complex).reshape(hi - lo, K, 3)
+        c *= np.exp(1j * phi[at, None] * orders)[:, S.ems + S.L_max, None]
+        # V[n, j, t] = sum over modes of column j of c and row t of T, with
+        # j = (Re, Im) of (c_r, c_1, c_2) and t = (A, B, C)
+        V = np.matmul(c.view(float).transpose(0, 2, 1), T.transpose(1, 0, 2))
+        del c, T                         # before the next block's tables
+        v_r = V[:, 0, 0] + 1j * V[:, 1, 0]
+        v_t = (V[:, 2, 1] + V[:, 5, 2]) + 1j * (V[:, 3, 1] - V[:, 4, 2])
+        v_p = (V[:, 4, 1] - V[:, 3, 2]) + 1j * (V[:, 2, 2] + V[:, 5, 1])
+        out[at] = sph_to_cart_vector(v_r, v_t, v_p, theta[at], phi[at])
     return out
 
 

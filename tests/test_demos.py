@@ -27,3 +27,5 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+    # a demo's scratch directories are removed when it ends
+    assert not list(tmp_path.glob("divcurl_demo_*"))

@@ -89,6 +89,55 @@ def test_qbar_finite_at_poles():
     assert np.all(Q[:, 0] == 0.0)
 
 
+def _ref_upward(T, x, m0):
+    # the recurrence one (l, m) entry at a time
+    L = T.shape[0] - 1
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    for m in range(m0 + 1, L + 1):
+        T[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * T[m - 1, m - 1]
+    for m in range(m0, L):
+        T[m + 1, m] = np.sqrt(2.0 * m + 3.0) * x * T[m, m]
+    for m in range(m0, L + 1):
+        for l in range(m + 2, L + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            T[l, m] = a * (x * T[l - 1, m] - b * T[l - 2, m])
+    return T
+
+
+def _ref_tables(L, x):
+    P = np.zeros((L + 1, L + 1, x.size))
+    P[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
+    _ref_upward(P, x, 0)
+    Q = np.zeros_like(P)
+    if L >= 1:
+        Q[1, 1] = -np.sqrt(3.0 / (8.0 * np.pi))
+        _ref_upward(Q, x, 1)
+    S = np.zeros_like(P)
+    for l in range(1, L + 1):
+        S[l, 0] = np.sqrt(l * (l + 1.0)) * P[l, 1]
+        for m in range(1, l + 1):
+            S[l, m] = l * x * Q[l, m]
+            if l > m:
+                S[l, m] -= np.sqrt((2.0 * l + 1.0) * (l * l - m * m)
+                                   / (2.0 * l - 1.0)) * Q[l - 1, m]
+    return P, Q, S
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 33, 64])
+def test_tables_match_per_entry_recurrence_bitwise(L):
+    # Gauss nodes plus both poles; the vectorised recurrences must do the
+    # same floating-point operations per entry as the per-(l, m) loops
+    x = np.concatenate([np.polynomial.legendre.leggauss(L + 1)[0], [1.0, -1.0]])
+    want = _ref_tables(L, x)
+    P, Q = pbar_table(L, x), qbar_table(L, x)
+    got = (P, Q, dpbar_table(L, x, P, Q))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (L + 1, L + 1, x.size)
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert np.array_equal(dpbar_table(L, x).view(np.int64), want[2].view(np.int64))
+
+
 ############################################
 # Scalar spherical harmonics
 

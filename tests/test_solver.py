@@ -2,6 +2,8 @@
 The exterior solve: recovery, no slip, solvability gating, uniform flow.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,40 @@ def test_non_finite_source_refused(channel, bad):
         solve_exterior(f)
     assert err.value.mode == (3, -2)
     assert not np.isfinite(err.value.scaled_residual)
+
+
+def _decision(f):
+    """(clean | warn | refuse, worst residual over the data norm)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            solve_exterior(f)
+            kind = "clean"
+        except CompatibilityWarning:
+            kind = "warn"
+        except IncompatibilityError as e:
+            return "refuse", e.scaled_residual
+    rep = check_compatibility(f)
+    return kind, rep.worst()[3] / rep.field_norm
+
+
+@pytest.mark.parametrize("violation, kind", [(0.0, "clean"), (1e-6, "warn"),
+                                             (1e-2, "refuse")])
+def test_decision_and_scaled_residual_ignore_amplitude(violation, kind):
+    # squares of 1e200 overflow and those of 1e-150 data come near the
+    # bottom of the double range; neither may change the outcome
+    _, rad = _panel_grids()
+    f, _ = _manufactured(rad, seed=7)
+    f.coeffs[mode_index(2, 1), 2] += violation * f.norm() * _moment_bump(rad, 2)
+    want = _decision(f)
+    assert want[0] == kind
+    for scale in (1e-150, 1e200):
+        g = SpectralField(rad, f.L_max, f.coeffs * scale)
+        assert np.isfinite(g.norm())
+        assert abs(g.norm() / (scale * f.norm()) - 1.0) < 1e-14
+        got = _decision(g)
+        assert got[0] == kind
+        assert abs(got[1] - want[1]) <= 1e-13 * max(want[1], 1e-3)
 
 
 def test_as_table_shape():

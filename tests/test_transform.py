@@ -196,17 +196,27 @@ def _special_points(rad, rng, n):
 
 
 def test_synthesize_at_blocks_match_pointwise_calls():
-    # several full blocks plus a partial one, against one call per point
+    # several full blocks plus a partial one, against one call per point:
+    # points over every panel, more than two blocks' worth inside a single
+    # panel, and both sets together in shuffled order
     _, rad = _grids(L=4)
     S = _random_spectral(rad, 4, seed=13)
     rng = np.random.default_rng(14)
-    pts = _special_points(rad, rng, 2 * _POINT_BLOCK + 37)
-    assert pts.shape[0] > 2 * _POINT_BLOCK and pts.shape[0] % _POINT_BLOCK
-    got = synthesize_at(S, pts)
+    spread = _special_points(rad, rng, 2 * _POINT_BLOCK + 37)
+    assert spread.shape[0] > 2 * _POINT_BLOCK and spread.shape[0] % _POINT_BLOCK
+    n = 2 * _POINT_BLOCK + 21
+    r = rng.uniform(rad.breakpoints[1], rad.breakpoints[2], n)
+    one_panel = sph_to_cart_points(r, np.arccos(rng.uniform(-1.0, 1.0, n)),
+                                   rng.uniform(0.0, 2.0 * np.pi, n))
+    pts = np.concatenate([spread, one_panel])
     each = np.vstack([synthesize_at(S, p) for p in pts])
-    assert got.shape == (pts.shape[0], 3)
-    # block sizes change the BLAS and einsum summation order: rounding only
-    assert np.abs(got - each).max() <= 1e-14 * np.abs(each).max()
+    shuffled = rng.permutation(pts.shape[0])
+    for sel in (np.arange(spread.shape[0]), spread.shape[0] + np.arange(n),
+                shuffled):
+        got = synthesize_at(S, pts[sel])
+        assert got.shape == (sel.size, 3)
+        # block sizes change the BLAS summation order: rounding only
+        assert np.abs(got - each[sel]).max() <= 1e-14 * np.abs(each[sel]).max()
 
 
 def test_synthesize_at_empty_and_single_point():
@@ -261,6 +271,27 @@ def test_transform_peak_memory_stays_near_output_size():
     assert synth_peak <= 1.5 * F.values.nbytes
     assert analyze_peak <= 3.0 * F.values.nbytes
     assert np.abs(R.coeffs - S.coeffs).max() < 1e-12
+
+
+def test_synthesize_at_temporaries_do_not_grow_with_point_count():
+    # the per-block buffers are bounded by _POINT_BLOCK: ten times the
+    # points may add little more than the larger output itself
+    _, rad = _grids(L=8)
+    S = _random_spectral(rad, 8, seed=18)
+    pts = _special_points(rad, np.random.default_rng(19), 4000)[:4000]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (400, 4000):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = synthesize_at(S, pts[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            del got
+    finally:
+        tracemalloc.stop()
+    extra_out = (4000 - 400) * 3 * 16
+    assert peaks[1] < peaks[0] + 2 * extra_out
 
 
 def test_synthesize_at_rejects_points_outside_shell():
