@@ -136,11 +136,11 @@ class RadialGrid:
             bws.append(bw)
             Ds.append(_diff_matrix(x, bw))
             # cumulative matrix: K[i, j] = integral_a^{x_i} of Lagrange_j
-            xa, wa = leggauss(n)           # aux rule, exact for the basis
+            # the same Gauss rule on [a, x_i] is exact for the basis
             K = np.zeros((n, n))
             for i in range(n):
-                t = 0.5 * (xa + 1.0) * (x[i] - a) + a
-                wt = wa * 0.5 * (x[i] - a)
+                t = 0.5 * (xg + 1.0) * (x[i] - a) + a
+                wt = wg * 0.5 * (x[i] - a)
                 K[i] = wt @ _bary_eval_matrix(x, bw, t)
             Ks.append(K)
         self.r = np.concatenate(rs)
@@ -196,11 +196,11 @@ class RadialGrid:
 
         Returns (order, runs): order is a stable permutation of the points
         that sorts them by panel, and runs lists (p, a, b) for each panel p
-        holding points, which are order[a:b].  Points outside [r0, rmax]
-        raise ValueError.
+        holding points, which are order[a:b].  Points outside [r0, rmax],
+        NaN included, raise ValueError.
         """
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        if np.any(pts < self.r0 - 1e-12) or np.any(pts > self.rmax + 1e-12):
+        if not np.all((pts >= self.r0 - 1e-12) & (pts <= self.rmax + 1e-12)):
             raise ValueError("interpolation points must lie in [r0, rmax]")
         idx = np.clip(np.searchsorted(self.breakpoints, pts, side="right") - 1,
                       0, self.n_panels - 1)

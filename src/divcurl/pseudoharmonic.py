@@ -19,8 +19,7 @@ volume inner product against the member and the bare radial moment.
 
 from collections import namedtuple
 
-import numpy as np
-
+from .solver import radial_moments
 from .transform import (SpectralField, mode_index, spectral_curl,
                         spectral_div, spectral_grad)
 
@@ -52,15 +51,8 @@ def phf_field(l, m, radial, L_max):
         raise ValueError(f"l = {l} exceeds L_max = {L_max}")
     if abs(m) > l:
         raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
-    r = radial.r
-    if l > 20:
-        # evaluate the power in log space so large l and large r do not
-        # underflow through the r**(-l-1) intermediate
-        profile = np.exp(-(l + 1.0) * np.log(r))
-    else:
-        profile = r ** (-(l + 1.0))
     out = SpectralField(radial, L_max)
-    out.coeffs[mode_index(l, m), 2] = profile
+    out.coeffs[mode_index(l, m), 2] = radial.r ** (-(l + 1.0))
     return out
 
 
@@ -129,7 +121,7 @@ def orthogonality_residual(f, l, m):
         raise ValueError(f"family starts at l = 1, got l = {l}")
     if l > f.L_max:
         raise ValueError(f"l = {l} exceeds L_max = {f.L_max}")
-    r = f.radial.r
-    f2 = f.coeffs[mode_index(l, m), 2]
-    radial = f.radial.integrate(r ** (1.0 - l) * f2)
+    # the moments of every mode, taken as check_compatibility takes them,
+    # so the two agree to the last bit
+    radial = radial_moments(f.radial, f.coeffs[:, 2], f.ells)[mode_index(l, m)]
     return OrthogonalityForms(l * (l + 1.0) * radial, radial)

@@ -37,7 +37,7 @@ from .transform import SpectralField, mode_index
 __all__ = ["CompatReport", "FarFieldSpec", "IncompatibilityError",
            "CompatibilityWarning", "check_compatibility", "solve_exterior",
            "boundary_trace", "BoundaryTrace", "partial_slip_project",
-           "far_field_coeffs", "DEFAULT_TOL", "REFUSE_TOL"]
+           "far_field_coeffs", "radial_moments", "DEFAULT_TOL", "REFUSE_TOL"]
 
 # residuals (scaled by the data norm) below DEFAULT_TOL are clean; between
 # the two thresholds the solver warns and proceeds; beyond REFUSE_TOL it
@@ -105,6 +105,29 @@ def _far_l1_coeffs(vinf):
 
 ############################################
 # Diagnostics
+
+
+def radial_moments(radial, g, ells):
+    """
+    The moments integral_{r0}^{rmax} s^(1-l) g_k(s) ds of a stack of profiles.
+
+    Parameters
+    ----------
+    radial: RadialGrid
+    g: (K, n_r) array
+        radial profiles, one per row
+    ells: (K,) integer array
+        the degree l of each row
+
+    Returns
+    -------
+    (K,) array
+        for the Phi-channel profiles f2 of a source these are the
+        solvability moments M_lm, i.e. the inner products of the data with
+        the pseudo-harmonic family Phi_lm / r^(l+1) without the l(l+1)
+        factor.
+    """
+    return radial.integrate(radial.r ** (1.0 - ells[:, None]) * g)
 
 
 class CompatReport:
@@ -213,7 +236,7 @@ def check_compatibility(f):
     at0 = lambda g: rad.interp(g, [rad.r0])[..., 0]
     normal_trace = np.abs(at0(fr))
     boundary_deriv = np.abs(rad.r0 * at0(dfr) - ll1[:, 0] * at0(f1))
-    moment = rad.integrate(r ** (1.0 - f.ells[:, None]) * f2)
+    moment = radial_moments(rad, f2, f.ells)
     return CompatReport(f.ells.copy(), f.ems.copy(), normal_trace, solenoid,
                         boundary_deriv, moment, f.norm())
 
@@ -365,27 +388,25 @@ def partial_slip_project(f, L, weight=None):
         raise ValueError(f"L = {L} exceeds L_max = {f.L_max}")
     rad = f.radial
     r = rad.r
-    fixed = None
-    if weight is not None:
-        fixed = np.asarray(weight, dtype=float)
-        if fixed.shape != r.shape:
+    ell = np.arange(1, L + 1)                       # row l - 1 of w holds degree l
+    if weight is None:
+        w = r ** (ell[:, None] - 1.0) * (r - rad.r0) ** 2 * (rad.rmax - r) ** 2
+    else:
+        w = np.asarray(weight, dtype=float)
+        if w.shape != r.shape:
             raise ValueError("weight must be sampled on the radial nodes")
-        fixed = fixed / np.sqrt(rad.integrate(fixed * fixed))
+        w = np.tile(w, (ell.size, 1))
+    w = w / np.sqrt(rad.integrate(w * w))[:, None]
+    W = radial_moments(rad, w, ell)
+    low = np.flatnonzero(np.abs(W) < 1e-14)
+    if low.size:
+        raise ValueError(f"projection weight has vanishing moment at l = {ell[low[0]]}")
 
     out = f.copy()
-    for l in range(1, L + 1):
-        if fixed is None:
-            w = r ** (l - 1.0) * (r - rad.r0) ** 2 * (rad.rmax - r) ** 2
-            w = w / np.sqrt(rad.integrate(w * w))
-        else:
-            w = fixed
-        Wl = rad.integrate(r ** (1.0 - l) * w)
-        if abs(Wl) < 1e-14:
-            raise ValueError(f"projection weight has vanishing moment at l = {l}")
-        for m in range(-l, l + 1):
-            k = mode_index(l, m)
-            M = rad.integrate(r ** (1.0 - l) * out.coeffs[k, 2])
-            out.coeffs[k, 2] -= (M / Wl) * w
+    k = (f.ells >= 1) & (f.ells <= L)
+    j = f.ells[k] - 1
+    M = radial_moments(rad, out.coeffs[k, 2], f.ells[k])
+    out.coeffs[k, 2] -= (M / W[j])[:, None] * w[j]
     return out
 
 

@@ -59,7 +59,53 @@ def mode_degrees(L_max):
     return ells, ems
 
 
-class SpectralField:
+class _Profiles:
+    """
+    Complex radial profiles per (l, m) mode, at flat index l^2 + l + m,
+    with the channel axes _CHANNELS between the mode and radial axes.
+    A coeffs array given to the constructor is copied, never modified.
+    """
+
+    _CHANNELS = ()
+
+    def __init__(self, radial, L_max, coeffs=None):
+        if L_max < 0:
+            raise ValueError("L_max must be >= 0")
+        shape = ((L_max + 1) ** 2,) + self._CHANNELS + (radial.n_r,)
+        if coeffs is None:
+            coeffs = np.zeros(shape, dtype=complex)
+        else:
+            coeffs = np.array(coeffs, dtype=complex)
+            if coeffs.shape != shape:
+                raise ValueError(f"coeffs shape {coeffs.shape} does not match {shape}")
+        self.radial = radial
+        self.L_max = int(L_max)
+        self.coeffs = coeffs
+        self.ells, self.ems = mode_degrees(self.L_max)
+
+    def norm(self):
+        """
+        L2 norm of the represented field over the shell.
+
+        Data whose squares could overflow or underflow is first divided by
+        its largest |coefficient|, so finite data has a finite norm at any
+        amplitude; NaN or Inf data gives a non-finite norm.
+        """
+        n = self._norm(self.coeffs)
+        if 1e-100 < n < 1e100:                   # squares safely in range
+            return n
+        scale = np.abs(self.coeffs).max(initial=0.0)
+        if not (0.0 < scale < np.inf):           # zero, NaN or Inf data
+            return n
+        return scale * self._norm(self.coeffs / scale)
+
+    def _norm(self, c):
+        with np.errstate(over="ignore", under="ignore"):    # norm() rescales
+            dens = self._density(c)
+        return np.sqrt(self.radial.integrate(dens * self.radial.r ** 2).real)
+
+
+class SpectralField(_Profiles):
     """
     Radial coefficient profiles of a vector field in the VSH basis.
 
@@ -70,21 +116,10 @@ class SpectralField:
     A coeffs array given to the constructor is copied, never modified.
     """
 
+    _CHANNELS = (3,)
+
     def __init__(self, radial, L_max, coeffs=None):
-        if L_max < 0:
-            raise ValueError("L_max must be >= 0")
-        n_modes = (L_max + 1) ** 2
-        if coeffs is None:
-            coeffs = np.zeros((n_modes, 3, radial.n_r), dtype=complex)
-        else:
-            coeffs = np.array(coeffs, dtype=complex)
-            if coeffs.shape != (n_modes, 3, radial.n_r):
-                raise ValueError(f"coeffs shape {coeffs.shape} does not match "
-                                 f"({n_modes}, 3, {radial.n_r})")
-        self.radial = radial
-        self.L_max = int(L_max)
-        self.coeffs = coeffs
-        self.ells, self.ems = mode_degrees(self.L_max)
+        super().__init__(radial, L_max, coeffs)
         self.coeffs[0, 1:] = 0.0
 
     @property
@@ -110,55 +145,22 @@ class SpectralField:
     def copy(self):
         return SpectralField(self.radial, self.L_max, self.coeffs)
 
-    def norm(self):
-        """
-        L2 norm of the represented field over the shell,
-        using the VSH norms (1, l(l+1), l(l+1)) per channel.
-
-        Data whose squares could overflow or underflow is first divided by
-        its largest |coefficient|, so finite data has a finite norm at any
-        amplitude; NaN or Inf data gives a non-finite norm.
-        """
-        n = self._norm(self.coeffs)
-        if 1e-100 < n < 1e100:                   # squares safely in range
-            return n
-        scale = np.abs(self.coeffs).max(initial=0.0)
-        if not (0.0 < scale < np.inf):           # zero, NaN or Inf data
-            return n
-        return scale * self._norm(self.coeffs / scale)
-
-    def _norm(self, c):
+    def _density(self, c):
+        # squared angular norms (1, l(l+1), l(l+1)) of the three channels
         ll1 = (self.ells * (self.ells + 1.0))[:, None]
-        with np.errstate(over="ignore", under="ignore"):    # norm() rescales
-            dens = np.abs(c[:, 0]) ** 2 + ll1 * (np.abs(c[:, 1]) ** 2
-                                                 + np.abs(c[:, 2]) ** 2)
-        return np.sqrt(self.radial.integrate(dens.sum(axis=0) * self.radial.r ** 2).real)
+        return (np.abs(c[:, 0]) ** 2 + ll1 * (np.abs(c[:, 1]) ** 2
+                                              + np.abs(c[:, 2]) ** 2)).sum(axis=0)
 
     def __repr__(self):
         return (f"SpectralField(L_max={self.L_max}, n_r={self.radial.n_r}, "
                 f"r in [{self.radial.r0:g}, {self.radial.rmax:g}])")
 
 
-class ScalarSpectral:
+class ScalarSpectral(_Profiles):
     """Radial profiles of a scalar field expanded in Y_lm (one per mode)."""
 
-    def __init__(self, radial, L_max, coeffs=None):
-        n_modes = (L_max + 1) ** 2
-        if coeffs is None:
-            coeffs = np.zeros((n_modes, radial.n_r), dtype=complex)
-        else:
-            coeffs = np.asarray(coeffs, dtype=complex)
-            if coeffs.shape != (n_modes, radial.n_r):
-                raise ValueError(f"coeffs shape {coeffs.shape} does not match "
-                                 f"({n_modes}, {radial.n_r})")
-        self.radial = radial
-        self.L_max = int(L_max)
-        self.coeffs = coeffs
-        self.ells, self.ems = mode_degrees(self.L_max)
-
-    def norm(self):
-        dens = (np.abs(self.coeffs) ** 2).sum(axis=0)
-        return np.sqrt(self.radial.integrate(dens * self.radial.r ** 2).real)
+    def _density(self, c):
+        return (np.abs(c) ** 2).sum(axis=0)
 
 
 ############################################
@@ -375,9 +377,10 @@ def spectral_div(S):
     """
     r = S.radial.r
     ll1 = (S.ells * (S.ells + 1.0))[:, None]
-    d = S.radial.differentiate(r ** 2 * S.coeffs[:, 0]) / r ** 2 \
-        - ll1 / r * S.coeffs[:, 1]
-    return ScalarSpectral(S.radial, S.L_max, d)
+    out = ScalarSpectral(S.radial, S.L_max)
+    np.subtract(S.radial.differentiate(r ** 2 * S.coeffs[:, 0]) / r ** 2,
+                ll1 / r * S.coeffs[:, 1], out=out.coeffs)
+    return out
 
 
 def spectral_grad(s):

@@ -6,10 +6,10 @@ L_max = 8, n_r = 64, r0 = 1, rmax = 5.
 import numpy as np
 import pytest
 
+import sph_oracle
 from divcurl.biotsavart import (biot_savart_eval, circulation_diagnostic,
                                 sphere_points)
 from divcurl.grids import AngularGrid, SampledField, make_grids, surface_integral
-from divcurl.harmonics import vsh_eval
 from divcurl.planar import PlanarGeometry, planar_moments
 from divcurl.pseudoharmonic import (harmonicity_check, orthogonality_residual,
                                     phf_field, verify_pseudoharmonic)
@@ -61,10 +61,7 @@ def test_basis_inner_products_match_their_norms():
             if l == 0 and kind != "Y":
                 continue
             for m in range(-l, l + 1):
-                comps = vsh_eval(kind, l, m, T, P)
-                fields.append(np.stack(
-                    [np.broadcast_to(np.asarray(c, dtype=complex), T.shape)
-                     for c in comps], axis=-1))
+                fields.append(np.stack(sph_oracle.vector(kind, l, m, T, P), axis=-1))
                 norms.append(1.0 if kind == "Y" else l * (l + 1.0))
     F = np.array(fields)
     w = ang.w_ct[:, None] * ang.w_phi

@@ -5,9 +5,10 @@ Quadrature, differentiation, and interpolation on the shell grids.
 import numpy as np
 import pytest
 
+from scipy.special import sph_harm_y
+
 from divcurl.grids import (AngularGrid, RadialGrid, SampledField,
                            _bary_eval_matrix, make_grids, surface_integral)
-from divcurl.harmonics import scalar_Y
 
 
 ############################################
@@ -79,8 +80,10 @@ def test_interp_batch_shape_and_range_check():
     want = (1 + 2j) * pts[None, :] ** np.arange(6)[:, None]
     assert np.abs(out.reshape(6, -1) - want).max() < 1e-10 * np.abs(want).max()
     assert rad.interp(g, np.empty(0)).shape == (2, 3, 0)
-    with pytest.raises(ValueError):
-        rad.interp(g, [0.5])
+    # a NaN radius is not inside [r0, rmax] either
+    for bad in ([0.5], [np.nan], [2.0, np.nan, 3.0]):
+        with pytest.raises(ValueError, match=r"\[r0, rmax\]"):
+            rad.interp(g, bad)
 
 
 def test_bary_eval_matrix_matches_pointwise_loop():
@@ -140,8 +143,8 @@ def test_harmonic_products_integrate_exactly():
     # quadrature is exact for Y_lm conj(Y_l'm') with l + l' <= 2 L_max
     ang = AngularGrid(9, 17)
     T, P = np.meshgrid(ang.theta, ang.phi, indexing="ij")
-    y32 = scalar_Y(3, 2, T, P)
-    y21 = scalar_Y(2, 1, T, P)
+    y32 = sph_harm_y(3, 2, T, P)
+    y21 = sph_harm_y(2, 1, T, P)
     assert abs(surface_integral(ang, y32 * np.conj(y32)) - 1.0) < 1e-12
     assert abs(surface_integral(ang, y21)) < 1e-13
     assert abs(surface_integral(ang, y32 * np.conj(y21))) < 1e-13

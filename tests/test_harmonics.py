@@ -1,14 +1,26 @@
 """
-Associated Legendre values, spherical harmonics, and the tangential bases.
+The normalized Legendre tables and the harmonics the transforms build
+from them, against closed forms and against scipy.special.sph_harm_y.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
-from divcurl.frames import sph_to_cart_vector
-from divcurl.grids import AngularGrid, surface_integral
-from divcurl.harmonics import (assoc_legendre, dpbar_table, pbar, pbar_table,
-                               qbar_table, scalar_Y, vsh_eval)
+import sph_oracle
+from divcurl.frames import cart_to_sph_vector, sph_to_cart_points
+from divcurl.grids import AngularGrid, RadialGrid, surface_integral
+from divcurl.harmonics import dpbar_table, pbar_table, qbar_table
+from divcurl.transform import (SpectralField, _mode_tables, mode_degrees,
+                               synthesize, synthesize_at)
+
+
+def _norm(l, m):
+    # Pbar_l^m = sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!) P_l^m
+    return math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                     * math.factorial(l - m) / math.factorial(l + m))
 
 
 ############################################
@@ -18,33 +30,25 @@ from divcurl.harmonics import (assoc_legendre, dpbar_table, pbar, pbar_table,
 def test_low_degree_closed_forms():
     x = np.linspace(-0.95, 0.95, 11)
     s = np.sqrt(1.0 - x ** 2)
-    assert np.allclose(assoc_legendre(0, 0, x), 1.0)
-    assert np.allclose(assoc_legendre(1, 0, x), x)
-    assert np.allclose(assoc_legendre(1, 1, x), -s)
-    assert np.allclose(assoc_legendre(2, 0, x), 0.5 * (3 * x ** 2 - 1))
-    assert np.allclose(assoc_legendre(2, 1, x), -3.0 * x * s)
-    assert np.allclose(assoc_legendre(2, 2, x), 3.0 * (1 - x ** 2))
+    P = pbar_table(2, x)
+    closed = {(0, 0): np.ones_like(x), (1, 0): x, (1, 1): -s,
+              (2, 0): 0.5 * (3 * x ** 2 - 1), (2, 1): -3.0 * x * s,
+              (2, 2): 3.0 * (1 - x ** 2)}
+    for (l, m), want in closed.items():
+        assert np.allclose(P[l, m] / _norm(l, m), want)
 
 
 def test_p42_reference_value():
     # P_4^2(x) = 15/2 (7x^2 - 1)(1 - x^2); at x = 1/5 this is -648/125
-    assert abs(assoc_legendre(4, 2, 0.2) - (-648.0 / 125.0)) < 1e-13
+    assert abs(pbar_table(4, 0.2)[4, 2, 0] / _norm(4, 2) - (-648.0 / 125.0)) < 1e-13
 
 
 def test_normalized_p42_reference_value():
     # sqrt((2l+1)/(4pi) * (l-m)!/(l+m)!) * P_4^2(0.2)
     norm = np.sqrt(9.0 / (4.0 * np.pi) * 2.0 / 720.0)
-    assert abs(pbar(4, 2, 0.2) - norm * (-648.0 / 125.0)) < 1e-13
-    assert abs(pbar(4, 2, 0.2) - (-0.23122248545339913)) < 1e-13
-
-
-def test_assoc_legendre_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        assoc_legendre(2, -1, 0.5)
-    with pytest.raises(ValueError):
-        assoc_legendre(2, 3, 0.5)
-    with pytest.raises(ValueError):
-        assoc_legendre(-1, 0, 0.5)
+    value = pbar_table(4, 0.2)[4, 2, 0]
+    assert abs(value - norm * (-648.0 / 125.0)) < 1e-13
+    assert abs(value - (-0.23122248545339913)) < 1e-13
 
 
 def test_pbar_orthogonality_per_order():
@@ -66,10 +70,10 @@ def test_dpbar_matches_finite_differences():
     table = dpbar_table(6, x)
     # dpbar holds the theta-derivative of Pbar(cos theta)
     theta = np.arccos(x)
+    fd = (pbar_table(6, np.cos(theta + h)) - pbar_table(6, np.cos(theta - h))) / (2 * h)
     for l in range(1, 7):
         for m in range(l + 1):
-            fd = (pbar(l, m, np.cos(theta + h)) - pbar(l, m, np.cos(theta - h))) / (2 * h)
-            assert np.abs(table[l, m] - fd).max() < 1e-7
+            assert np.abs(table[l, m] - fd[l, m]).max() < 1e-7
 
 
 def test_qbar_is_pbar_over_sin_theta():
@@ -139,12 +143,56 @@ def test_tables_match_per_entry_recurrence_bitwise(L):
 
 
 ############################################
-# Scalar spherical harmonics
+# The mode rows of the transforms against scipy
+
+
+def test_mode_tables_match_sph_harm_y():
+    # A e^{im phi} = Y, B e^{im phi} = dY/dtheta and i C e^{im phi} =
+    # dY/dphi / sin(theta) for every mode l <= 40, negative orders included
+    L = 40
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(0.05, np.pi - 0.05, 16)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 16)
+    ells, ems = mode_degrees(L)
+    A, B, C = _mode_tables(L, np.cos(theta))
+    e = np.exp(1j * ems[:, None] * phi)
+    y = sph_harm_y(ells[:, None], ems[:, None], theta, phi)
+    _, psi_t, psi_p = sph_oracle.vector("Psi", ells[:, None], ems[:, None], theta, phi)
+    for got, want in [(A * e, y), (B * e, psi_t), (1j * C * e, psi_p)]:
+        # relative to each mode's largest value (up to 36 at l = 40)
+        scale = np.maximum(np.abs(want).max(axis=1, keepdims=True), 1.0)
+        assert (np.abs(got - want) / scale).max() < 1e-13
+
+
+############################################
+# Scalar spherical harmonics, through synthesize_at and synthesize
+
+_KIND = {"Y": 0, "Psi": 1, "Phi": 2}
+_RAD = RadialGrid([1.0, 2.0], 2)
+
+
+def _unit_mode(kind, l, m, L_max=None):
+    # one mode of the given kind with the constant profile 1
+    S = SpectralField(_RAD, l if L_max is None else L_max)
+    S.set_mode(l, m, _KIND[kind], np.ones(_RAD.n_r))
+    return S
+
+
+def _cart(kind, l, m, theta, phi):
+    # Cartesian (..., 3) values of the unit mode at a radial node
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    pts = sph_to_cart_points(_RAD.r[0], theta, phi).reshape(-1, 3)
+    return synthesize_at(_unit_mode(kind, l, m), pts).reshape(theta.shape + (3,))
+
+
+def _at(kind, l, m, theta, phi):
+    # (v_r, v_theta, v_phi) of the unit mode at a radial node
+    return cart_to_sph_vector(_cart(kind, l, m, theta, phi), theta, phi)
 
 
 def test_y21_reference_value():
     # Y_2^1(pi/3, pi/4) = -sqrt(15/8pi) cos sin (pi/3) e^{i pi/4}
-    val = scalar_Y(2, 1, np.pi / 3, np.pi / 4)
+    val = _at("Y", 2, 1, np.pi / 3, np.pi / 4)[0]
     mag = -np.sqrt(15.0 / (8.0 * np.pi)) * 0.5 * (np.sqrt(3.0) / 2.0)
     ref = mag * np.exp(1j * np.pi / 4)
     assert abs(val - ref) < 1e-14
@@ -152,22 +200,21 @@ def test_y21_reference_value():
 
 
 def test_y00_constant():
-    assert abs(scalar_Y(0, 0, 1.0, 2.0) - 1.0 / np.sqrt(4.0 * np.pi)) < 1e-15
+    assert abs(_at("Y", 0, 0, 1.0, 2.0)[0] - 1.0 / np.sqrt(4.0 * np.pi)) < 1e-15
 
 
 def test_negative_m_conjugation():
     theta, phi = 0.7, 1.9
     for l in range(1, 5):
         for m in range(1, l + 1):
-            a = scalar_Y(l, -m, theta, phi)
-            b = (-1) ** m * np.conj(scalar_Y(l, m, theta, phi))
+            a = _at("Y", l, -m, theta, phi)[0]
+            b = (-1) ** m * np.conj(_at("Y", l, m, theta, phi)[0])
             assert abs(a - b) < 1e-14
 
 
 def test_scalar_orthonormality():
     ang = AngularGrid(7, 13)
-    T, P = np.meshgrid(ang.theta, ang.phi, indexing="ij")
-    fields = {(l, m): scalar_Y(l, m, T, P)
+    fields = {(l, m): synthesize(_unit_mode("Y", l, m, 4), ang).values[0, ..., 0]
               for l in range(5) for m in range(-l, l + 1)}
     for (l1, m1), f1 in fields.items():
         for (l2, m2), f2 in fields.items():
@@ -181,27 +228,28 @@ def test_scalar_orthonormality():
 
 
 def test_vsh_radial_family_is_radial():
-    vr, vt, vp = vsh_eval("Y", 3, 1, 0.8, 0.3)
-    assert abs(vr - scalar_Y(3, 1, 0.8, 0.3)) < 1e-14
-    assert vt == 0.0 and vp == 0.0
+    ang = AngularGrid(4, 7)
+    T, P = np.meshgrid(ang.theta, ang.phi, indexing="ij")
+    v = synthesize(_unit_mode("Y", 3, 1), ang).values[0]
+    assert np.abs(v[..., 0] - sph_harm_y(3, 1, T, P)).max() < 1e-14
+    assert np.all(v[..., 1:] == 0.0)
 
 
 def test_vsh_tangential_families_are_tangential():
-    theta = np.linspace(0.2, 3.0, 5)
-    phi = np.linspace(0.0, 6.0, 5)
+    ang = AngularGrid(5, 9)
     for kind in ("Psi", "Phi"):
-        vr, vt, vp = vsh_eval(kind, 4, 2, theta, phi)
-        assert np.all(vr == 0.0)
-        assert np.all(np.abs(vt) + np.abs(vp) > 0.0)
+        v = synthesize(_unit_mode(kind, 4, 2), ang).values[0]
+        assert np.all(v[..., 0] == 0.0)
+        assert np.all(np.abs(v[..., 1]) + np.abs(v[..., 2]) > 0.0)
 
 
 def test_phi_10_is_azimuthal():
     # Phi_{1,0} = r x grad Y_10 has the single component -sqrt(3/4pi) sin(theta) phi_hat
-    theta = np.linspace(0.1, 3.0, 7)
-    vr, vt, vp = vsh_eval("Phi", 1, 0, theta, 0.0)
-    assert np.all(vr == 0.0)
-    assert np.abs(vt).max() < 1e-15
-    assert np.abs(vp - (-np.sqrt(3.0 / (4.0 * np.pi)) * np.sin(theta))).max() < 1e-14
+    ang = AngularGrid(7, 3)
+    v = synthesize(_unit_mode("Phi", 1, 0), ang).values[0]
+    assert np.all(v[..., :2] == 0.0)
+    want = -np.sqrt(3.0 / (4.0 * np.pi)) * np.sin(ang.theta)[:, None]
+    assert np.abs(v[..., 2] - want).max() < 1e-14
 
 
 def test_psi_orthogonal_to_phi_pointwise():
@@ -212,21 +260,18 @@ def test_psi_orthogonal_to_phi_pointwise():
         m = rng.integers(-l, l + 1)
         theta = rng.uniform(0.1, 3.0)
         phi = rng.uniform(0.0, 2 * np.pi)
-        _, at, ap = vsh_eval("Psi", l, m, theta, phi)
-        _, bt, bp = vsh_eval("Phi", l, m, theta, phi)
-        dot = at * np.conj(bt) + ap * np.conj(bp)
+        dot = np.dot(_cart("Psi", l, m, theta, phi),
+                     np.conj(_cart("Phi", l, m, theta, phi)))
         assert abs(dot.real) < 1e-12
 
 
 def test_phi_is_rhat_cross_psi():
-    # Phi = r_hat x Psi: (0, -psi_phi, psi_theta) in the spherical frame
     theta, phi = 1.1, 0.6
+    rhat = sph_to_cart_points(1.0, theta, phi)
     for l in range(1, 5):
         for m in range(-l, l + 1):
-            _, pt, pp = vsh_eval("Psi", l, m, theta, phi)
-            _, qt, qp = vsh_eval("Phi", l, m, theta, phi)
-            assert abs(qt - (-pp)) < 1e-13
-            assert abs(qp - pt) < 1e-13
+            psi = _cart("Psi", l, m, theta, phi)
+            assert np.abs(_cart("Phi", l, m, theta, phi) - np.cross(rhat, psi)).max() < 1e-13
 
 
 def test_psi_matches_angular_gradient():
@@ -234,26 +279,20 @@ def test_psi_matches_angular_gradient():
     theta, phi = 0.9, 2.2
     h = 1e-6
     for l, m in [(1, 0), (2, 1), (3, -2), (4, 4)]:
-        _, vt, vp = vsh_eval("Psi", l, m, theta, phi)
-        dt = (scalar_Y(l, m, theta + h, phi) - scalar_Y(l, m, theta - h, phi)) / (2 * h)
-        dp = (scalar_Y(l, m, theta, phi + h) - scalar_Y(l, m, theta, phi - h)) / (2 * h)
+        _, vt, vp = _at("Psi", l, m, theta, phi)
+        # Y at theta -+ h (columns 0, 1) and at phi -+ h (columns 2, 3)
+        y = _at("Y", l, m, theta + np.array([-h, h, 0, 0]),
+                phi + np.array([0, 0, -h, h]))[0]
+        dt = (y[1] - y[0]) / (2 * h)
+        dp = (y[3] - y[2]) / (2 * h)
         assert abs(vt - dt) < 1e-8
         assert abs(vp - dp / np.sin(theta)) < 1e-8
-
-
-def test_vsh_bad_kind_raises():
-    with pytest.raises(ValueError):
-        vsh_eval("Z", 1, 0, 0.5, 0.5)
 
 
 def test_vsh_cartesian_consistency_under_rotation_of_frame():
     # the Cartesian vector of Y_{1,0} r_hat is (z/r) r_hat, i.e. smooth across phi
     theta = 0.4
-    vals = []
-    for phi in (0.0, 1.0, 2.0):
-        vr, vt, vp = vsh_eval("Y", 1, 0, theta, phi)
-        v = sph_to_cart_vector(vr, vt, vp, theta, phi)
-        vals.append(np.asarray(v))
+    vals = [_cart("Y", 1, 0, theta, phi) for phi in (0.0, 1.0, 2.0)]
     # m = 0 radial harmonic is axisymmetric: vector rotates with phi about z
     for v in vals:
         assert abs(v[2] - vals[0][2]) < 1e-14

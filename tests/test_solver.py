@@ -297,6 +297,48 @@ def test_projected_source_solves_cleanly():
     assert boundary_trace(V).aggregate < 1e-8 * g.norm()
 
 
+def _project_per_mode(f, L, weight=None):
+    # the projection one degree and one order at a time
+    rad = f.radial
+    r = rad.r
+    out = f.copy()
+    for l in range(1, L + 1):
+        w = (r ** (l - 1.0) * (r - rad.r0) ** 2 * (rad.rmax - r) ** 2
+             if weight is None else np.asarray(weight, dtype=float))
+        w = w / np.sqrt(rad.integrate(w * w))
+        Wl = rad.integrate(r ** (1.0 - l) * w)
+        if abs(Wl) < 1e-14:
+            raise ValueError(f"projection weight has vanishing moment at l = {l}")
+        for m in range(-l, l + 1):
+            k = mode_index(l, m)
+            M = rad.integrate(r ** (1.0 - l) * out.coeffs[k, 2])
+            out.coeffs[k, 2] -= (M / Wl) * w
+    return out
+
+
+@pytest.mark.parametrize("weight", [None, "ramp"])
+def test_projection_matches_per_mode_reference(weight):
+    _, rad = _panel_grids()
+    f, _ = _manufactured(rad, seed=13)
+    rng = np.random.default_rng(14)
+    f.coeffs[1:, 2] += rng.standard_normal((f.n_modes - 1, rad.n_r)) * 1e-3
+    w = None if weight is None else 1.0 + rad.r
+    for L in (0, 1, 4, 6):
+        got = partial_slip_project(f, L, w).coeffs
+        want = _project_per_mode(f, L, w).coeffs
+        assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+
+
+def test_projection_refuses_at_the_same_degree_as_per_mode_reference():
+    # at r0 = 10 the unit-norm bump has moments below 1e-14 from l = 11 on
+    rad = make_grids(10.0, 50.0, 128, 24, breakpoints=np.linspace(10.0, 50.0, 5))[1]
+    f = SpectralField(rad, 24)
+    for project in (partial_slip_project, _project_per_mode):
+        with pytest.raises(ValueError, match=r"vanishing moment at l = 11$"):
+            project(f, 24)
+    assert partial_slip_project(f, 10).coeffs.shape == f.coeffs.shape
+
+
 def test_projection_validates_band():
     _, rad = _panel_grids(L=3)
     f = SpectralField(rad, 3)

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sph_oracle
 from divcurl.frames import sph_to_cart_points, cart_to_sph_vector
 from divcurl.grids import AngularGrid, SampledField, make_grids
-from divcurl.harmonics import vsh_eval
 from divcurl.transform import (_POINT_BLOCK, ScalarSpectral, SpectralField,
                                analyze, mode_degrees, mode_index,
                                spectral_curl, spectral_div, spectral_grad,
@@ -102,7 +102,7 @@ def test_round_trip_on_oversampled_grids(n_phi):
     g = _bump(rad.r)
     one.set_mode(5, -4, 1, g)
     T, P = np.meshgrid(ang.theta, ang.phi, indexing="ij")
-    harmonic = np.stack(vsh_eval("Psi", 5, -4, T, P), axis=-1)
+    harmonic = np.stack(sph_oracle.vector("Psi", 5, -4, T, P), axis=-1)
     want = g[:, None, None, None] * harmonic[None]
     assert np.abs(synthesize(one, ang).values - want).max() < 1e-13
 
@@ -124,7 +124,7 @@ def test_synthesize_single_mode_matches_reference_eval():
     S.set_mode(3, 2, 2, g)
     v = synthesize(S, ang).values
     T, P = np.meshgrid(ang.theta, ang.phi, indexing="ij")
-    vr, vt, vp = vsh_eval("Phi", 3, 2, T, P)
+    vr, vt, vp = sph_oracle.vector("Phi", 3, 2, T, P)
     ref = g[:, None, None, None] * np.stack([vr, vt, vp], axis=-1)[None]
     assert np.abs(v - ref).max() < 1e-13
 
@@ -151,6 +151,28 @@ def test_parseval_norm():
     dens = (dens * ang.w_ct[None, :, None]).sum(axis=(1, 2)) * ang.w_phi
     direct = np.sqrt(rad.integrate(dens * rad.r ** 2))
     assert abs(S.norm() - direct) < 1e-10 * direct
+
+
+def test_scalar_norm_is_finite_at_any_amplitude():
+    # a (2, 0) bump whose squares overflow (1e200) or underflow (1e-200)
+    _, rad = _grids()
+    unit = ScalarSpectral(rad, 4)
+    unit.coeffs[mode_index(2, 0)] = _bump(rad.r)
+    for amp in (1e200, 1e-200):
+        s = ScalarSpectral(rad, 4, amp * unit.coeffs)
+        assert np.isfinite(s.norm()) and s.norm() > 0.0
+        assert abs(s.norm() / amp - unit.norm()) < 1e-14 * unit.norm()
+
+
+def test_constructors_copy_the_coefficients():
+    # modifying a field never writes through to the caller's array
+    _, rad = _grids(L=4)
+    for cls, shape in ((ScalarSpectral, (25, rad.n_r)),
+                       (SpectralField, (25, 3, rad.n_r))):
+        c = np.ones(shape, dtype=complex)
+        field = cls(rad, 4, c)
+        field.coeffs[:] = 5.0
+        assert np.all(c == 1.0)
 
 
 def test_band_limit_enforced():
@@ -299,6 +321,10 @@ def test_synthesize_at_rejects_points_outside_shell():
     S = SpectralField(rad, 6)
     with pytest.raises(ValueError):
         synthesize_at(S, np.array([[6.0, 0.0, 0.0]]))
+    # a NaN coordinate gives a NaN radius, which is not inside the shell
+    for bad in ([np.nan, 0.0, 0.0], [2.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match=r"\[r0, rmax\]"):
+            synthesize_at(S, np.array([[3.0, 0.0, 0.0], bad]))
 
 
 ############################################
