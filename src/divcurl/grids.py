@@ -5,9 +5,12 @@ container used by the transforms and the Biot-Savart oracle.
 The angular grid is Gauss-Legendre in cos(theta) crossed with a uniform
 trapezoid rule in phi, which integrates products of spherical harmonics
 exactly up to the declared band limit.  The radial grid is a composite
-Gauss-Legendre rule on [r0, rmax] split into panels; per-panel barycentric
-interpolation supplies a spectrally accurate differentiation matrix,
-running integrals from either endpoint, and evaluation off the nodes.
+Gauss-Legendre rule on [r0, rmax] split into P panels of n nodes, with
+barycentric operators stacked over the panels: weights (P, n), the
+differentiation matrix D and the cumulative matrix K (P, n, n).  One
+matrix product over a (P, ..., n) view of the samples applies them to
+every panel; per-panel rows evaluate off the nodes, and a cached row of
+panel 0 gives the value at the wall r0.
 
 The infinite domain [r0, inf) is truncated at rmax under the convention
 that source fields are compactly supported in [r0, rmax]; tail integrals
@@ -22,40 +25,24 @@ __all__ = ["AngularGrid", "RadialGrid", "SampledField", "make_grids",
 
 
 ############################################
-# Barycentric helpers (per panel)
-
-
-def _bary_weights(x):
-    n = len(x)
-    w = np.ones(n)
-    for j in range(n):
-        w[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
-    return w
-
-
-def _diff_matrix(x, w):
-    n = len(x)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
-        D[i, i] = -np.sum(np.delete(D[i], i))
-    return D
+# Barycentric helper
 
 
 def _bary_eval_matrix(x, w, pts):
     """
     Rows map samples at nodes x to interpolant values at pts.  A point
     within 1e-14 (relative) of a node gets the unit row of that node.
+    Leading axes of x and w broadcast against those of pts, so one call
+    serves a stack of panels.
     """
     pts = np.atleast_1d(pts)
-    d = pts[:, None] - x[None, :]
-    i, j = np.nonzero(np.abs(d) < 1e-14 * np.maximum(1.0, np.abs(pts))[:, None])
-    d[i] = np.inf                      # a hit row keeps only w_j / w_j = 1
-    d[i, j] = 1.0
-    c = w / d
-    return c / c.sum(axis=1, keepdims=True)
+    d = pts[..., :, None] - x[..., None, :]
+    hit = np.abs(d) < 1e-14 * np.maximum(1.0, np.abs(pts))[..., None]
+    d[hit.any(axis=-1)] = np.inf       # a hit row keeps only w_j / w_j = 1
+    d[hit] = 1.0
+    c = np.divide(w[..., None, :], d, out=d)
+    c /= c.sum(axis=-1, keepdims=True)
+    return c
 
 
 class AngularGrid:
@@ -112,8 +99,10 @@ class RadialGrid:
 
     def __init__(self, breakpoints, nodes_per_panel):
         bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing with at least 2 entries")
+        if (bp.ndim != 1 or bp.size < 2 or not np.all(np.isfinite(bp))
+                or np.any(np.diff(bp) <= 0)):
+            raise ValueError("breakpoints must be finite and strictly increasing "
+                             "with at least 2 entries")
         if bp[0] < 0:
             raise ValueError("inner radius must be nonnegative")
         n = int(nodes_per_panel)
@@ -123,35 +112,42 @@ class RadialGrid:
         self.nodes_per_panel = n
         self.r0 = float(bp[0])
         self.rmax = float(bp[-1])
-        self.n_panels = bp.size - 1
+        self.n_panels = P = bp.size - 1
 
         xg, wg = leggauss(n)
-        rs, ws, Ds, Ks, bws = [], [], [], [], []
-        for a, b in zip(bp[:-1], bp[1:]):
-            x = 0.5 * (xg + 1.0) * (b - a) + a
-            w = wg * 0.5 * (b - a)
-            bw = _bary_weights(x)
-            rs.append(x)
-            ws.append(w)
-            bws.append(bw)
-            Ds.append(_diff_matrix(x, bw))
-            # cumulative matrix: K[i, j] = integral_a^{x_i} of Lagrange_j
-            # the same Gauss rule on [a, x_i] is exact for the basis
-            K = np.zeros((n, n))
-            for i in range(n):
-                t = 0.5 * (xg + 1.0) * (x[i] - a) + a
-                wt = wg * 0.5 * (x[i] - a)
-                K[i] = wt @ _bary_eval_matrix(x, bw, t)
-            Ks.append(K)
-        self.r = np.concatenate(rs)
-        self.w = np.concatenate(ws)
+        a, h = bp[:-1, None], (bp[1:] - bp[:-1])[:, None]
+        x = 0.5 * (xg + 1.0) * h + a                    # (P, n) panel nodes
+        self.r = x.ravel()
+        self.w = (wg * 0.5 * h).ravel()
         self.n_r = self.r.size
-        self._bary = bws
-        self._D = Ds
-        self._K = Ks
-        self._panel_totals = np.array([w.sum() for w in ws])
+        # stacked panel operators: weights (P, n), D and K (P, n, n); off()
+        # rows are contiguous, so their sums round as the old per-row loop
+        i = np.arange(n)
+        off = lambda A: np.ascontiguousarray(A[:, i[:, None] != i]).reshape(P, n, n - 1)
+        dx = x[:, :, None] - x[:, None, :]
+        self._bary = bw = 1.0 / np.prod(off(dx), axis=-1)
+        dx[:, i, i] = 1.0
+        self._D = (bw[:, None, :] / bw[:, :, None]) / dx
+        self._D[:, i, i] = -off(self._D).sum(axis=-1)
+        # K[p, i, j] = integral from the panel start to x_i of Lagrange_j;
+        # the same Gauss rule on [a, x_i] is exact for the basis
+        s = (x - a)[..., None]
+        E = _bary_eval_matrix(x[:, None], bw[:, None], 0.5 * (xg + 1.0) * s + a[..., None])
+        self._K = np.matmul((wg * 0.5 * s)[:, :, None, :], E)[:, :, 0]
+        self._wall_row = self.eval_matrix(0, [self.r0])
 
     # -------------------------------------------------- calculus on samples
+
+    def _panels(self, a):
+        """(P, ..., n) view of a (..., n_r) array; a 1-D array gets one row."""
+        lead = a.shape[:-1] or (1,)
+        return np.moveaxis(a.reshape(lead + (self.n_panels, self.nodes_per_panel)), -2, 0)
+
+    @staticmethod
+    def _matmul(v, ops, out=None):
+        """v[p] @ ops[p] for every panel p of a (P, ..., n) view, in one call."""
+        ops = ops.reshape(ops.shape[:1] + (1,) * (v.ndim - 3) + ops.shape[1:])
+        return np.matmul(v, ops, out=out)
 
     def integrate(self, g):
         """Integral of sampled g over [r0, rmax] in dr (last axis is radial)."""
@@ -160,11 +156,8 @@ class RadialGrid:
     def differentiate(self, g):
         """d/dr of sampled g via the per-panel barycentric differentiation matrix."""
         g = np.asarray(g)
-        n = self.nodes_per_panel
-        out = np.empty_like(g, dtype=np.result_type(g, float))
-        for p, D in enumerate(self._D):
-            sl = slice(p * n, (p + 1) * n)
-            out[..., sl] = g[..., sl] @ D.T
+        out = np.empty(g.shape, dtype=np.result_type(g, float))
+        self._matmul(self._panels(g), self._D.transpose(0, 2, 1), out=self._panels(out))
         return out
 
     def running_integral(self, g):
@@ -175,13 +168,12 @@ class RadialGrid:
         panel-wise polynomials up to the panel order.
         """
         g = np.asarray(g)
-        n = self.nodes_per_panel
-        out = np.empty_like(g, dtype=np.result_type(g, float))
-        offset = np.zeros(g.shape[:-1], dtype=np.result_type(g, float))
-        for p, K in enumerate(self._K):
-            sl = slice(p * n, (p + 1) * n)
-            out[..., sl] = g[..., sl] @ K.T + offset[..., None]
-            offset = offset + g[..., sl] @ self.w[sl]
+        out = np.empty(g.shape, dtype=np.result_type(g, float))
+        v, ov = self._panels(g), self._panels(out)
+        self._matmul(v, self._K.transpose(0, 2, 1), out=ov)
+        # panel p starts from the totals of panels 0..p-1
+        w = self.w.reshape(self.n_panels, -1, 1)
+        ov[1:] += np.cumsum(self._matmul(v[:-1], w[:-1]), axis=0)
         return out
 
     def tail_integral(self, g):
@@ -189,6 +181,15 @@ class RadialGrid:
         g = np.asarray(g)
         total = np.asarray(g @ self.w)
         return total[..., None] - self.running_integral(g)
+
+    def at_r0(self, g):
+        """
+        Value of the panel-wise interpolant of sampled g at the wall r0,
+        equal to interp(g, [r0])[..., 0] (last axis radial).
+        """
+        g = np.asarray(g)
+        rows = g.reshape(-1, g.shape[-1])[:, :self.nodes_per_panel]
+        return (self._wall_row @ rows.T).reshape(g.shape[:-1])
 
     def locate(self, pts):
         """
@@ -269,10 +270,6 @@ class SampledField:
 # Construction and surface quadrature
 
 
-def _geometric_breakpoints(r0, rmax, n_panels):
-    return np.geomspace(r0, rmax, n_panels + 1)
-
-
 def make_grids(r0, rmax, n_r, L_max, breakpoints=None, nodes_per_panel=16):
     """
     Build the default angular and radial grids for a band limit L_max.
@@ -307,7 +304,7 @@ def make_grids(r0, rmax, n_r, L_max, breakpoints=None, nodes_per_panel=16):
         n_panels = max(1, n_r // int(nodes_per_panel))
         while n_r % n_panels:
             n_panels -= 1
-        breakpoints = _geometric_breakpoints(r0, rmax, n_panels)
+        breakpoints = np.geomspace(r0, rmax, n_panels + 1)
     else:
         breakpoints = np.asarray(breakpoints, dtype=float)
         if abs(breakpoints[0] - r0) > 1e-12 or abs(breakpoints[-1] - rmax) > 1e-12:

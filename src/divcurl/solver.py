@@ -160,15 +160,6 @@ class CompatReport:
         return (self.normal_trace[k], self.solenoid[k],
                 self.boundary_deriv[k], self.moment[k])
 
-    def max_residuals(self):
-        """Aggregate maxima over modes, keyed by residual name."""
-        return {
-            "normal_trace": float(self.normal_trace.max()),
-            "solenoid": float(self.solenoid.max()),
-            "boundary_deriv": float(self.boundary_deriv.max()),
-            "moment": float(np.abs(self.moment[self.ells >= 1]).max(initial=0.0)),
-        }
-
     def worst(self, required_moment=None):
         """
         The largest residual over all modes and kinds.
@@ -233,9 +224,8 @@ def check_compatibility(f):
     # same conservative discretization as spectral_div
     solenoid = np.abs(rad.differentiate(r ** 2 * fr) / r ** 2 - ll1 / r * f1).max(axis=1)
 
-    at0 = lambda g: rad.interp(g, [rad.r0])[..., 0]
-    normal_trace = np.abs(at0(fr))
-    boundary_deriv = np.abs(rad.r0 * at0(dfr) - ll1[:, 0] * at0(f1))
+    normal_trace = np.abs(rad.at_r0(fr))
+    boundary_deriv = np.abs(rad.r0 * rad.at_r0(dfr) - ll1[:, 0] * rad.at_r0(f1))
     moment = radial_moments(rad, f2, f.ells)
     return CompatReport(f.ells.copy(), f.ems.copy(), normal_trace, solenoid,
                         boundary_deriv, moment, f.norm())
@@ -350,7 +340,7 @@ def boundary_trace(V):
         L2(sphere) norm using the channel weights (1, l(l+1), l(l+1)).
     """
     rad = V.radial
-    vals = rad.interp(V.coeffs, [rad.r0])[..., 0]      # (n_modes, 3)
+    vals = rad.at_r0(V.coeffs)                          # (n_modes, 3)
     ll1 = V.ells * (V.ells + 1.0)
     agg = np.sqrt(np.sum(np.abs(vals[:, 0]) ** 2
                          + ll1 * (np.abs(vals[:, 1]) ** 2 + np.abs(vals[:, 2]) ** 2)))
@@ -371,7 +361,7 @@ def partial_slip_project(f, L, weight=None):
     ----------
     f: SpectralField
     L: int
-        highest degree to project; L = 0 is a no-op
+        highest degree to project, 0 <= L <= L_max; L = 0 is a no-op
     weight: radial samples, optional
         replacement bump, used as-is for every degree; the default is the
         degree-adapted s^(l-1) (s - r0)^2 (rmax - s)^2, normalized to unit
@@ -384,8 +374,8 @@ def partial_slip_project(f, L, weight=None):
     -------
     SpectralField
     """
-    if L > f.L_max:
-        raise ValueError(f"L = {L} exceeds L_max = {f.L_max}")
+    if not 0 <= L <= f.L_max:
+        raise ValueError(f"L = {L} is outside [0, L_max = {f.L_max}]")
     rad = f.radial
     r = rad.r
     ell = np.arange(1, L + 1)                       # row l - 1 of w holds degree l

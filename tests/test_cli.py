@@ -201,6 +201,17 @@ def test_partial_slip_recovers_solvability(tmp_path, capsys):
     assert read_vshc(sol).coeffs.shape == (25, 3, 48)
 
 
+def test_negative_partial_slip_exits_1(tmp_path, capsys):
+    f, _ = _manufactured_source(2)
+    src = tmp_path / "f.vshc"
+    sol = tmp_path / "sol.vshc"
+    write_vshc(src, f)
+    assert main(["solve", str(src), "--partial-slip", "-3",
+                 "--out", str(sol)]) == 1
+    assert "outside [0, L_max" in capsys.readouterr().err
+    assert not sol.exists()
+
+
 def test_solve_with_uniform_far_flow(tmp_path, capsys):
     _, rad = make_grids(1.0, 5.0, 48, 2, breakpoints=[1, 2, 3, 4, 5])
     r = rad.r
@@ -252,6 +263,14 @@ def test_phf_then_verify(tmp_path, capsys):
     assert float(lines["residual"]) < 1e-8
     assert float(lines["curl_norm"]) > 1e-3
     assert lines["degenerate"] == "no"
+
+
+def test_phf_with_infinite_rmax_exits_1(tmp_path, capsys):
+    out = tmp_path / "phf.vshc"
+    assert main(["phf", "--l", "1", "--m", "0", "--rmax", "inf",
+                 "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_flags_gradient_input(tmp_path, capsys):

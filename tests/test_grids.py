@@ -4,6 +4,7 @@ Quadrature, differentiation, and interpolation on the shell grids.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scipy.special import sph_harm_y
 
@@ -86,11 +87,8 @@ def test_interp_batch_shape_and_range_check():
             rad.interp(g, bad)
 
 
-def test_bary_eval_matrix_matches_pointwise_loop():
-    # reference: one row per point, with the unit row at (near-)node hits
-    x = 1.0 + 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
-    w = np.array([1.0 / np.prod(x[j] - np.delete(x, j)) for j in range(x.size)])
-    pts = np.concatenate([np.linspace(1.0, 2.0, 9), x, x[[2]] * (1 + 1e-15)])
+def _pointwise_eval_rows(x, w, pts):
+    """One row per point, with the unit row at (near-)node hits."""
     ref = np.zeros((pts.size, x.size))
     for i, p in enumerate(pts):
         d = p - x
@@ -99,9 +97,23 @@ def test_bary_eval_matrix_matches_pointwise_loop():
             ref[i, hit[0]] = 1.0
         else:
             ref[i] = (w / d) / (w / d).sum()
+    return ref
+
+
+def test_bary_eval_matrix_matches_pointwise_loop():
+    x = 1.0 + 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+    w = _ref_bary_weights(x)
+    pts = np.concatenate([np.linspace(1.0, 2.0, 9), x, x[[2]] * (1 + 1e-15)])
     E = _bary_eval_matrix(x, w, pts)
-    assert np.abs(E - ref).max() < 1e-15
+    assert np.abs(E - _pointwise_eval_rows(x, w, pts)).max() < 1e-15
     assert np.all(E[9:] == np.vstack([np.eye(x.size), np.eye(x.size)[2]]))
+    # a stack of panels in one call: leading axes of nodes and points broadcast
+    X, W, Pts = np.stack([x, 2.0 * x]), np.stack([w, w / 2.0 ** 7]), np.stack([pts, 2.0 * pts])
+    Eb = _bary_eval_matrix(X, W, Pts)
+    assert Eb.shape == (2, pts.size, x.size)
+    for k in range(2):
+        assert Eb[k].tobytes() == _bary_eval_matrix(X[k], W[k], Pts[k]).tobytes()
+        assert np.abs(Eb[k] - _pointwise_eval_rows(X[k], W[k], Pts[k])).max() < 1e-15
 
 
 def test_radial_grid_rejects_bad_breakpoints():
@@ -111,6 +123,9 @@ def test_radial_grid_rejects_bad_breakpoints():
         RadialGrid([1.0, 1.0, 2.0], 8)
     with pytest.raises(ValueError):
         RadialGrid([2.0, 1.0], 8)
+    for bad in ([1.0, np.nan, 5.0], [1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            RadialGrid(bad, 8)
 
 
 def test_make_grids_validation():
@@ -122,6 +137,95 @@ def test_make_grids_validation():
         make_grids(1.0, 5.0, 64, 8, breakpoints=[1.0, 2.0, 4.5])
     with pytest.raises(ValueError):
         make_grids(1.0, 5.0, 63, 8, breakpoints=[1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match="finite"):
+        make_grids(1.0, np.inf, 64, 4)
+
+
+############################################
+# Stacked panel operators against the per-panel loops they replaced
+
+
+def _ref_bary_weights(x):
+    return np.array([1.0 / np.prod(x[j] - np.delete(x, j)) for j in range(x.size)])
+
+
+def _ref_diff_matrix(x, w):
+    n = len(x)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
+        D[i, i] = -np.sum(np.delete(D[i], i))
+    return D
+
+
+def _ref_operators(rad):
+    """Per-panel barycentric weights, D and K, built node by node."""
+    xg, wg = np.polynomial.legendre.leggauss(rad.nodes_per_panel)
+    bws, Ds, Ks = [], [], []
+    for a, b in zip(rad.breakpoints[:-1], rad.breakpoints[1:]):
+        x = 0.5 * (xg + 1.0) * (b - a) + a
+        bw = _ref_bary_weights(x)
+        K = np.zeros((x.size, x.size))
+        for i in range(x.size):
+            t = 0.5 * (xg + 1.0) * (x[i] - a) + a
+            wt = wg * 0.5 * (x[i] - a)
+            K[i] = wt @ _bary_eval_matrix(x, bw, t)
+        bws.append(bw)
+        Ds.append(_ref_diff_matrix(x, bw))
+        Ks.append(K)
+    return np.array(bws), np.array(Ds), np.array(Ks)
+
+
+def _ref_differentiate(rad, Ds, g):
+    n = rad.nodes_per_panel
+    out = np.empty_like(g, dtype=np.result_type(g, float))
+    for p, D in enumerate(Ds):
+        sl = slice(p * n, (p + 1) * n)
+        out[..., sl] = g[..., sl] @ D.T
+    return out
+
+
+def _ref_running_integral(rad, Ks, g):
+    n = rad.nodes_per_panel
+    out = np.empty_like(g, dtype=np.result_type(g, float))
+    offset = np.zeros(g.shape[:-1], dtype=np.result_type(g, float))
+    for p, K in enumerate(Ks):
+        sl = slice(p * n, (p + 1) * n)
+        out[..., sl] = g[..., sl] @ K.T + offset[..., None]
+        offset = offset + g[..., sl] @ rad.w[sl]
+    return out
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=st.integers(2, 32), r0=st.floats(0.0, 10.0),
+       widths=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=12),
+       lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       complex_data=st.booleans(), fortran=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_operators_match_per_panel_loops(n, r0, widths, lead, complex_data,
+                                                 fortran, seed):
+    rad = RadialGrid(r0 + np.concatenate([[0.0], np.cumsum(widths)]), n)
+    bws, Ds, Ks = _ref_operators(rad)
+    for got, want in ((rad._bary, bws), (rad._D, Ds), (rad._K, Ks)):
+        assert got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (rad.n_r,)
+    g = rng.standard_normal(shape)
+    if complex_data:
+        g = g + 1j * rng.standard_normal(shape)
+    # whole panels of signed zeros, whose bytes must match as well
+    g[..., np.repeat(rng.random(rad.n_panels) < 0.4, n)] = -0.0
+    if fortran:
+        g = np.asfortranarray(g)
+    assert rad.differentiate(g).tobytes() == _ref_differentiate(rad, Ds, g).tobytes()
+    run = rad.running_integral(g)
+    assert run.tobytes() == _ref_running_integral(rad, Ks, g).tobytes()
+    assert rad.at_r0(g).tobytes() == rad.interp(g, [rad.r0])[..., 0].tobytes()
+    total = rad.integrate(g)[..., None]
+    scale = np.abs(g) @ rad.w
+    assert np.all(np.abs(run + rad.tail_integral(g) - total) <= 1e-13 * scale[..., None])
 
 
 ############################################

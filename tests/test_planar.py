@@ -49,6 +49,10 @@ def test_polar_grid_validation():
         PolarGrid(0.0, 1.0, 16, 0)
     with pytest.raises(ValueError):
         PolarGrid(0.0, 1.0, 15, 8, breakpoints=[0.0, 0.5, 1.0])
+    for kw in ({"rho_max": np.inf}, {"breakpoints": [0.0, np.nan, 1.0]}):
+        with pytest.raises(ValueError, match="finite"):
+            PolarGrid(**{"rho_min": 0.0, "rho_max": 1.0, "n_rho": 16,
+                         "n_phi": 8, **kw})
 
 
 def test_geometry_validation():
