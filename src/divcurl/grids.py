@@ -27,6 +27,8 @@ __all__ = ["AngularGrid", "RadialGrid", "SampledField", "make_grids",
 ############################################
 # Barycentric helper
 
+_EVAL_BLOCK = 1 << 17    # entries of the (nodes, n, n) temporary K is built from
+
 
 def _bary_eval_matrix(x, w, pts):
     """
@@ -129,11 +131,13 @@ class RadialGrid:
         dx[:, i, i] = 1.0
         self._D = (bw[:, None, :] / bw[:, :, None]) / dx
         self._D[:, i, i] = -off(self._D).sum(axis=-1)
-        # K[p, i, j] = integral from the panel start to x_i of Lagrange_j;
-        # the same Gauss rule on [a, x_i] is exact for the basis
+        # K[p, i, j] = integral from the panel start to x_i of Lagrange_j, by the same
+        # Gauss rule on [a, x_i]; its evaluation rows go in blocks of ~_EVAL_BLOCK entries
         s = (x - a)[..., None]
-        E = _bary_eval_matrix(x[:, None], bw[:, None], 0.5 * (xg + 1.0) * s + a[..., None])
-        self._K = np.matmul((wg * 0.5 * s)[:, :, None, :], E)[:, :, 0]
+        t, wt = (0.5 * (xg + 1.0) * s + a[..., None]).reshape(-1, n), wg * 0.5 * s
+        blocks = np.array_split(np.arange(P * n), min(P * n, -(-P * n ** 3 // _EVAL_BLOCK)))
+        self._K = np.concatenate([np.matmul(wt.reshape(-1, 1, n)[i], _bary_eval_matrix(
+            x[i // n], bw[i // n], t[i])) for i in blocks]).reshape(P, n, n)
         self._wall_row = self.eval_matrix(0, [self.r0])
 
     # -------------------------------------------------- calculus on samples
@@ -183,10 +187,7 @@ class RadialGrid:
         return total[..., None] - self.running_integral(g)
 
     def at_r0(self, g):
-        """
-        Value of the panel-wise interpolant of sampled g at the wall r0,
-        equal to interp(g, [r0])[..., 0] (last axis radial).
-        """
+        """Interpolant of sampled g at the wall r0, equal to interp(g, [r0])[..., 0]."""
         g = np.asarray(g)
         rows = g.reshape(-1, g.shape[-1])[:, :self.nodes_per_panel]
         return (self._wall_row @ rows.T).reshape(g.shape[:-1])
