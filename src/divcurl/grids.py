@@ -10,7 +10,7 @@ barycentric operators stacked over the panels: weights (P, n), the
 differentiation matrix D and the cumulative matrix K (P, n, n).  One
 matrix product over a (P, ..., n) view of the samples applies them to
 every panel; per-panel rows evaluate off the nodes, and a cached row of
-panel 0 gives the value at the wall r0.
+panel 0 gives the value at the wall r0, and the wall slope from D on panel 0.
 
 The infinite domain [r0, inf) is truncated at rmax under the convention
 that source fields are compactly supported in [r0, rmax]; tail integrals
@@ -127,25 +127,31 @@ class RadialGrid:
         i = np.arange(n)
         off = lambda A: np.ascontiguousarray(A[:, i[:, None] != i]).reshape(P, n, n - 1)
         dx = x[:, :, None] - x[:, None, :]
-        self._bary = bw = 1.0 / np.prod(off(dx), axis=-1)
-        dx[:, i, i] = 1.0
-        self._D = (bw[:, None, :] / bw[:, :, None]) / dx
-        self._D[:, i, i] = -off(self._D).sum(axis=-1)
         # K[p, i, j] = integral from the panel start to x_i of Lagrange_j, by the same
         # Gauss rule on [a, x_i]; its evaluation rows go in blocks of ~_EVAL_BLOCK entries
         s = (x - a)[..., None]
         t, wt = (0.5 * (xg + 1.0) * s + a[..., None]).reshape(-1, n), wg * 0.5 * s
         blocks = np.array_split(np.arange(P * n), min(P * n, -(-P * n ** 3 // _EVAL_BLOCK)))
-        self._K = np.concatenate([np.matmul(wt.reshape(-1, 1, n)[i], _bary_eval_matrix(
-            x[i // n], bw[i // n], t[i])) for i in blocks]).reshape(P, n, n)
+        bad = f"{n} nodes per panel overflow the weights; use more panels"
+        with np.errstate(all="ignore"):         # out-of-range weights are refused
+            self._bary = bw = 1.0 / np.prod(off(dx), axis=-1)
+            dx[:, i, i] = 1.0
+            self._D = (bw[:, None, :] / bw[:, :, None]) / dx
+            self._D[:, i, i] = -off(self._D).sum(axis=-1)
+            if not np.isfinite(self._D).all():  # a weight of 0 or inf: skip K's O(n^4)
+                raise ValueError(bad)
+            self._K = np.concatenate([np.matmul(wt.reshape(-1, 1, n)[i], _bary_eval_matrix(
+                x[i // n], bw[i // n], t[i])) for i in blocks]).reshape(P, n, n)
+        if not np.isfinite(self._K).all():      # from ~505 nodes on [1, 2], D from ~520
+            raise ValueError(bad)
         self._wall_row = self.eval_matrix(0, [self.r0])
 
     # -------------------------------------------------- calculus on samples
 
     def _panels(self, a):
         """(P, ..., n) view of a (..., n_r) array; a 1-D array gets one row."""
-        lead = a.shape[:-1] or (1,)
-        return np.moveaxis(a.reshape(lead + (self.n_panels, self.nodes_per_panel)), -2, 0)
+        v = a.reshape((a.shape[:-1] or (1,)) + (self.n_panels, self.nodes_per_panel))
+        return v.transpose(v.ndim - 2, *range(v.ndim - 2), v.ndim - 1)
 
     @staticmethod
     def _matmul(v, ops, out=None):
@@ -184,13 +190,19 @@ class RadialGrid:
         """Cumulative integral from the outer end: integral_{r_i}^{rmax} g(s) ds."""
         g = np.asarray(g)
         total = np.asarray(g @ self.w)
-        return total[..., None] - self.running_integral(g)
+        run = self.running_integral(g)
+        return np.subtract(total[..., None], run, out=run)
 
     def at_r0(self, g):
         """Interpolant of sampled g at the wall r0, equal to interp(g, [r0])[..., 0]."""
         g = np.asarray(g)
         rows = g.reshape(-1, g.shape[-1])[:, :self.nodes_per_panel]
         return (self._wall_row @ rows.T).reshape(g.shape[:-1])
+
+    def slope_at_r0(self, g):
+        """d/dr of sampled g at r0: at_r0(differentiate(g)), with D on panel 0 alone."""
+        d = self._matmul(self._panels(np.asarray(g))[:1], self._D[:1].transpose(0, 2, 1))
+        return self.at_r0(d).reshape(np.shape(g)[:-1])
 
     def locate(self, pts):
         """
@@ -294,8 +306,8 @@ def make_grids(r0, rmax, n_r, L_max, breakpoints=None, nodes_per_panel=16):
     -------
     (AngularGrid, RadialGrid)
     """
-    if not (0 < r0 < rmax):
-        raise ValueError("need 0 < r0 < rmax")
+    if not (0 < r0 < rmax < np.inf):
+        raise ValueError("need 0 < r0 < rmax, both finite")
     if n_r < 4:
         raise ValueError("need n_r >= 4")
     if L_max < 1:

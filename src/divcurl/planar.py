@@ -33,8 +33,8 @@ class PolarGrid:
 
     def __init__(self, rho_min, rho_max, n_rho, n_phi, breakpoints=None,
                  nodes_per_panel=None):
-        if rho_min < 0 or rho_max <= rho_min:
-            raise ValueError(f"need 0 <= rho_min < rho_max, got "
+        if not (0 <= rho_min < rho_max < np.inf):
+            raise ValueError(f"need 0 <= rho_min < rho_max, both finite, got "
                              f"[{rho_min}, {rho_max}]")
         if n_phi < 1:
             raise ValueError("n_phi must be positive")

@@ -107,6 +107,14 @@ def _far_l1_coeffs(vinf):
 # Diagnostics
 
 
+def _powers(r, ells, a, s):
+    """r^(a + s l) on rows of degree l, with one pow per distinct degree."""
+    deg, row = np.unique(ells, return_inverse=True)
+    if deg.size < 3:        # numpy may take another pow kernel (other bits) for < 3 rows
+        deg, row = np.asarray(ells), slice(None)
+    return (r ** (a + s * deg[:, None]))[row]
+
+
 def radial_moments(radial, g, ells):
     """
     The moments integral_{r0}^{rmax} s^(1-l) g_k(s) ds of a stack of profiles.
@@ -127,7 +135,7 @@ def radial_moments(radial, g, ells):
         the pseudo-harmonic family Phi_lm / r^(l+1) without the l(l+1)
         factor.
     """
-    return radial.integrate(radial.r ** (1.0 - ells[:, None]) * g)
+    return radial.integrate(_powers(radial.r, ells, 1.0, -1) * g)
 
 
 class CompatReport:
@@ -220,12 +228,13 @@ def check_compatibility(f):
     fr, f1, f2 = f.coeffs[:, 0], f.coeffs[:, 1], f.coeffs[:, 2]
     ll1 = (f.ells * (f.ells + 1.0))[:, None]
 
-    dfr = rad.differentiate(fr)
     # same conservative discretization as spectral_div
-    solenoid = np.abs(rad.differentiate(r ** 2 * fr) / r ** 2 - ll1 / r * f1).max(axis=1)
+    div = rad.differentiate(r ** 2 * fr)
+    div /= r ** 2
+    solenoid = np.abs(np.subtract(div, ll1 / r * f1, out=div)).max(axis=1)
 
     normal_trace = np.abs(rad.at_r0(fr))
-    boundary_deriv = np.abs(rad.r0 * rad.at_r0(dfr) - ll1[:, 0] * rad.at_r0(f1))
+    boundary_deriv = np.abs(rad.r0 * rad.slope_at_r0(fr) - ll1[:, 0] * rad.at_r0(f1))
     moment = radial_moments(rad, f2, f.ells)
     return CompatReport(f.ells.copy(), f.ems.copy(), normal_trace, solenoid,
                         boundary_deriv, moment, f.norm())
@@ -262,6 +271,8 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
         when a residual exceeds REFUSE_TOL, carrying the offending mode,
         or when a coefficient is NaN or Inf (the data norm is not finite).
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
     far = _as_far(far)
     report = check_compatibility(f)
 
@@ -273,9 +284,7 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
             # M = (2l+1)/(l(l+1)) a_m at l = 1, i.e. 3/2 of the coefficient
             required[mode_index(1, m)] = 1.5 * cfar[m]
 
-    denom = report.field_norm + float(np.linalg.norm(far.vinf))
-    if denom == 0.0:
-        denom = 1.0
+    denom = report.field_norm + float(np.linalg.norm(far.vinf)) or 1.0
     l_bad, m_bad, name, value = report.worst(required)
     # a NaN or Inf coefficient makes the data norm non-finite
     if not (np.isfinite(denom) and value <= REFUSE_TOL * denom):
@@ -293,26 +302,25 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     ll1 = ell * (ell + 1.0)
     fr, f2 = f.coeffs[:, 0], f.coeffs[:, 2]
 
-    A = rad.running_integral(r ** (2.0 + ell) * f2)
-    B = rad.tail_integral(r ** (1.0 - ell) * f2)
-    grow = r ** (-2.0 - ell) * A
-    decay = r ** (ell - 1.0) * B
+    A = rad.running_integral(_powers(r, f.ells, 2.0, 1) * f2)
+    B = rad.tail_integral(_powers(r, f.ells, 1.0, -1) * f2)
+    A *= _powers(r, f.ells, -2.0, -1)       # grow
+    B *= _powers(r, f.ells, -1.0, 1)        # decay
 
     V = SpectralField(rad, f.L_max)
-    V.coeffs[:, 0] = -ll1 / (2.0 * ell + 1.0) * (grow + decay)
+    A += B
+    np.multiply(-ll1 / (2.0 * ell + 1.0), A, out=V.coeffs[:, 0])
     # V_1 = l/(2l+1) grow - (l+1)/(2l+1) decay, realized through the identity
     # V_1 = (r^2 V_r)' / (l(l+1) r) so the discrete divergence of the
     # solution vanishes to rounding (same derivative matrix as spectral_div)
     safe = np.where(ll1 > 0, ll1, 1.0)
-    V.coeffs[:, 1] = rad.differentiate(r ** 2 * V.coeffs[:, 0]) / (safe * r)
-    V.coeffs[:, 2] = -r * fr / safe
+    np.divide(rad.differentiate(r ** 2 * V.coeffs[:, 0]), safe * r, out=V.coeffs[:, 1])
+    np.divide(-r * fr, safe, out=V.coeffs[:, 2])
     V.coeffs[0] = 0.0                       # no l = 0 content in the solution
 
     if not far.is_zero and f.L_max >= 1:
         for m in (-1, 0, 1):
-            k = mode_index(1, m)
-            V.coeffs[k, 0] += cfar[m]
-            V.coeffs[k, 1] += cfar[m]
+            V.coeffs[mode_index(1, m), :2] += cfar[m]
     return V
 
 
@@ -421,7 +429,5 @@ def far_field_coeffs(far, radial, L_max=1):
         raise ValueError("need L_max >= 1 to hold an l = 1 field")
     S = SpectralField(radial, L_max)
     for m, c in _far_l1_coeffs(far.vinf).items():
-        k = mode_index(1, m)
-        S.coeffs[k, 0] = c
-        S.coeffs[k, 1] = c
+        S.coeffs[mode_index(1, m), :2] = c
     return S

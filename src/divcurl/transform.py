@@ -54,9 +54,8 @@ def mode_index(l, m):
 
 def mode_degrees(L_max):
     """Arrays (ells, ems) of length (L_max+1)^2 giving (l, m) per flat index."""
-    ells = np.concatenate([np.full(2 * l + 1, l) for l in range(L_max + 1)])
-    ems = np.concatenate([np.arange(-l, l + 1) for l in range(L_max + 1)])
-    return ells, ems
+    ells = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
+    return ells, np.arange(ells.size) - ells * (ells + 1)
 
 
 class _Profiles:
@@ -146,10 +145,11 @@ class SpectralField(_Profiles):
         return SpectralField(self.radial, self.L_max, self.coeffs)
 
     def _density(self, c):
-        # squared angular norms (1, l(l+1), l(l+1)) of the three channels
+        # squared angular norms |c_r|^2 + l(l+1) (|c_1|^2 + |c_2|^2), in place
         ll1 = (self.ells * (self.ells + 1.0))[:, None]
-        return (np.abs(c[:, 0]) ** 2 + ll1 * (np.abs(c[:, 1]) ** 2
-                                              + np.abs(c[:, 2]) ** 2)).sum(axis=0)
+        sq0, sq1, sq2 = (np.square(a, out=a) for a in map(np.abs, c.transpose(1, 0, 2)))
+        sq0 += np.multiply(ll1, np.add(sq1, sq2, out=sq1), out=sq1)
+        return sq0.sum(axis=0)
 
     def __repr__(self):
         return (f"SpectralField(L_max={self.L_max}, n_r={self.radial.n_r}, "
@@ -160,7 +160,7 @@ class ScalarSpectral(_Profiles):
     """Radial profiles of a scalar field expanded in Y_lm (one per mode)."""
 
     def _density(self, c):
-        return (np.abs(c) ** 2).sum(axis=0)
+        return np.square(sq := np.abs(c), out=sq).sum(axis=0)
 
 
 ############################################

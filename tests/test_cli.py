@@ -163,6 +163,16 @@ def test_solve_non_finite_source_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_solve_with_invalid_tol_exits_1(tmp_path, capsys, tol):
+    f, _ = _manufactured_source()
+    src, out = tmp_path / "f.vshc", tmp_path / "never.vshc"
+    write_vshc(src, f)
+    assert main(["solve", str(src), "--tol", tol, "--out", str(out)]) == 1
+    assert "tol must be a nonnegative number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_input_on_a_pipe_exits_2(tmp_path):
     # a pipe cannot be rewound, yet the bad line is still named
     src = tmp_path / "z.vfld"
@@ -265,6 +275,7 @@ def test_phf_then_verify(tmp_path, capsys):
     assert lines["degenerate"] == "no"
 
 
+@pytest.mark.filterwarnings("error")
 def test_phf_with_infinite_rmax_exits_1(tmp_path, capsys):
     out = tmp_path / "phf.vshc"
     assert main(["phf", "--l", "1", "--m", "0", "--rmax", "inf",

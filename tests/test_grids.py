@@ -3,6 +3,7 @@ Quadrature, differentiation, and interpolation on the shell grids.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -141,6 +142,7 @@ def test_radial_grid_rejects_bad_breakpoints():
             RadialGrid(bad, 8)
 
 
+@pytest.mark.filterwarnings("error")      # the finite check comes before any breakpoints
 def test_make_grids_validation():
     with pytest.raises(ValueError):
         make_grids(0.0, 5.0, 64, 8)
@@ -189,6 +191,11 @@ def _ref_operators(rad):
         Ds.append(_ref_diff_matrix(x, bw))
         Ks.append(K)
     return np.array(bws), np.array(Ds), np.array(Ks)
+
+
+def _ref_panels(rad, a):
+    lead = a.shape[:-1] or (1,)
+    return np.moveaxis(a.reshape(lead + (rad.n_panels, rad.nodes_per_panel)), -2, 0)
 
 
 def _ref_differentiate(rad, Ds, g):
@@ -241,6 +248,33 @@ def test_stacked_operators_match_per_panel_loops(n, r0, widths, lead, complex_da
     assert np.all(np.abs(run + rad.tail_integral(g) - total) <= 1e-13 * scale[..., None])
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 32), r0=st.floats(0.0, 10.0),
+       widths=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=8),
+       lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+       complex_data=st.booleans(), fortran=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_panel_view_and_wall_slope_match_full_passes(n, r0, widths, lead, complex_data,
+                                                     fortran, seed):
+    rad = RadialGrid(r0 + np.concatenate([[0.0], np.cumsum(widths)]), n)
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (rad.n_r,)
+    g = rng.standard_normal(shape)
+    if complex_data:
+        g = g + 1j * rng.standard_normal(shape)
+    g[..., np.repeat(rng.random(rad.n_panels) < 0.4, n)] = -0.0
+    g[rng.random(shape) < 0.2] = 0.0
+    if fortran:
+        g = np.asfortranarray(g)
+    # the plain transpose is the same view as the moveaxis it replaced
+    view, ref = rad._panels(g), _ref_panels(rad, g)
+    assert (view.shape, view.strides) == (ref.shape, ref.strides)
+    assert np.shares_memory(view, g) == np.shares_memory(ref, g)
+    assert view.tobytes() == ref.tobytes()
+    # the slope from panel 0 alone has the bytes of the full derivative's wall value
+    assert rad.slope_at_r0(g).tobytes() == rad.at_r0(rad.differentiate(g)).tobytes()
+
+
 def test_one_wide_panel_builds_in_bounded_memory():
     # make_grids falls back to one panel when n_r is prime; K's evaluation
     # rows are built in blocks, not as one (n, n, n) array (291 MB here)
@@ -252,6 +286,20 @@ def test_one_wide_panel_builds_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 12e6                   # 5.0 MB measured
     assert abs(rad.running_integral(rad.r)[-1] - (rad.r[-1] ** 2 - 1.0) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("build, builds_K", [(lambda: RadialGrid([1.0, 2.0], 600), False),
+                                             (lambda: make_grids(1.0, 2.0, 601, 4), False),
+                                             (lambda: RadialGrid([1.0, 1.001], 86), True)])
+def test_panel_whose_weights_overflow_is_refused(build, builds_K):
+    # 1/prod(x_j - x_k) underflows past ~520 nodes on [1, 2]: D would be NaN,
+    # and the refusal comes before K's O(n^4) rows; 601 is prime, so make_grids
+    # puts all nodes on one panel.  On [1, 1.001] 86 nodes leave D finite, but
+    # the weights overflow K's rows to NaN
+    with mock.patch("divcurl.grids._bary_eval_matrix", wraps=_bary_eval_matrix) as rows, \
+            pytest.raises(ValueError, match="more panels"):
+        build()
+    assert rows.called == builds_K
 
 
 ############################################

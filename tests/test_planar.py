@@ -40,6 +40,7 @@ def test_annulus_area():
     assert abs(g.integrate(np.ones((32, 16))) - 3.0 * np.pi) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")      # the finite check comes before any breakpoints
 def test_polar_grid_validation():
     with pytest.raises(ValueError):
         PolarGrid(-1.0, 2.0, 16, 8)

@@ -3,17 +3,21 @@ The exterior solve: recovery, no slip, solvability gating, uniform flow.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from divcurl.grids import make_grids
+import divcurl.solver as solver
+from divcurl.grids import RadialGrid, make_grids
 from divcurl.solver import (CompatibilityWarning, FarFieldSpec,
                             IncompatibilityError, boundary_trace,
                             check_compatibility, far_field_coeffs,
-                            partial_slip_project, solve_exterior)
-from divcurl.transform import (SpectralField, mode_index, spectral_curl,
-                               spectral_div, synthesize_at)
+                            partial_slip_project, radial_moments,
+                            solve_exterior)
+from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
+                               spectral_curl, spectral_div, synthesize_at)
 
 C10 = np.sqrt(4.0 * np.pi / 3.0)            # z_hat coefficient on (1, 0)
 
@@ -410,3 +414,126 @@ def test_far_spec_validation():
         FarFieldSpec((np.nan, 0.0, 0.0))
     assert FarFieldSpec().is_zero
     assert not FarFieldSpec((0.0, 1.0, 0.0)).is_zero
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+def test_tol_must_be_a_nonnegative_number(tol):
+    _, rad = _panel_grids()
+    f, _ = _manufactured(rad)
+    with pytest.raises(ValueError, match="tol must be a nonnegative number"):
+        solve_exterior(f, tol=tol)
+
+
+############################################
+# Bit for bit with the full-pass arithmetic the solver used before: every
+# residual, norm, solution and trace keeps its bytes
+
+
+def _ref_radial_moments(radial, g, ells):
+    return radial.integrate(radial.r ** (1.0 - ells[:, None]) * g)
+
+
+def _ref_vector_density(f, c):
+    ll1 = (f.ells * (f.ells + 1.0))[:, None]
+    return (np.abs(c[:, 0]) ** 2 + ll1 * (np.abs(c[:, 1]) ** 2
+                                          + np.abs(c[:, 2]) ** 2)).sum(axis=0)
+
+
+def _ref_scalar_density(c):
+    return (np.abs(c) ** 2).sum(axis=0)
+
+
+def _ref_check_compatibility(f):
+    """(normal_trace, solenoid, boundary_deriv, moment, field_norm)."""
+    rad = f.radial
+    r = rad.r
+    fr, f1, f2 = f.coeffs[:, 0], f.coeffs[:, 1], f.coeffs[:, 2]
+    ll1 = (f.ells * (f.ells + 1.0))[:, None]
+    dfr = rad.differentiate(fr)
+    solenoid = np.abs(rad.differentiate(r ** 2 * fr) / r ** 2 - ll1 / r * f1).max(axis=1)
+    normal_trace = np.abs(rad.at_r0(fr))
+    boundary_deriv = np.abs(rad.r0 * rad.at_r0(dfr) - ll1[:, 0] * rad.at_r0(f1))
+    moment = _ref_radial_moments(rad, f2, f.ells)
+    norm = np.sqrt(rad.integrate(_ref_vector_density(f, f.coeffs) * r ** 2).real)
+    return normal_trace, solenoid, boundary_deriv, moment, norm
+
+
+def _ref_solve_body(f, far):
+    """The solution of solve_exterior once the data has passed the gate."""
+    rad = f.radial
+    r = rad.r
+    ell = f.ells[:, None].astype(float)
+    ll1 = ell * (ell + 1.0)
+    fr, f2 = f.coeffs[:, 0], f.coeffs[:, 2]
+    A = rad.running_integral(r ** (2.0 + ell) * f2)
+    g = r ** (1.0 - ell) * f2
+    B = np.asarray(g @ rad.w)[..., None] - rad.running_integral(g)     # tail integral
+    grow = r ** (-2.0 - ell) * A
+    decay = r ** (ell - 1.0) * B
+    V = SpectralField(rad, f.L_max)
+    V.coeffs[:, 0] = -ll1 / (2.0 * ell + 1.0) * (grow + decay)
+    safe = np.where(ll1 > 0, ll1, 1.0)
+    V.coeffs[:, 1] = rad.differentiate(r ** 2 * V.coeffs[:, 0]) / (safe * r)
+    V.coeffs[:, 2] = -r * fr / safe
+    V.coeffs[0] = 0.0
+    if far is not None and f.L_max >= 1:
+        cfar = solver._far_l1_coeffs(np.asarray(far, dtype=float))
+        for m in (-1, 0, 1):
+            V.coeffs[mode_index(1, m), :2] += cfar[m]
+    return V
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _project(f, L):
+    try:
+        return partial_slip_project(f, L)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(L=st.integers(0, 12), r0=st.floats(1e-2, 1e2),
+       widths=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6),
+       n=st.integers(2, 32), L_proj=st.integers(0, 12),
+       vinf=st.none() | st.tuples(*[st.floats(-2.0, 2.0)] * 3).filter(any),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_solver_keeps_the_bits_of_the_full_passes(L, r0, widths, n, L_proj, vinf, seed):
+    rad = RadialGrid(r0 * (1.0 + np.concatenate([[0.0], np.cumsum(widths)])), n)
+    rng = np.random.default_rng(seed)
+    shape = ((L + 1) ** 2, 3, rad.n_r)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (c.real, c.imag):            # exact zeros of both signs
+        part[rng.random(shape) < 0.15] = 0.0
+        part[rng.random(shape) < 0.15] = -0.0
+    c[rng.random(shape[0]) < 0.2] = -0.0
+    f = SpectralField(rad, L, c)
+
+    assert f._density(f.coeffs).tobytes() == _ref_vector_density(f, f.coeffs).tobytes()
+    s = ScalarSpectral(rad, L, c[:, 2])
+    assert s._density(s.coeffs).tobytes() == _ref_scalar_density(s.coeffs).tobytes()
+    perm = rng.permutation(shape[0])         # degrees in any order
+    assert (radial_moments(rad, c[perm, 2], f.ells[perm]).tobytes()
+            == _ref_radial_moments(rad, c[perm, 2], f.ells[perm]).tobytes())
+
+    P = _project(f, min(L_proj, L))
+    with mock.patch.object(solver, "radial_moments", _ref_radial_moments):
+        P_ref = _project(f, min(L_proj, L))
+    if isinstance(P, str):
+        assert P == P_ref
+    else:
+        assert P.coeffs.tobytes() == P_ref.coeffs.tobytes()
+
+    # random data is refused; lift the gate to compare the solutions too
+    with mock.patch.object(solver, "REFUSE_TOL", np.inf):
+        for g in (f, P) if not isinstance(P, str) else (f,):
+            rep = check_compatibility(g)
+            assert _bits(rep.normal_trace, rep.solenoid, rep.boundary_deriv,
+                         rep.moment, rep.field_norm) == _bits(*_ref_check_compatibility(g))
+            V, V_ref = solve_exterior(g, vinf, tol=np.inf), _ref_solve_body(g, vinf)
+            assert V.coeffs.tobytes() == V_ref.coeffs.tobytes()
+            trace, trace_ref = boundary_trace(V), boundary_trace(V_ref)
+            assert (_bits(trace.values, trace.aggregate)
+                    == _bits(trace_ref.values, trace_ref.aggregate))

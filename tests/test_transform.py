@@ -58,6 +58,11 @@ def test_mode_degrees_round_trip():
     assert ells.size == 36
     for k in range(36):
         assert mode_index(ells[k], ems[k]) == k
+    for L in range(13):             # the per-degree loop it replaced, dtype included
+        want = (np.concatenate([np.full(2 * l + 1, l) for l in range(L + 1)]),
+                np.concatenate([np.arange(-l, l + 1) for l in range(L + 1)]))
+        for got, ref in zip(mode_degrees(L), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 ############################################
