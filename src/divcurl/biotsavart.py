@@ -52,6 +52,14 @@ class ProximityError(ValueError):
 # Source-side geometry
 
 
+def _node_gap(x):
+    """Gap from each increasing node x to its nearest neighbour; inf for a lone node."""
+    gap = np.full_like(x, np.inf)
+    gap[:-1] = np.diff(x)
+    gap[1:] = np.minimum(gap[1:], np.diff(x))
+    return gap
+
+
 def _source_arrays(field):
     """
     Flatten a SampledField into quadrature-ready source data.
@@ -74,14 +82,7 @@ def _source_arrays(field):
     w = np.broadcast_to(w, shape).reshape(-1)
 
     # local spacing: nearest radial neighbour and the angular arc lengths
-    dr = np.empty_like(r)
-    dr[:-1] = np.diff(r)
-    dr[-1] = dr[-2]
-    dr[1:] = np.minimum(dr[1:], np.diff(r))
-    dtheta = np.empty_like(theta)
-    dtheta[:-1] = np.diff(theta)
-    dtheta[-1] = dtheta[-2]
-    dtheta[1:] = np.minimum(dtheta[1:], np.diff(theta))
+    dr, dtheta = _node_gap(r), _node_gap(theta)
     st = np.abs(np.sin(theta))
     dphi = 2.0 * np.pi / ang.n_phi
     spacing = np.minimum(dr[:, None], np.minimum(r[:, None] * dtheta,
@@ -97,20 +98,22 @@ def _source_arrays(field):
 # and blocks are cut at fixed offsets, so every GEMM row is rounded inside
 # a block of the same size whatever the thread count
 _POINT_BLOCK = 64
+# source nodes per block; temporaries are (_POINT_BLOCK, _SOURCE_CHUNK)
+_SOURCE_CHUNK = 512
 
 
-def biot_savart_eval(field, pts, chunk=512, threads=1):
+def biot_savart_eval(field, pts, threads=1):
     """
     Evaluate the Biot-Savart-Laplace integral of a sampled source field.
 
     The sum is exact over every source node that carries a nonzero value
     (the others contribute exactly zero and are skipped).  For a block of
-    _POINT_BLOCK points and a chunk of such nodes it forms the real
-    differences d_a = x_a - y_a and k = |x - y|^-3, and accumulates the
-    three real products (d_a k) @ G against the (chunk, 6) float view G
-    of the weighted complex source w f; the cross product is assembled
-    once per block from those 3 x 6 partial sums.  Temporaries are
-    (_POINT_BLOCK, chunk) whatever the number of points.
+    _POINT_BLOCK points and a chunk of _SOURCE_CHUNK such nodes it forms the
+    real differences d_a = x_a - y_a and k = |x - y|^-3, and accumulates the
+    three real products (d_a k) @ G against the (chunk, 6) float view G of
+    the weighted complex source w f; the cross product is assembled once per
+    block from those 3 x 6 partial sums.  Temporaries are (_POINT_BLOCK,
+    _SOURCE_CHUNK) whatever the number of points.
 
     Parameters
     ----------
@@ -123,8 +126,6 @@ def biot_savart_eval(field, pts, chunk=512, threads=1):
         carries a nonzero value (nodes where f vanishes contribute
         nothing, so only strict separation is required there), and lie
         strictly outside the inner sphere
-    chunk: int
-        number of source nodes per vectorized block
     threads: int
         worker threads over fixed blocks of _POINT_BLOCK points; a block
         is summed whole by one worker, so the result is bitwise identical
@@ -165,7 +166,7 @@ def biot_savart_eval(field, pts, chunk=512, threads=1):
     del spacing
     live_src, dead_src = src[live].T.copy(), src[~live].T.copy()
     del src
-    chunk = max(1, min(int(chunk), max(live_src.shape[1], dead_src.shape[1])))
+    chunk = max(1, min(_SOURCE_CHUNK, max(live_src.shape[1], dead_src.shape[1])))
     n = pts.shape[0]
     out = np.empty((n, 3), dtype=complex)
 

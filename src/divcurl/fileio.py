@@ -552,8 +552,7 @@ def read_polar(path):
         lines.done()
         lo, hi = geom.domain()
         radial = radial_from_nodes(lo, hi, rows[::n_phi, 0], path, lineno(0))
-        grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=radial.breakpoints,
-                         nodes_per_panel=radial.nodes_per_panel)
+        grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=radial.breakpoints)
         _check_nodes(path, lineno, rows, (grid.rho, grid.phi),
                      1e-9 * max(hi, 1.0))
     samples = np.ascontiguousarray(rows[:, 2:]).view(complex)

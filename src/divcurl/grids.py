@@ -283,7 +283,7 @@ class SampledField:
 # Construction and surface quadrature
 
 
-def make_grids(r0, rmax, n_r, L_max, breakpoints=None, nodes_per_panel=16):
+def make_grids(r0, rmax, n_r, L_max, breakpoints=None):
     """
     Build the default angular and radial grids for a band limit L_max.
 
@@ -298,9 +298,7 @@ def make_grids(r0, rmax, n_r, L_max, breakpoints=None, nodes_per_panel=16):
         and 2 L_max + 1 uniform phi nodes, exact for harmonic products
     breakpoints: array, optional
         explicit panel edges from r0 to rmax; default is geometric spacing
-        with about `nodes_per_panel` nodes per panel
-    nodes_per_panel: int
-        target panel order for the default layout
+        with about 16 nodes per panel
 
     Returns
     -------
@@ -314,7 +312,7 @@ def make_grids(r0, rmax, n_r, L_max, breakpoints=None, nodes_per_panel=16):
         raise ValueError("need L_max >= 1")
     angular = AngularGrid(L_max + 1, 2 * L_max + 1)
     if breakpoints is None:
-        n_panels = max(1, n_r // int(nodes_per_panel))
+        n_panels = max(1, n_r // 16)
         while n_r % n_panels:
             n_panels -= 1
         breakpoints = np.geomspace(r0, rmax, n_panels + 1)

@@ -96,18 +96,15 @@ def qbar_table(L, x):
     return _upward(Q, x, 1)
 
 
-def dpbar_table(L, x, P=None, Q=None):
+def dpbar_table(L, x, P, Q):
     """
-    Table of d Pbar_l^m(cos theta) / d theta.
+    Table of d Pbar_l^m(cos theta) / d theta from P = pbar_table(L, x)
+    and Q = qbar_table(L, x).
 
     Uses d/dtheta Pbar_l^m = l x Qbar_l^m - sqrt((2l+1)(l^2-m^2)/(2l-1)) Qbar_{l-1}^m
     for m >= 1 and d/dtheta Pbar_l^0 = sqrt(l(l+1)) Pbar_l^1, both pole-safe.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if P is None:
-        P = pbar_table(L, x)
-    if Q is None:
-        Q = qbar_table(L, x)
     S = np.zeros_like(P)
     for l in range(1, L + 1):
         S[l, 0] = np.sqrt(l * (l + 1.0)) * P[l, 1]

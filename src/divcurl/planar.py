@@ -31,25 +31,16 @@ class PolarGrid:
     uniform with the trapezoid weight 2 pi / n_phi.
     """
 
-    def __init__(self, rho_min, rho_max, n_rho, n_phi, breakpoints=None,
-                 nodes_per_panel=None):
+    def __init__(self, rho_min, rho_max, n_rho, n_phi, breakpoints=None):
         if not (0 <= rho_min < rho_max < np.inf):
             raise ValueError(f"need 0 <= rho_min < rho_max, both finite, got "
                              f"[{rho_min}, {rho_max}]")
         if n_phi < 1:
             raise ValueError("n_phi must be positive")
         if breakpoints is None:
-            if nodes_per_panel is None:
-                nodes_per_panel = n_rho
-                for cand in (16, 8):
-                    if n_rho % cand == 0 and n_rho >= cand:
-                        nodes_per_panel = cand
-                        break
-            n_panels = n_rho // nodes_per_panel
-            if n_panels * nodes_per_panel != n_rho:
-                raise ValueError(f"n_rho = {n_rho} is not a multiple of "
-                                 f"{nodes_per_panel} nodes per panel")
-            breakpoints = np.linspace(rho_min, rho_max, n_panels + 1)
+            nodes_per_panel = next((c for c in (16, 8) if n_rho % c == 0 and n_rho >= c),
+                                   n_rho)
+            breakpoints = np.linspace(rho_min, rho_max, n_rho // nodes_per_panel + 1)
         else:
             breakpoints = np.asarray(breakpoints, dtype=float)
             n_panels = len(breakpoints) - 1

@@ -87,20 +87,21 @@ def _as_far(far):
     return FarFieldSpec(far)
 
 
+_L1 = slice(1, 4)       # flat indices l^2 + l + m of the l = 1 modes
+
+
 def _far_l1_coeffs(vinf):
     """
-    l = 1 expansion coefficients of a constant field.
+    l = 1 expansion coefficients (a_-1, a_0, a_1) of a constant field.
 
     A constant vector c has c = sum_m a_m (Y_1m + Psi_1m) with
     a_0 = sqrt(4 pi / 3) c_z and a_{+-1} = -+ sqrt(2 pi / 3)(c_x -+ i c_y);
     both the Y and Psi channels carry the same constant profile.
     """
     vx, vy, vz = vinf
-    return {
-        -1: np.sqrt(2.0 * np.pi / 3.0) * (vx + 1j * vy),
-        0: np.sqrt(4.0 * np.pi / 3.0) * vz,
-        1: -np.sqrt(2.0 * np.pi / 3.0) * (vx - 1j * vy),
-    }
+    return np.array([np.sqrt(2.0 * np.pi / 3.0) * (vx + 1j * vy),
+                     np.sqrt(4.0 * np.pi / 3.0) * vz,
+                     -np.sqrt(2.0 * np.pi / 3.0) * (vx - 1j * vy)])
 
 
 ############################################
@@ -276,13 +277,11 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     far = _as_far(far)
     report = check_compatibility(f)
 
-    cfar = _far_l1_coeffs(far.vinf)
+    cfar = _far_l1_coeffs(far.vinf)[:f.n_modes - 1]     # empty when L_max = 0
     required = np.zeros(f.n_modes, dtype=complex)
-    if f.L_max >= 1:
-        for m in (-1, 0, 1):
-            # no slip on top of the uniform flow trades the zero moment for
-            # M = (2l+1)/(l(l+1)) a_m at l = 1, i.e. 3/2 of the coefficient
-            required[mode_index(1, m)] = 1.5 * cfar[m]
+    # no slip on top of the uniform flow trades the zero moment for
+    # M = (2l+1)/(l(l+1)) a_m at l = 1, i.e. 3/2 of the coefficient
+    required[_L1] = 1.5 * cfar
 
     denom = report.field_norm + float(np.linalg.norm(far.vinf)) or 1.0
     l_bad, m_bad, name, value = report.worst(required)
@@ -318,9 +317,8 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     np.divide(-r * fr, safe, out=V.coeffs[:, 2])
     V.coeffs[0] = 0.0                       # no l = 0 content in the solution
 
-    if not far.is_zero and f.L_max >= 1:
-        for m in (-1, 0, 1):
-            V.coeffs[mode_index(1, m), :2] += cfar[m]
+    if not far.is_zero:                     # adding +0.0 would flip a -0.0
+        V.coeffs[_L1, :2] += cfar[:, None, None]
     return V
 
 
@@ -355,7 +353,7 @@ def boundary_trace(V):
     return BoundaryTrace(V.ells.copy(), V.ems.copy(), vals, agg)
 
 
-def partial_slip_project(f, L, weight=None):
+def partial_slip_project(f, L):
     """
     Remove the moment obstruction from the Phi channels with l <= L.
 
@@ -365,18 +363,16 @@ def partial_slip_project(f, L, weight=None):
     satisfies no slip exactly on the first L degrees and leaves a small
     tangential wall velocity in the higher ones (a partial-slip wall).
 
+    The bump of degree l is s^(l-1) (s - r0)^2 (rmax - s)^2, normalized to
+    unit L2 on [r0, rmax].  The s^(l-1) factor makes the moment integrand
+    the same quartic for every l, so the subtraction stays exact in the
+    discrete calculus and the projected modes solve to a clean wall trace.
+
     Parameters
     ----------
     f: SpectralField
     L: int
         highest degree to project, 0 <= L <= L_max; L = 0 is a no-op
-    weight: radial samples, optional
-        replacement bump, used as-is for every degree; the default is the
-        degree-adapted s^(l-1) (s - r0)^2 (rmax - s)^2, normalized to unit
-        L2 on [r0, rmax] -- the s^(l-1) factor makes the moment integrand
-        the same quartic for every l, so the subtraction stays exact in
-        the discrete calculus and the projected modes solve to a clean
-        wall trace
 
     Returns
     -------
@@ -387,13 +383,7 @@ def partial_slip_project(f, L, weight=None):
     rad = f.radial
     r = rad.r
     ell = np.arange(1, L + 1)                       # row l - 1 of w holds degree l
-    if weight is None:
-        w = r ** (ell[:, None] - 1.0) * (r - rad.r0) ** 2 * (rad.rmax - r) ** 2
-    else:
-        w = np.asarray(weight, dtype=float)
-        if w.shape != r.shape:
-            raise ValueError("weight must be sampled on the radial nodes")
-        w = np.tile(w, (ell.size, 1))
+    w = r ** (ell[:, None] - 1.0) * (r - rad.r0) ** 2 * (rad.rmax - r) ** 2
     w = w / np.sqrt(rad.integrate(w * w))[:, None]
     W = radial_moments(rad, w, ell)
     low = np.flatnonzero(np.abs(W) < 1e-14)
@@ -428,6 +418,5 @@ def far_field_coeffs(far, radial, L_max=1):
     if L_max < 1:
         raise ValueError("need L_max >= 1 to hold an l = 1 field")
     S = SpectralField(radial, L_max)
-    for m, c in _far_l1_coeffs(far.vinf).items():
-        S.coeffs[mode_index(1, m), :2] = c
+    S.coeffs[_L1, :2] = _far_l1_coeffs(far.vinf)[:, None, None]
     return S

@@ -239,6 +239,7 @@ def analyze(field, L_max):
         projections divided by the basis norm l(l+1), per radial node.
     """
     ang = field.angular
+    out = SpectralField(field.radial, L_max)         # refuses L_max < 0
     _require_band_limit(ang, L_max)
     A, B, C = _mode_tables(L_max, ang.ct)
     w = ang.w_phi * ang.w_ct                         # fold quadrature weights in
@@ -248,7 +249,6 @@ def analyze(field, L_max):
     inv[1:] = 1.0 / (ells[1:] * (ells[1:] + 1.0))
 
     F = np.fft.fft(field.values, axis=2)             # (n_r, n_t, n_p, 3)
-    out = SpectralField(field.radial, L_max)
     for m, k in _order_rows(L_max):
         # (n_t, 3, n_r) slab of order m, channels side by side along columns
         X = F[:, :, m % ang.n_phi, :].transpose(1, 2, 0).reshape(ang.n_theta, 3 * n_r)

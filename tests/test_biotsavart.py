@@ -7,9 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from divcurl import biotsavart
 from divcurl.biotsavart import (_POINT_BLOCK, ProximityError, biot_savart_eval,
                                 circulation_diagnostic, sphere_points)
-from divcurl.grids import SampledField, make_grids
+from divcurl.cli import main
+from divcurl.fileio import write_points, write_vfld
+from divcurl.grids import AngularGrid, RadialGrid, SampledField, make_grids
 from divcurl.solver import solve_exterior
 from divcurl.transform import (SpectralField, analyze, spectral_curl,
                                synthesize, synthesize_at)
@@ -25,8 +28,6 @@ def _oracle_grids():
     # a quadrature-converged source sampling for tight closed-form checks:
     # the integrand is smooth per panel and the error decays geometrically
     # in the node counts (measured ~1e-12 at this size for the fixtures)
-    from divcurl.grids import AngularGrid, RadialGrid
-
     return AngularGrid(30, 60), RadialGrid([1.0, A_IN, B_OUT, 5.0], 24)
 
 
@@ -140,18 +141,38 @@ def _per_pair_reference(field, pts):
     return out / (-4.0 * np.pi)
 
 
-def test_matches_per_pair_sum_with_dead_nodes():
+def _random_points(seed, n=5):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 3))
+    return pts * (rng.uniform(1.1, 6.0, (n, 1)) / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def test_matches_per_pair_sum_with_dead_nodes(monkeypatch):
     ang, rad = _shell_grids(n_r=12, L=3)
     field = _random_shell(ang, rad, seed=6)
     assert 0 < np.count_nonzero(field.values[..., 0]) < field.values[..., 0].size
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((5, 3))
-    pts *= rng.uniform(1.1, 6.0, (5, 1)) / np.linalg.norm(pts, axis=1,
-                                                          keepdims=True)
+    pts = _random_points(7)
     ref = _per_pair_reference(field, pts)
     for chunk in (512, 37):
-        v = biot_savart_eval(field, pts, chunk=chunk)
+        monkeypatch.setattr(biotsavart, "_SOURCE_CHUNK", chunk)
+        v = biot_savart_eval(field, pts)
         assert np.abs(v - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+def test_single_colatitude_node(tmp_path):
+    # one node on the theta axis has no neighbour: its gap is infinite and
+    # the spacing comes from the radial and azimuthal gaps alone
+    _, rad = _shell_grids(n_r=12, L=3)
+    field = _random_shell(AngularGrid(1, 3), rad, seed=9)
+    pts = _random_points(10)
+    ref = _per_pair_reference(field, pts)
+    assert np.abs(biot_savart_eval(field, pts) - ref).max() < 1e-13 * np.abs(ref).max()
+
+    src, ptsfile = tmp_path / "f.vfld", tmp_path / "pts.txt"
+    write_vfld(src, field)
+    write_points(ptsfile, pts)
+    assert main(["biot", str(src), "--points", str(ptsfile),
+                 "--out", str(tmp_path / "eval.txt")]) == 0
 
 
 ############################################
@@ -210,7 +231,7 @@ def test_point_near_dead_node_is_fine():
     assert np.all(np.isfinite(v))
 
 
-def test_point_on_dead_node_rejected():
+def test_point_on_dead_node_rejected(monkeypatch):
     # a point exactly on a node where f = 0 still meets 0 / 0 there
     ang, rad = _shell_grids()
     field = _axial_shell(ang, rad)
@@ -223,8 +244,9 @@ def test_point_on_dead_node_rejected():
     pts = np.array([[0.0, 4.2, 1.0], node])
     with pytest.raises(ProximityError):
         biot_savart_eval(field, pts)
+    monkeypatch.setattr(biotsavart, "_SOURCE_CHUNK", 13)
     with pytest.raises(ProximityError):
-        biot_savart_eval(field, pts, chunk=13)
+        biot_savart_eval(field, pts)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -292,12 +314,13 @@ def test_peak_memory_does_not_grow_with_points():
     assert large - small < 3 * out_bytes
 
 
-def test_chunk_size_only_reorders_rounding():
+def test_chunk_size_only_reorders_rounding(monkeypatch):
     ang, rad = _shell_grids()
     field = _azimuthal_shell(ang, rad)
     pts = np.array([[4.4, 0.1, 2.0], [0.0, 5.5, 1.0]])
     v_a = biot_savart_eval(field, pts)
-    v_b = biot_savart_eval(field, pts, chunk=97)
+    monkeypatch.setattr(biotsavart, "_SOURCE_CHUNK", 97)
+    v_b = biot_savart_eval(field, pts)
     assert np.abs(v_a - v_b).max() < 1e-13 * np.abs(v_a).max()
 
 

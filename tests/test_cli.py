@@ -75,6 +75,14 @@ def test_analyze_zero_field_gives_zero_coeffs(tmp_path):
     assert np.abs(read_vshc(out).coeffs).max() == 0.0
 
 
+def test_analyze_negative_lmax_exits_1(tmp_path, capsys):
+    src = tmp_path / "z.vfld"
+    write_vfld(src, _zhat_field(8, 2))
+    assert main(["analyze", str(src), "--lmax", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: L_max must be >= 0") and "Traceback" not in err
+
+
 def test_truncated_input_exits_2(tmp_path, capsys):
     src = tmp_path / "cut.vfld"
     write_vfld(src, _zhat_field(8, 2))

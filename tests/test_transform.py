@@ -190,6 +190,12 @@ def test_band_limit_enforced():
         synthesize(S, ang)
 
 
+def test_analyze_refuses_negative_band_limit():
+    ang, rad = _grids(L=4)
+    with pytest.raises(ValueError, match="L_max must be >= 0"):
+        analyze(SampledField.zeros(rad, ang), -1)
+
+
 def test_synthesize_at_matches_grid_synthesis():
     ang, rad = _grids()
     S = _random_spectral(rad, 6, seed=2)
