@@ -14,6 +14,8 @@ the two must produce the same field.
 The sum is direct and exact: no multipole expansion, no truncation.
 Only source nodes where f is exactly zero are left out of it, since
 they contribute exactly zero; the proximity check still covers them.
+The source is converted a few radial shells at a time, and its data kept
+for the live (nonzero) nodes only; the other nodes are checked and dropped.
 The points are summed in fixed blocks of _POINT_BLOCK, cut at the same
 offsets for every thread count, and with `threads` > 1 each worker sums
 whole blocks.  A GEMM row is thus always rounded inside a block of the
@@ -60,26 +62,22 @@ def _node_gap(x):
     return gap
 
 
-def _source_arrays(field):
+def _source_chunks(field):
     """
-    Flatten a SampledField into quadrature-ready source data.
+    The source as quadrature-ready data, a few whole radial shells at a time.
 
-    Returns (pts, fc, w, spacing): Cartesian node positions (M, 3), the
-    Cartesian field values (M, 3), the volume quadrature weights
-    w_r r^2 w_ct w_phi (M,), and the local grid spacing per node (M,)
-    used by the proximity check.  Only the angular frame is tabulated
-    on the (n_theta, n_phi) grid; the radial axis is broadcast.
+    Yields (pts, fc, w, spacing) per chunk of about _SHELL_NODES nodes, in
+    node order: Cartesian node positions (k, 3), the Cartesian field
+    values (k, 3), the volume quadrature weights w_r r^2 w_ct w_phi (k,),
+    and the local grid spacing per node (k,) used by the proximity check.
+    Only the angular frame is tabulated on the (n_theta, n_phi) grid; the
+    radial axis is broadcast.
     """
     rad, ang = field.radial, field.angular
     r, theta = rad.r, ang.theta
-    shape = field.values.shape[:3]
     T, P = np.meshgrid(theta, ang.phi, indexing="ij")
     frame = np.stack(spherical_frame(T, P), axis=-2)   # (n_t, n_p, 3, 3)
-    pts = (r[:, None, None, None] * frame[:, :, 0]).reshape(-1, 3)
-    fc = np.einsum("rtpk,tpkc->rtpc", field.values, frame).reshape(-1, 3)
-
-    w = (rad.w * r ** 2)[:, None, None] * ang.w_ct[:, None] * ang.w_phi
-    w = np.broadcast_to(w, shape).reshape(-1)
+    w_r = rad.w * r ** 2
 
     # local spacing: nearest radial neighbour and the angular arc lengths
     dr, dtheta = _node_gap(r), _node_gap(theta)
@@ -87,8 +85,34 @@ def _source_arrays(field):
     dphi = 2.0 * np.pi / ang.n_phi
     spacing = np.minimum(dr[:, None], np.minimum(r[:, None] * dtheta,
                                                  r[:, None] * st * dphi))
-    spacing = np.broadcast_to(spacing[:, :, None], shape).reshape(-1)
-    return pts, fc, w, spacing
+    step = max(1, _SHELL_NODES // (ang.n_theta * ang.n_phi))
+    for a in range(0, rad.n_r, step):
+        s = slice(a, a + step)
+        values = field.values[s]
+        pts = (r[s, None, None, None] * frame[:, :, 0]).reshape(-1, 3)
+        fc = np.einsum("rtpk,tpkc->rtpc", values, frame).reshape(-1, 3)
+        w = w_r[s, None, None] * ang.w_ct[:, None] * ang.w_phi
+        yield (pts, fc, np.broadcast_to(w, values.shape[:3]).reshape(-1),
+               np.broadcast_to(spacing[s, :, None], values.shape[:3]).reshape(-1))
+
+
+def _mark_dead_hits(pts, dead, first, hit):
+    """Lower hit[i] to first + j where pts[i] is exactly on dead[:, j] (|d|^2 == 0)."""
+    buf = np.empty(_POINT_BLOCK * min(_SOURCE_CHUNK, dead.shape[1]))
+    for lo in range(0, len(pts), _POINT_BLOCK):
+        px, py, pz = (pts[lo:lo + _POINT_BLOCK, a, None] for a in range(3))
+        for s in range(0, dead.shape[1], _SOURCE_CHUNK):
+            sx, sy, sz = dead[:, s:s + _SOURCE_CHUNK]
+            t = buf[:px.size * sx.size].reshape(px.size, sx.size)
+            # |d|^2 == 0 needs every squared difference to underflow, so
+            # test x first
+            np.subtract(px, sx, out=t)
+            np.multiply(t, t, out=t)
+            if (t == 0.0).any():
+                t += (py - sy) ** 2
+                t += (pz - sz) ** 2
+                i, j = np.nonzero(t == 0.0)
+                np.minimum.at(hit, lo + i, first + s + j)
 
 
 ############################################
@@ -100,6 +124,10 @@ def _source_arrays(field):
 _POINT_BLOCK = 64
 # source nodes per block; temporaries are (_POINT_BLOCK, _SOURCE_CHUNK)
 _SOURCE_CHUNK = 512
+# source nodes converted to Cartesian at a time, in whole radial shells
+_SHELL_NODES = 1 << 13
+# hit of a point on no node where f vanishes
+_NO_HIT = np.iinfo(np.intp).max
 
 
 def biot_savart_eval(field, pts, threads=1):
@@ -107,11 +135,15 @@ def biot_savart_eval(field, pts, threads=1):
     Evaluate the Biot-Savart-Laplace integral of a sampled source field.
 
     The sum is exact over every source node that carries a nonzero value
-    (the others contribute exactly zero and are skipped).  For a block of
-    _POINT_BLOCK points and a chunk of _SOURCE_CHUNK such nodes it forms the
-    real differences d_a = x_a - y_a and k = |x - y|^-3, and accumulates the
-    three real products (d_a k) @ G against the (chunk, 6) float view G of
-    the weighted complex source w f; the cross product is assembled once per
+    (the others contribute exactly zero and are skipped).  The source is
+    converted _SHELL_NODES nodes at a time, in whole radial shells, and
+    only the live nodes' positions, weights, spacings and values are kept,
+    so besides the field the call holds O(live nodes); points exactly on a
+    dead node are found chunk by chunk.  For a block of _POINT_BLOCK points
+    and a chunk of _SOURCE_CHUNK live nodes it forms the real differences
+    d_a = x_a - y_a and k = |x - y|^-3, and accumulates the three real
+    products (d_a k) @ G against the (chunk, 6) float view G of the
+    weighted complex source w f; the cross product is assembled once per
     block from those 3 x 6 partial sums.  Temporaries are (_POINT_BLOCK,
     _SOURCE_CHUNK) whatever the number of points.
 
@@ -156,18 +188,25 @@ def biot_savart_eval(field, pts, threads=1):
         bad = pts[rr <= r0][0]
         raise ProximityError(
             f"evaluation point {bad} lies inside the sphere r0 = {r0:g}")
-    src, fc, w, spacing = _source_arrays(field)
-    live = (fc != 0.0).any(axis=1)
-    G = (w[live, None] * fc[live]).view(float)          # (n_live, 6)
-    del fc, w
+    n = pts.shape[0]
+    # only live nodes are kept; hit[i] is the first dead node point i is on
+    src, G, half, seen = [], [], [], 0
+    hit = np.full(n, _NO_HIT)
+    for y, fc, w, spacing in _source_chunks(field):
+        live = (fc != 0.0).any(axis=1)
+        src.append(y[live].T)
+        G.append(w[live, None] * fc[live])
+        half.append(spacing[live])
+        dead = y[~live].T.copy()
+        _mark_dead_hits(pts, dead, seen, hit)
+        seen += dead.shape[1]
+    del y, fc, w, spacing, dead
+    src = np.concatenate(src, axis=1)                   # (3, n_live)
+    G = np.concatenate(G).view(float)                   # (n_live, 6)
     # clamped to the least positive double so that `|d| < half` also
     # catches a point exactly on a live node
-    half = np.maximum(0.5 * spacing[live], np.nextafter(0.0, 1.0))
-    del spacing
-    live_src, dead_src = src[live].T.copy(), src[~live].T.copy()
-    del src
-    chunk = max(1, min(_SOURCE_CHUNK, max(live_src.shape[1], dead_src.shape[1])))
-    n = pts.shape[0]
+    half = np.maximum(0.5 * np.concatenate(half), np.nextafter(0.0, 1.0))
+    chunk = max(1, min(_SOURCE_CHUNK, src.shape[1]))
     out = np.empty((n, 3), dtype=complex)
 
     def too_close(x, dist, lim):
@@ -178,24 +217,16 @@ def biot_savart_eval(field, pts, threads=1):
     def block_sum(lo):
         p = pts[lo:lo + _POINT_BLOCK]
         b = p.shape[0]
+        # a point on a node where f vanishes fails first: in the block, the
+        # one whose first such node lies in the earliest chunk of nodes
+        i = int(np.argmin(hit[lo:lo + b] // _SOURCE_CHUNK))
+        if hit[lo + i] != _NO_HIT:
+            raise too_close(p[i], 0.0, 0.0)
         px, py, pz = (p[:, a, None] for a in range(3))
         buf = np.empty(5 * b * chunk)
-        # a point only has to miss a node where f vanishes: |d|^2 == 0
-        # needs every squared difference to underflow, so test x first
-        for s in range(0, dead_src.shape[1], chunk):
-            sx, sy, sz = dead_src[:, s:s + chunk]
-            t = buf[:b * sx.size].reshape(b, sx.size)
-            np.subtract(px, sx, out=t)
-            np.multiply(t, t, out=t)
-            if (t == 0.0).any():
-                t += (py - sy) ** 2
-                t += (pz - sz) ** 2
-                hit = np.argwhere(t == 0.0)
-                if hit.size:
-                    raise too_close(p[hit[0, 0]], 0.0, 0.0)
         acc = np.zeros((3 * b, 6))
-        for s in range(0, live_src.shape[1], chunk):
-            sx, sy, sz = live_src[:, s:s + chunk]
+        for s in range(0, src.shape[1], chunk):
+            sx, sy, sz = src[:, s:s + chunk]
             c = sx.size
             m = b * c
             d = buf[:3 * m].reshape(3, b, c)
@@ -278,6 +309,6 @@ def circulation_diagnostic(v_sphere, angular, R, field):
     w = angular.w_ct[:, None] * angular.w_phi
     surface = R ** 2 * np.einsum("tp,tpc->c", w, integrand)
 
-    _, fc, wv, _ = _source_arrays(field)
+    _, fc, wv, _ = map(np.concatenate, zip(*_source_chunks(field)))
     volume = wv @ fc
     return surface, volume

@@ -52,9 +52,10 @@ Malformed input, NaN and infinities included, raises FileFormatError whose
 message carries the path and 1-based line number of the offending line.
 
 Files are streamed.  Readers parse the header line by line, then the body
-in bulk by numpy.loadtxt reading the open file; only if that fails is the
-body read again line by line, to name the first bad line.  Writers format
-about _BLOCK fields per `%` operation and write each block as it is made.
+by numpy.loadtxt: in bulk from the open file (.vshc), or in chunks of
+_READ_ROWS rows written straight into the returned arrays; only text that
+fails is read again line by line, to name the first bad line.  Writers
+format about _BLOCK fields per `%` operation and write each block as made.
 """
 
 import contextlib
@@ -75,6 +76,7 @@ __all__ = ["FileFormatError", "read_vfld", "write_vfld", "read_vshc",
 CHANNELS = ("r", "psi", "phi")
 
 _BLOCK = 1 << 15         # fields per `%` operation; bounds a writer's buffers
+_READ_ROWS = 1 << 10     # body rows per numpy.loadtxt call; bounds a reader's buffers
 
 
 class FileFormatError(ValueError):
@@ -133,14 +135,17 @@ def _grid_rows(axes, values):
 
 
 def _check_nodes(path, lineno, rows, axes, tol):
-    """Fail at the first row whose leading numbers are not its grid node."""
-    grid = rows.reshape([len(a) for a in axes] + [-1])
-    err = np.zeros(grid.shape[:-1])
-    for d, a in enumerate(axes):
-        a = a.reshape([-1 if e == d else 1 for e in range(len(axes))])
-        np.maximum(err, np.abs(grid[..., d] - a), out=err)
-    bad = int(np.argmax(err))
-    if err.flat[bad] > tol:
+    """Fail at the row farthest from its grid node, if more than tol off."""
+    shape = [len(a) for a in axes]
+    worst, bad = 0.0, 0
+    for lo in range(0, len(rows), _READ_ROWS):
+        at = np.unravel_index(np.arange(lo, min(lo + _READ_ROWS, len(rows))), shape)
+        err = np.max([np.abs(rows[lo:lo + i.size, d] - a[i])
+                      for d, (a, i) in enumerate(zip(axes, at))], axis=0)
+        k = int(np.argmax(err))
+        if err[k] > worst:
+            worst, bad = err[k], lo + k
+    if worst > tol:
         _fail(path, lineno(bad), "node coordinates do not match the grid "
               "declared by the header")
 
@@ -259,29 +264,53 @@ class _Lines:
             self.next()
         return self.lineno
 
-    def table(self, count, what, n=None):
+    def chunks(self, count, what, n=None):
         """
-        The next n rows (n None: all) of count finite numbers, as an array,
-        and a function from row index to line number.  The first row is
-        read here, so that its line number is known without a second read.
+        Yield the next n rows (n None: all) of count finite numbers in
+        arrays of at most _READ_ROWS rows, each parsed by numpy.loadtxt, or
+        line by line from the same text if that fails (or skips a blank).
         """
-        mark = self.lineno, self.count
-        first = self.next(None if n is None else what)
-        if first is None:
-            return np.empty((0, count)), None
-        rows = self.bulk(mark, itertools.chain([" ".join(first[1])], self.fh),
-                         count, n)
-        if rows is not None:
-            return rows, lambda k: self.rewind(mark, k + 1) if k else first[0]
-        linenos, rows = [], []
-        while n is None or len(rows) < n:
-            row = self.next(None if n is None else what)
-            if row is None:
-                break
-            lineno, vals = self.floats(count, what, row)
-            linenos.append(lineno)
-            rows.append(vals)
-        return np.array(rows).reshape(len(rows), count), linenos.__getitem__
+        left = n
+        while left is None or left > 0:
+            first = self.next(None if n is None else what)
+            if first is None:
+                return
+            k = _READ_ROWS if left is None else min(_READ_ROWS, left)
+            text = [" ".join(first[1])] + list(itertools.islice(self.fh, k - 1))
+            try:
+                rows = np.loadtxt(text, comments=None, ndmin=2)
+                ok = rows.shape == (len(text), count) and np.isfinite(rows).all()
+            except ValueError:
+                ok = False
+            if ok:
+                self.lineno += len(text) - 1
+                self.count += len(text) - 1
+            else:
+                rows = [self.floats(count, what, first)[1]]
+                for line in text[1:]:
+                    self.lineno += 1
+                    toks = line.split()
+                    if toks:
+                        self.count += 1
+                        rows.append(self.floats(count, what, (self.lineno, toks))[1])
+                rows = np.array(rows)
+            if left is not None:
+                left -= len(rows)
+            yield rows
+
+    def grid_body(self, n, n_axes, width, what):
+        """
+        The n rows of a grid file's body, n_axes node coordinates and width
+        complex values each: (nodes, values, row index -> line number).
+        """
+        nodes, values = np.empty((n, n_axes)), np.empty((n, width), dtype=complex)
+        mark, lo = (self.lineno, self.count), 0
+        for rows in self.chunks(n_axes + 2 * width, what, n):
+            nodes[lo:lo + len(rows)] = rows[:, :n_axes]
+            values.view(float)[lo:lo + len(rows)] = rows[:, n_axes:]
+            lo += len(rows)
+        self.done()
+        return nodes, values, lambda k: self.rewind(mark, k + 1)
 
 
 def _magic(lines, tag):
@@ -362,7 +391,8 @@ def read_vfld(path):
     The radial grid (panel layout included) is reconstructed from the
     recorded nodes; the angular grid follows from (ntheta, nphi).  Node
     coordinates in the rows are checked against the rebuilt grids, so a
-    file edited out of shape fails with a pointed diagnostic.
+    file edited out of shape fails with a pointed diagnostic.  The read
+    holds the field, its node coordinates and one chunk of text.
     """
     with _Lines(path) as lines:
         _magic(lines, "vfld")
@@ -373,15 +403,13 @@ def read_vfld(path):
         n_phi = lines.keyint("nphi")
         if n_r < 1 or n_theta < 1 or n_phi < 1:
             _fail(path, lines.lineno, "grid sizes must be positive")
-        rows, lineno = lines.table(9, "field", n_r * n_theta * n_phi)
-        lines.done()
-        radial = radial_from_nodes(r0, rmax, rows[::n_theta * n_phi, 0],
+        nodes, v, lineno = lines.grid_body(n_r * n_theta * n_phi, 3, 3, "field")
+        radial = radial_from_nodes(r0, rmax, nodes[::n_theta * n_phi, 0],
                                    path, lineno(0))
         angular = AngularGrid(n_theta, n_phi)
-        _check_nodes(path, lineno, rows,
+        _check_nodes(path, lineno, nodes,
                      (radial.r, angular.theta, angular.phi),
                      1e-9 * max(rmax, 1.0))
-    v = np.ascontiguousarray(rows[:, 3:]).view(complex)
     return SampledField(radial, angular, v.reshape(n_r, n_theta, n_phi, 3))
 
 
@@ -473,7 +501,7 @@ def read_vshc(path):
 def read_points(path):
     """Read a text file of `x y z` rows into an (n, 3) float array."""
     with _Lines(path) as lines:
-        return lines.table(3, "point")[0]
+        return np.concatenate([np.empty((0, 3))] + list(lines.chunks(3, "point")))
 
 
 def write_points(path, pts):
@@ -548,12 +576,10 @@ def read_polar(path):
         n_phi = lines.keyint("nphi")
         if n_rho < 1 or n_phi < 1:
             _fail(path, lines.lineno, "grid sizes must be positive")
-        rows, lineno = lines.table(4, "sample", n_rho * n_phi)
-        lines.done()
+        nodes, samples, lineno = lines.grid_body(n_rho * n_phi, 2, 1, "sample")
         lo, hi = geom.domain()
-        radial = radial_from_nodes(lo, hi, rows[::n_phi, 0], path, lineno(0))
+        radial = radial_from_nodes(lo, hi, nodes[::n_phi, 0], path, lineno(0))
         grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=radial.breakpoints)
-        _check_nodes(path, lineno, rows, (grid.rho, grid.phi),
+        _check_nodes(path, lineno, nodes, (grid.rho, grid.phi),
                      1e-9 * max(hi, 1.0))
-    samples = np.ascontiguousarray(rows[:, 2:]).view(complex)
     return samples.reshape(n_rho, n_phi), grid, geom

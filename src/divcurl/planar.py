@@ -35,8 +35,8 @@ class PolarGrid:
         if not (0 <= rho_min < rho_max < np.inf):
             raise ValueError(f"need 0 <= rho_min < rho_max, both finite, got "
                              f"[{rho_min}, {rho_max}]")
-        if n_phi < 1:
-            raise ValueError("n_phi must be positive")
+        if n_rho < 1 or n_phi < 1:
+            raise ValueError("n_rho and n_phi must be positive")
         if breakpoints is None:
             nodes_per_panel = next((c for c in (16, 8) if n_rho % c == 0 and n_rho >= c),
                                    n_rho)

@@ -15,8 +15,9 @@ Both grid transforms are split by azimuthal order m, as in SHTns
 (Schaeffer 2013): one FFT along phi, and per order one dense product of
 the l >= |m| Legendre rows with the (n_theta, n_r) slab of frequency bin
 m % n_phi.  No array indexed by every mode and every grid node is ever
-formed, so synthesize peaks at about the size of the field it returns
-and analyze at one FFT copy of its input plus the coefficients.
+formed, so synthesize peaks at about the size of the field it returns.
+analyze takes its FFT a few radial nodes at a time, so it holds the
+coefficients it returns and one FFT chunk no larger than them.
 synthesize_at sorts its points by radial panel and works through them in
 blocks of at most _POINT_BLOCK: per block one real product interpolates
 every radial profile, and one batched real product of each point's
@@ -211,6 +212,9 @@ def _real_gemm(M, Z):
 
 # points per block in synthesize_at; bounds its (block, n_modes) buffers
 _POINT_BLOCK = 256
+# analyze transforms its input a multiple of this many radial nodes at a
+# time; cut there, every product column is rounded as in one whole call
+_RADIAL_STEP = 16
 
 
 def analyze(field, L_max):
@@ -220,10 +224,12 @@ def analyze(field, L_max):
     One FFT along phi gives the phi integral of v e^{-i m phi} for every
     azimuthal order m at once; bin m % n_phi holds order m, since the grid
     resolves L_max.  Then for each m one dense product of the weighted
-    l >= |m| Legendre rows with the (n_theta, 3 n_r) Fourier slab of that
-    bin gives all coefficients of that order.  Working memory is the one
-    FFT copy of the input plus the returned coefficients; per-order
-    temporaries are O(L_max n_theta n_r).
+    l >= |m| Legendre rows with the (n_theta, 3 n) Fourier slab of that
+    bin gives all coefficients of that order on n radial nodes.  The FFT
+    goes into one buffer of n radial nodes at a time, n the largest
+    multiple of _RADIAL_STEP (at least one) that fits in the size of the
+    coefficients: working memory is that buffer plus the coefficients, and
+    per-order temporaries are O(L_max n_theta n).
 
     Parameters
     ----------
@@ -241,23 +247,33 @@ def analyze(field, L_max):
     ang = field.angular
     out = SpectralField(field.radial, L_max)         # refuses L_max < 0
     _require_band_limit(ang, L_max)
-    A, B, C = _mode_tables(L_max, ang.ct)
     w = ang.w_phi * ang.w_ct                         # fold quadrature weights in
+    A, B, C = (w * T for T in _mode_tables(L_max, ang.ct))
     n_r = field.radial.n_r
     ells, _ = mode_degrees(L_max)
     inv = np.zeros(ells.size)                        # 1 / l(l+1), 0 at l = 0
     inv[1:] = 1.0 / (ells[1:] * (ells[1:] + 1.0))
+    # per order m, for every radial chunk: its modes, Y rows, [d/dtheta; m/sin] rows
+    orders = _order_rows(L_max)
+    Y = [A[k] for _, k in orders]
+    BC = [np.concatenate([B[k], C[k]]) for _, k in orders]
+    del A, B, C
 
-    F = np.fft.fft(field.values, axis=2)             # (n_r, n_t, n_p, 3)
-    for m, k in _order_rows(L_max):
-        # (n_t, 3, n_r) slab of order m, channels side by side along columns
-        X = F[:, :, m % ang.n_phi, :].transpose(1, 2, 0).reshape(ang.n_theta, 3 * n_r)
-        c_r = _real_gemm(w * A[k], X[:, :n_r])
-        BC = _real_gemm(w * np.concatenate([B[k], C[k]]), X[:, n_r:])
-        p, q = BC[:k.size], BC[k.size:]              # d/dtheta and m/sin rows
-        out.coeffs[k, 0] = c_r
-        out.coeffs[k, 1] = inv[k, None] * (p[:, :n_r] - 1j * q[:, n_r:])
-        out.coeffs[k, 2] = inv[k, None] * (1j * q[:, :n_r] + p[:, n_r:])
+    step = _RADIAL_STEP * max(1, n_r * ells.size // (ang.n_theta * ang.n_phi)
+                              // _RADIAL_STEP)
+    F = np.empty((min(step, n_r), ang.n_theta, ang.n_phi, 3), dtype=complex)
+    for a in range(0, n_r, step):
+        n = min(step, n_r - a)
+        np.fft.fft(field.values[a:a + n], axis=2, out=F[:n])
+        for (m, k), Y_m, BC_m in zip(orders, Y, BC):
+            # (n_t, 3, n) slab of order m, channels side by side along columns
+            X = F[:n, :, m % ang.n_phi, :].transpose(1, 2, 0).reshape(ang.n_theta, 3 * n)
+            c_r = _real_gemm(Y_m, X[:, :n])
+            pq = _real_gemm(BC_m, X[:, n:])
+            p, q = pq[:k.size], pq[k.size:]          # d/dtheta and m/sin rows
+            out.coeffs[k, 0, a:a + n] = c_r
+            out.coeffs[k, 1, a:a + n] = inv[k, None] * (p[:, :n] - 1j * q[:, n:])
+            out.coeffs[k, 2, a:a + n] = inv[k, None] * (1j * q[:, :n] + p[:, n:])
     return out
 
 

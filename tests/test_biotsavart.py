@@ -314,6 +314,60 @@ def test_peak_memory_does_not_grow_with_points():
     assert large - small < 3 * out_bytes
 
 
+def test_source_memory_follows_the_live_nodes():
+    # only the nodes where f is nonzero are kept: with a quarter of them
+    # live the call peaks at about 0.35 of the fully live field's peak
+    # (0.60 when every node was converted and kept)
+    ang, rad = make_grids(1.0, 3.0, 96, 16)
+    rng = np.random.default_rng(11)
+    shape = (rad.n_r, ang.n_theta, ang.n_phi, 3)
+    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    quarter = full.copy()
+    quarter[rng.random(shape[:3]) >= 0.25] = 0.0
+    pts = np.array([[4.0, 0.0, 0.0], [0.0, 1.0, -4.5]])
+
+    def peak(values):
+        field = SampledField(rad, ang, values)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            biot_savart_eval(field, pts)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(quarter) < 0.5 * peak(full)
+
+
+@pytest.mark.parametrize("nodes", [1, 300, 5000])
+def test_source_shell_chunks_keep_every_bit(monkeypatch, nodes):
+    # the source is converted _SHELL_NODES at a time (whole radial shells):
+    # the sum, and the point a ProximityError names, do not depend on it
+    ang, rad = _shell_grids(n_r=24, L=6)
+    field = _random_shell(ang, rad, seed=12)
+    pts = np.random.default_rng(13).uniform(4.0, 6.0, (2 * _POINT_BLOCK + 5, 3))
+    ref = biot_savart_eval(field, pts)
+    # two points of the second block on nodes where f vanishes: the first
+    # on the last node, the second on the first node, which is the one named
+    dead = np.argwhere((field.values == 0.0).all(axis=-1))
+    on = []
+    for i, t, p in (dead[-1], dead[0]):
+        st = np.sin(ang.theta[t])
+        on.append(rad.r[i] * np.array([st * np.cos(ang.phi[p]),
+                                       st * np.sin(ang.phi[p]),
+                                       np.cos(ang.theta[t])]))
+    hits = pts.copy()
+    hits[_POINT_BLOCK + 1], hits[_POINT_BLOCK + 3] = on
+    with pytest.raises(ProximityError) as default:
+        biot_savart_eval(field, hits)
+    assert str(hits[_POINT_BLOCK + 3]) in str(default.value)
+    monkeypatch.setattr(biotsavart, "_SHELL_NODES", nodes)
+    assert biot_savart_eval(field, pts).tobytes() == ref.tobytes()
+    with pytest.raises(ProximityError) as chunked:
+        biot_savart_eval(field, hits)
+    assert str(chunked.value) == str(default.value)
+
+
 def test_chunk_size_only_reorders_rounding(monkeypatch):
     ang, rad = _shell_grids()
     field = _azimuthal_shell(ang, rad)

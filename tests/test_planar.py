@@ -56,6 +56,13 @@ def test_polar_grid_validation():
                          "n_phi": 8, **kw})
 
 
+def test_polar_grid_refuses_no_radial_nodes():
+    # no radial nodes: refused before any panel layout is worked out
+    for bp in (None, [0.0, 0.5, 1.0]):
+        with pytest.raises(ValueError, match="n_rho and n_phi must be positive"):
+            PolarGrid(0.0, 1.0, 0, 8, breakpoints=bp)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         PlanarGeometry("square", 1.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sph_oracle
+from divcurl import transform
 from divcurl.frames import sph_to_cart_points, cart_to_sph_vector
 from divcurl.grids import AngularGrid, SampledField, make_grids
 from divcurl.transform import (_POINT_BLOCK, ScalarSpectral, SpectralField,
@@ -284,7 +285,7 @@ def test_synthesize_at_poles_and_nodes_of_uniform_flows():
 
 def test_transform_peak_memory_stays_near_output_size():
     # synthesize writes into its output and transforms it in place; analyze
-    # holds one FFT copy of its input plus the coefficients it returns
+    # holds the coefficients it returns and an FFT chunk no larger than them
     ang, rad = make_grids(1.0, 5.0, 64, 16)
     S = _random_spectral(rad, 16, seed=17)
     F = synthesize(S, ang)
@@ -302,8 +303,27 @@ def test_transform_peak_memory_stays_near_output_size():
     finally:
         tracemalloc.stop()
     assert synth_peak <= 1.5 * F.values.nbytes
-    assert analyze_peak <= 3.0 * F.values.nbytes
+    assert analyze_peak <= 1.45 * F.values.nbytes
     assert np.abs(R.coeffs - S.coeffs).max() < 1e-12
+
+
+@pytest.mark.parametrize("step", [16, 32, 48])
+def test_analyze_chunks_keep_every_bit(monkeypatch, step):
+    # analyze transforms its input in radial chunks cut at multiples of 16
+    # nodes; every coefficient keeps the bits of one whole-field call.
+    # 72 nodes leave a short last chunk; L = 3 gives 16-node chunks
+    ang, rad = make_grids(1.0, 5.0, 72, 8)
+    rng = np.random.default_rng(22)
+    shape = (rad.n_r, ang.n_theta, ang.n_phi, 3)
+    F = SampledField(rad, ang, rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape))
+    default = [analyze(F, L).coeffs for L in (8, 3)]
+    monkeypatch.setattr(transform, "_RADIAL_STEP", 1 << 20)
+    whole = [analyze(F, L).coeffs for L in (8, 3)]
+    monkeypatch.setattr(transform, "_RADIAL_STEP", step)
+    for L, a, b in zip((8, 3), default, whole):
+        assert a.tobytes() == b.tobytes()
+        assert analyze(F, L).coeffs.tobytes() == b.tobytes()
 
 
 def test_synthesize_at_temporaries_do_not_grow_with_point_count():
