@@ -12,11 +12,10 @@ degrees l <= L, which is the partial-slip compromise.
 import numpy as np
 
 from divcurl.grids import make_grids
-from divcurl.pseudoharmonic import orthogonality_residual, phf_field, \
-    verify_pseudoharmonic
+from divcurl.pseudoharmonic import phf_field, verify_pseudoharmonic
 from divcurl.solver import (IncompatibilityError, boundary_trace,
                             check_compatibility, partial_slip_project,
-                            solve_exterior)
+                            radial_moments, solve_exterior)
 from divcurl.transform import SpectralField, mode_index
 
 ang, rad = make_grids(1.0, 5.0, 64, 6, breakpoints=[1, 2, 3, 4, 5])
@@ -37,10 +36,10 @@ g = np.clip((r - 2.0) * (4.0 - r), 0.0, None) ** 3
 f = SpectralField(rad, 6)
 f.coeffs[mode_index(3, 1), 2] = g
 
-forms = orthogonality_residual(f, 3, 1)
-print("\nmoment at (3, 1)      : %.6f (radial form)" % abs(forms.radial))
-print("volume form / radial  : %.6f (= l(l+1))"
-      % abs(forms.volume / forms.radial))
+M = radial_moments(rad, f.coeffs[:, 2], f.ells)[mode_index(3, 1)]
+print("\nmoment at (3, 1)      : %.6f (radial form)" % abs(M))
+print("volume form l(l+1) M  : %.6f (the inner product with the family)"
+      % abs(12 * M))
 
 report = check_compatibility(f)
 l_bad, m_bad, name, value = report.worst()

@@ -51,15 +51,16 @@ points  one evaluation point per row: ``x y z`` (blank lines ignored).
 Malformed input, NaN and infinities included, raises FileFormatError whose
 message carries the path and 1-based line number of the offending line.
 
-Files are streamed.  Readers parse the header line by line, then the body
-by numpy.loadtxt: in bulk from the open file (.vshc), or in chunks of
-_READ_ROWS rows written straight into the returned arrays; only text that
-fails is read again line by line, to name the first bad line.  Writers
-format about _BLOCK fields per `%` operation and write each block as made.
+Files are streamed, and each line is read once, so a pipe reads like a
+file.  Readers parse the header line by line, then every body by one
+method, _Lines.body: chunks of about _READ_NUMBERS numbers, each parsed by
+one numpy.loadtxt call and written straight into the returned arrays.
+Only a chunk that fails is parsed again line by line, from its own text,
+to name the first bad line.  Writers format about _BLOCK fields per `%`
+operation and write each block as made.
 """
 
 import contextlib
-import io
 import itertools
 import math
 
@@ -76,7 +77,7 @@ __all__ = ["FileFormatError", "read_vfld", "write_vfld", "read_vshc",
 CHANNELS = ("r", "psi", "phi")
 
 _BLOCK = 1 << 15         # fields per `%` operation; bounds a writer's buffers
-_READ_ROWS = 1 << 10     # body rows per numpy.loadtxt call; bounds a reader's buffers
+_READ_NUMBERS = 9 << 10  # numbers per numpy.loadtxt call; bounds a reader's buffers
 
 
 class FileFormatError(ValueError):
@@ -136,10 +137,10 @@ def _grid_rows(axes, values):
 
 def _check_nodes(path, lineno, rows, axes, tol):
     """Fail at the row farthest from its grid node, if more than tol off."""
-    shape = [len(a) for a in axes]
+    shape, step = [len(a) for a in axes], _READ_NUMBERS // len(axes)
     worst, bad = 0.0, 0
-    for lo in range(0, len(rows), _READ_ROWS):
-        at = np.unravel_index(np.arange(lo, min(lo + _READ_ROWS, len(rows))), shape)
+    for lo in range(0, len(rows), step):
+        at = np.unravel_index(np.arange(lo, min(lo + step, len(rows))), shape)
         err = np.max([np.abs(rows[lo:lo + i.size, d] - a[i])
                       for d, (a, i) in enumerate(zip(axes, at))], axis=0)
         k = int(np.argmax(err))
@@ -151,16 +152,13 @@ def _check_nodes(path, lineno, rows, axes, tol):
 
 
 class _Lines:
-    """Sequential reader over the lines of a text file, numbering them."""
+    """
+    Sequential reader over the lines of a text file, numbering them.  Each
+    line is read once, so a pipe reads exactly like a file.
+    """
 
     def __init__(self, path):
         self.path, self.fh = path, open(path, "r", encoding="utf-8")
-        if not self.fh.seekable():
-            # a pipe is read once: keep its bytes, so that a failed bulk
-            # parse can still go back and name the bad line
-            with self.fh:
-                data = self.fh.buffer.read()
-            self.fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         self.lineno = self.count = 0         # physical / nonblank lines read
 
     def __enter__(self):
@@ -169,17 +167,22 @@ class _Lines:
     def __exit__(self, *exc):
         self.fh.close()
 
+    def _numbered(self, text):
+        """(line number, tokens) of each nonblank line of text, read next."""
+        for line in text:
+            self.lineno += 1
+            toks = line.split()
+            if toks:
+                self.count += 1
+                yield self.lineno, toks
+
     def next(self, what=None):
         """
         The next nonblank line as (line number, tokens).  At the end of the
         file, None if what is None, else an error saying what was expected.
         """
-        for text in self.fh:
-            self.lineno += 1
-            toks = text.split()
-            if toks:
-                self.count += 1
-                return self.lineno, toks
+        for row in self._numbered(self.fh):
+            return row
         if what is not None:
             _fail(self.path, self.count + 1,
                   "unexpected end of file, expected %s" % what)
@@ -216,8 +219,23 @@ class _Lines:
         except ValueError:
             _fail(self.path, lineno, "%s is not an integer: %r" % (key, tok))
 
-    def numbers(self, lineno, toks, what):
-        """The tokens of one line as finite floats."""
+    def floats(self, count, what, row=None, head=None):
+        """
+        The next line (or the given row) as exactly count finite floats.
+        With head, the line starts with those tokens and `what % head`
+        names it.
+        """
+        lineno, toks = self.next(what) if row is None else row
+        if head is None:
+            if len(toks) != count:
+                _fail(self.path, lineno, "expected %d numbers (%s), got %d"
+                      % (count, what, len(toks)))
+            what += " row"
+        else:
+            if len(toks) != len(head) + count or toks[:len(head)] != head:
+                _fail(self.path, lineno, "expected '%s' plus %d numbers"
+                      % (" ".join(head), count))
+            toks, what = toks[len(head):], what % tuple(head)
         try:
             vals = [float(t) for t in toks]
         except ValueError:
@@ -226,77 +244,49 @@ class _Lines:
             _fail(self.path, lineno, "non-finite entry in %s" % what)
         return vals
 
-    def floats(self, count, what, row=None):
-        """The next line (or the given row) as exactly count finite floats."""
-        lineno, toks = self.next(what) if row is None else row
-        if len(toks) != count:
-            _fail(self.path, lineno, "expected %d numbers (%s), got %d"
-                  % (count, what, len(toks)))
-        return lineno, self.numbers(lineno, toks, what + " row")
-
-    def bulk(self, mark, source, count, n=None):
+    def body(self, count, what, n=None, head=None):
         """
-        Parse the lines source yields, the rest of the body read from mark
-        (lineno, count), with numpy.loadtxt as n rows (n None: all) of count
-        finite numbers.  Returns the array, or None, back at mark, if that
-        fails.
+        Yield the next n rows (n None: all) of count finite numbers as
+        (array, line numbers), in chunks of at most _READ_NUMBERS numbers;
+        with head, row i starts with the tokens head(i) (see floats).
+        Each chunk is one numpy.loadtxt call.  If that fails (or skips a
+        blank line), floats parses the same text line by line, and the
+        rows before the first bad line are yielded before it is named, so
+        a caller's own checks of those rows still come first.
         """
-        try:
-            table = np.loadtxt(source, comments=None, ndmin=2)
-            if (table.shape[1] == count and n in (None, len(table))
-                    and np.isfinite(table).all()):
-                self.count = mark[1] + len(table)
-                return table
-        except ValueError:
-            pass
-        self.rewind(mark)
-
-    def rewind(self, mark, rows=0):
-        """
-        Go back to where (lineno, count) was mark, then read on past `rows`
-        nonblank lines; returns the line number reached.
-        """
-        self.fh.seek(0)
-        for _ in range(mark[0]):
-            self.fh.readline()
-        self.lineno, self.count = mark
-        for _ in range(rows):
-            self.next()
-        return self.lineno
-
-    def chunks(self, count, what, n=None):
-        """
-        Yield the next n rows (n None: all) of count finite numbers in
-        arrays of at most _READ_ROWS rows, each parsed by numpy.loadtxt, or
-        line by line from the same text if that fails (or skips a blank).
-        """
-        left = n
-        while left is None or left > 0:
-            first = self.next(None if n is None else what)
+        lo, step = 0, max(1, _READ_NUMBERS // count)
+        while n is None or lo < n:
+            first = self.next(None if n is None else what if head is None
+                              else what % tuple(head(lo)))
             if first is None:
                 return
-            k = _READ_ROWS if left is None else min(_READ_ROWS, left)
+            k = step if n is None else min(step, n - lo)
             text = [" ".join(first[1])] + list(itertools.islice(self.fh, k - 1))
+            numbers = text if head is None else map(
+                _after, text, map(head, range(lo, lo + len(text))))
             try:
-                rows = np.loadtxt(text, comments=None, ndmin=2)
+                rows = np.loadtxt(numbers, comments=None, ndmin=2)
                 ok = rows.shape == (len(text), count) and np.isfinite(rows).all()
             except ValueError:
                 ok = False
             if ok:
+                at = range(first[0], first[0] + len(text))
                 self.lineno += len(text) - 1
                 self.count += len(text) - 1
             else:
-                rows = [self.floats(count, what, first)[1]]
-                for line in text[1:]:
-                    self.lineno += 1
-                    toks = line.split()
-                    if toks:
-                        self.count += 1
-                        rows.append(self.floats(count, what, (self.lineno, toks))[1])
+                rows, at = [], []
+                try:
+                    for row in itertools.chain([first], self._numbered(text[1:])):
+                        i = lo + len(rows)
+                        rows.append(self.floats(count, what, row, head and head(i)))
+                        at.append(row[0])
+                except FileFormatError:
+                    if rows:
+                        yield np.array(rows), at
+                    raise
                 rows = np.array(rows)
-            if left is not None:
-                left -= len(rows)
-            yield rows
+            lo += len(rows)
+            yield rows, at
 
     def grid_body(self, n, n_axes, width, what):
         """
@@ -304,13 +294,23 @@ class _Lines:
         complex values each: (nodes, values, row index -> line number).
         """
         nodes, values = np.empty((n, n_axes)), np.empty((n, width), dtype=complex)
-        mark, lo = (self.lineno, self.count), 0
-        for rows in self.chunks(n_axes + 2 * width, what, n):
+        lo, chunks = 0, []
+        for rows, at in self.body(n_axes + 2 * width, what, n):
             nodes[lo:lo + len(rows)] = rows[:, :n_axes]
             values.view(float)[lo:lo + len(rows)] = rows[:, n_axes:]
             lo += len(rows)
+            chunks.append(at)
         self.done()
-        return nodes, values, lambda k: self.rewind(mark, k + 1)
+        return nodes, values, lambda k: next(
+            itertools.islice(itertools.chain(*chunks), k, None))
+
+
+def _after(line, head):
+    """The text of line after its leading tokens, which must be head."""
+    parts = line.split(None, len(head))
+    if parts[:-1] != head:
+        raise ValueError("not a '%s' row" % " ".join(head))
+    return parts[-1]
 
 
 def _magic(lines, tag):
@@ -335,7 +335,8 @@ def radial_from_nodes(r0, rmax, nodes, path="<nodes>", lineno=0):
     block from its end nodes, and the fit is accepted when all p nodes
     match and the implied panels tile [r0, rmax] exactly.
 
-    Raises FileFormatError when no panel layout reproduces the nodes.
+    Raises FileFormatError when no panel layout reproduces the nodes, or
+    when RadialGrid refuses the layout that does.
     """
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
@@ -357,7 +358,10 @@ def radial_from_nodes(r0, rmax, nodes, path="<nodes>", lineno=0):
         if n // p > 1 and np.abs(hi[:-1] - lo[1:]).max() > tol:
             continue
         breakpoints = np.concatenate([[r0], 0.5 * (hi[:-1] + lo[1:]), [rmax]])
-        grid = RadialGrid(breakpoints, p)
+        try:
+            grid = RadialGrid(breakpoints, p)
+        except ValueError as e:
+            _fail(path, lineno, str(e))
         if np.abs(grid.r - nodes).max() <= tol:
             return grid
     _fail(path, lineno, "radial nodes are not a recognizable composite "
@@ -441,17 +445,11 @@ def write_vshc(path, S):
         _write_rows(fh, len(rows), 2 * n_r, block, "%s ")
 
 
-def _numbers_after(lines, heads):
-    """
-    The numbers of each next line of lines, after its leading tokens; a
-    line whose leading tokens are not the next of heads raises ValueError.
-    """
-    for head in heads:
-        parts = lines.fh.readline().split(None, 3)
-        lines.lineno += 1
-        if len(parts) < 4 or parts[:3] != head:
-            raise ValueError("not a '%s' row" % " ".join(head))
-        yield parts[3]
+def _vshc_head(i):
+    """The `l m channel` tokens that start row i of a .vshc body."""
+    k, c = divmod(i, 3)
+    l = math.isqrt(k)
+    return [str(l), str(k - l * l - l), CHANNELS[c]]
 
 
 def read_vshc(path):
@@ -470,26 +468,18 @@ def read_vshc(path):
         if n_r < 1 or L_max < 0:
             _fail(path, lines.lineno,
                   "nr must be positive and lmax nonnegative")
-        node_lineno, nodes = lines.floats(n_r, "radial nodes")
-        radial = radial_from_nodes(r0, rmax, nodes, path, node_lineno)
-        heads = [[str(l), str(m), c] for l in range(L_max + 1)
-                 for m in range(-l, l + 1) for c in CHANNELS]
-        mark = lines.lineno, lines.count
-        vals = lines.bulk(mark, _numbers_after(lines, heads), 2 * n_r,
-                          len(heads))
-        if vals is None or vals[1:3].any():          # l = 0: r data only
-            lines.rewind(mark)
-            vals = np.empty((len(heads), 2 * n_r))
-            for i, (l, m, c) in enumerate(heads):
-                what = "coefficients for mode (%s, %s) channel %s" % (l, m, c)
-                lineno, toks = lines.next(what)
-                if len(toks) != 3 + 2 * n_r or toks[:3] != heads[i]:
-                    _fail(path, lineno, "expected '%s %s %s' plus %d numbers"
-                          % (l, m, c, 2 * n_r))
-                vals[i] = lines.numbers(lineno, toks[3:], what)
-                if l == "0" and c != "r" and vals[i].any():
-                    _fail(path, lineno, "l = 0 has no %s channel; the "
-                          "profile must be zero" % c)
+        nodes = lines.floats(n_r, "radial nodes")
+        radial = radial_from_nodes(r0, rmax, nodes, path, lines.lineno)
+        n = 3 * (L_max + 1) ** 2
+        vals, lo = np.empty((n, 2 * n_r)), 0
+        for rows, at in lines.body(2 * n_r, "coefficients for mode (%s, %s) "
+                                   "channel %s", n, _vshc_head):
+            vals[lo:lo + len(rows)] = rows
+            for i in range(max(lo, 1), min(lo + len(rows), 3)):   # l = 0
+                if rows[i - lo].any():
+                    _fail(path, at[i - lo], "l = 0 has no %s channel; the "
+                          "profile must be zero" % CHANNELS[i])
+            lo += len(rows)
         lines.done()
     return SpectralField(radial, L_max, vals.view(complex).reshape(-1, 3, n_r))
 
@@ -501,7 +491,8 @@ def read_vshc(path):
 def read_points(path):
     """Read a text file of `x y z` rows into an (n, 3) float array."""
     with _Lines(path) as lines:
-        return np.concatenate([np.empty((0, 3))] + list(lines.chunks(3, "point")))
+        return np.concatenate([np.empty((0, 3))]
+                              + [rows for rows, _ in lines.body(3, "point")])
 
 
 def write_points(path, pts):
@@ -566,12 +557,15 @@ def read_polar(path):
         if kind not in ("disk", "exterior", "annulus"):
             _fail(path, kind_lineno, "kind must be disk, exterior, or annulus")
         r0 = lines.keyfloat("r0")
+        outer = {}
         if kind == "annulus":
-            geom = PlanarGeometry(kind, r0, r1=lines.keyfloat("r1"))
+            outer = {"r1": lines.keyfloat("r1")}
         elif kind == "exterior":
-            geom = PlanarGeometry(kind, r0, R_sup=lines.keyfloat("rsup"))
-        else:
-            geom = PlanarGeometry(kind, r0)
+            outer = {"R_sup": lines.keyfloat("rsup")}
+        try:
+            geom = PlanarGeometry(kind, r0, **outer)
+        except ValueError as e:     # named at the last radius line read
+            _fail(path, lines.lineno, str(e))
         n_rho = lines.keyint("nrho")
         n_phi = lines.keyint("nphi")
         if n_rho < 1 or n_phi < 1:

@@ -10,22 +10,18 @@ as a test bench for the exterior solver:
   * they are divergence-free and harmonic (-grad div + curl curl
     annihilates them), and
   * solvability of the exterior problem is equivalent to the data being
-    orthogonal to every member, which reduces to one radial moment
-    integral per mode.
-
-`orthogonality_residual` exposes that equivalence in both guises: the
-volume inner product against the member and the bare radial moment.
+    orthogonal to every member.  The inner product of f with the member
+    of mode (l, m) is l(l+1) times the radial moment integral of
+    s^(1-l) f_2, which `solver.radial_moments` computes.
 """
 
 from collections import namedtuple
 
-from .solver import radial_moments
 from .transform import (SpectralField, mode_index, spectral_curl,
                         spectral_div, spectral_grad)
 
 __all__ = ["phf_field", "verify_pseudoharmonic", "harmonicity_check",
-           "orthogonality_residual", "PseudoHarmonicReport",
-           "OrthogonalityForms"]
+           "PseudoHarmonicReport"]
 
 
 def phf_field(l, m, radial, L_max):
@@ -99,29 +95,3 @@ def harmonicity_check(l, m, radial, L_max):
     lap.coeffs -= spectral_grad(spectral_div(S)).coeffs
     return lap.norm() / spectral_curl(S).norm()
 
-
-OrthogonalityForms = namedtuple("OrthogonalityForms", ["volume", "radial"])
-
-
-def orthogonality_residual(f, l, m):
-    """
-    Inner product of f against the family member Phi_lm / r^(l+1), in both
-    of its equivalent forms.
-
-    Returns
-    -------
-    OrthogonalityForms
-        volume = the 3D inner product integral over the shell, reduced to
-        l(l+1) * integral of r^{1-l} f_2(r) dr through the solid-angle
-        normalization of Phi_lm; radial = the bare moment integral without
-        the l(l+1) factor.  Solvability of the exterior problem requires
-        the volume form to vanish for every family member.
-    """
-    if l < 1:
-        raise ValueError(f"family starts at l = 1, got l = {l}")
-    if l > f.L_max:
-        raise ValueError(f"l = {l} exceeds L_max = {f.L_max}")
-    # the moments of every mode, taken as check_compatibility takes them,
-    # so the two agree to the last bit
-    radial = radial_moments(f.radial, f.coeffs[:, 2], f.ells)[mode_index(l, m)]
-    return OrthogonalityForms(l * (l + 1.0) * radial, radial)

@@ -93,6 +93,20 @@ def test_truncated_input_exits_2(tmp_path, capsys):
     assert "cut.vfld" in err and "line" in err
 
 
+def test_header_the_grids_refuse_exits_2(tmp_path, capsys):
+    src = tmp_path / "g.pfld"
+    src.write_text("pfld 1\nkind annulus\nr0 1\nr1 0.5\nnrho 8\nnphi 3\n")
+    assert main(["moments2d", str(src)]) == 2
+    assert "g.pfld: line 4: annulus needs r1 > r0" in capsys.readouterr().err
+    src = tmp_path / "neg.vshc"
+    nodes = np.polynomial.legendre.leggauss(4)[0]     # fit [-1, 1]
+    src.write_text("vshc 1\nr0 -1\nrmax 1\nnr 4\nlmax 0\n%s\n"
+                   % " ".join(map(str, nodes.tolist())))
+    assert main(["check", str(src)]) == 2
+    assert ("neg.vshc: line 6: inner radius must be nonnegative"
+            in capsys.readouterr().err)
+
+
 def test_synthesize_round(tmp_path):
     src = tmp_path / "z.vfld"
     mid = tmp_path / "z.vshc"
@@ -182,7 +196,7 @@ def test_solve_with_invalid_tol_exits_1(tmp_path, capsys, tol):
 
 
 def test_malformed_input_on_a_pipe_exits_2(tmp_path):
-    # a pipe cannot be rewound, yet the bad line is still named
+    # a pipe is read once, line by line, and the bad line is still named
     src = tmp_path / "z.vfld"
     write_vfld(src, _zhat_field(8, 2))
     text = src.read_bytes()
@@ -197,6 +211,24 @@ def test_malformed_input_on_a_pipe_exits_2(tmp_path):
                               timeout=120, env=env)
         assert proc.returncode == 2, proc.stderr
         assert b"/dev/stdin: " + line.encode() in proc.stderr
+    proc = subprocess.run(cli, input=text, capture_output=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == subprocess.run(
+        cli[:-1] + [str(src)], capture_output=True, timeout=120,
+        env=env).stdout
+
+    # a .vshc reads through the same chunked body
+    src = tmp_path / "f.vshc"
+    write_vshc(src, _manufactured_source(2)[0])
+    text = src.read_bytes()
+    cli[-2] = "check"
+    lines = text.splitlines(keepends=True)
+    lines[12] = lines[12].replace(b" ", b" x ", 1)      # a stray token
+    proc = subprocess.run(cli, input=b"".join(lines), capture_output=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert b"/dev/stdin: line 13: " in proc.stderr
     proc = subprocess.run(cli, input=text, capture_output=True, timeout=120,
                           env=env)
     assert proc.returncode == 0, proc.stderr

@@ -3,12 +3,16 @@ Text formats: sampled fields, spectral coefficients, points, planar data.
 """
 
 import io
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import divcurl
 from divcurl import fileio
 from divcurl.fileio import (FileFormatError, radial_from_nodes, read_points,
                             read_polar, read_vfld, read_vshc, write_eval_table,
@@ -475,14 +479,14 @@ def test_readers_reject_non_finite_numbers(tmp_path, bad):
 
 @pytest.mark.parametrize("rows", [1, 7, 64])
 def test_vfld_chunks_keep_every_bit_and_line(monkeypatch, tmp_path, rows):
-    # the body is parsed _READ_ROWS rows at a time: the values and every
-    # diagnostic are those of one whole-body parse
+    # the body is parsed _READ_NUMBERS numbers (rows of 9) at a time: the
+    # values and every diagnostic are those of one whole-body parse
     ang, rad = make_grids(1.0, 5.0, 16, 3, breakpoints=[1.0, 2.0, 5.0])
     field = synthesize(_random_spectral(rad, 3, 4), ang)
     path = tmp_path / "f.vfld"
     write_vfld(path, field)
     default = read_vfld(path).values
-    monkeypatch.setattr(fileio, "_READ_ROWS", rows)
+    monkeypatch.setattr(fileio, "_READ_NUMBERS", 9 * rows)
     assert read_vfld(path).values.tobytes() == default.tobytes()
 
     text = path.read_text().split("\n")          # 6 header lines, then rows
@@ -499,6 +503,91 @@ def test_vfld_chunks_keep_every_bit_and_line(monkeypatch, tmp_path, rows):
         with pytest.raises(FileFormatError,
                            match=r"f\.vfld: line %d: %s" % (7 + row, message)):
             read_vfld(path)
+
+
+def _vshc_mode_line(text, line, k, tok):
+    # text with token k of the 1-based line replaced
+    return text[:line - 1] + [_with_token(text[line - 1], k, tok)] + text[line:]
+
+
+# the messages and lines of the whole-body parse the chunks replaced; the
+# body rows are lines 7-33: (0, 0) r psi phi, (1, -1) r psi phi, ... (2, 2)
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: _vshc_mode_line(t, 12, 1, "0"),
+     "line 12: expected '1 -1 phi' plus 32 numbers"),
+    (lambda t: _vshc_mode_line(t, 20, 7, "x"),
+     "line 20: non-numeric entry in coefficients for mode (2, -2) channel psi"),
+    (lambda t: _vshc_mode_line(t, 25, 34, "inf"),
+     "line 25: non-finite entry in coefficients for mode (2, 0) channel r"),
+    (lambda t: t[:29] + [t[29].rsplit(" ", 1)[0]] + t[30:],
+     "line 30: expected '2 1 phi' plus 32 numbers"),
+    (lambda t: _vshc_mode_line(t, 8, 3, "1"),
+     "line 8: l = 0 has no psi channel; the profile must be zero"),
+    (lambda t: t[:-1],
+     "line 33: unexpected end of file, expected coefficients for mode (2, 2) "
+     "channel phi"),
+    (lambda t: t + [t[-1]],
+     "line 34: trailing data past the expected 33 rows"),
+    # two faults: the first in file order is named
+    (lambda t: _vshc_mode_line(_vshc_mode_line(t, 8, 3, "1"), 9, 3, "x"),
+     "line 8: l = 0 has no psi channel; the profile must be zero"),
+    (lambda t: _vshc_mode_line(_vshc_mode_line(t, 9, 5, "2"), 30, 3, "x"),
+     "line 9: l = 0 has no phi channel; the profile must be zero"),
+    (lambda t: _vshc_mode_line(_vshc_mode_line(t, 9, 5, "2"), 8, 3, "x"),
+     "line 8: non-numeric entry in coefficients for mode (0, 0) channel psi"),
+    (lambda t: _vshc_mode_line(_vshc_mode_line(t, 8, 3, "1"), 7, 0, "1"),
+     "line 7: expected '0 0 r' plus 32 numbers"),
+])
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_vshc_chunks_keep_every_bit_and_line(monkeypatch, tmp_path, rows,
+                                             edit, message):
+    # the body is parsed _READ_NUMBERS numbers (rows of 32) at a time, the
+    # default being one chunk: the coefficients and every diagnostic are
+    # those of one whole-body parse, blank lines skipped
+    _, rad = make_grids(1.0, 5.0, 16, 2)
+    S = _random_spectral(rad, 2, 6)
+    path = tmp_path / "c.vshc"
+    write_vshc(path, S)
+    if rows is not None:
+        monkeypatch.setattr(fileio, "_READ_NUMBERS", 32 * rows)
+    assert read_vshc(path).coeffs.tobytes() == S.coeffs.tobytes()
+    text = path.read_text().split("\n")[:-1]
+    assert len(text) == 33
+    path.write_text("\n".join(text[:10] + ["", " "] + text[10:]) + "\n\n")
+    assert read_vshc(path).coeffs.tobytes() == S.coeffs.tobytes()
+
+    path.write_text("\n".join(edit(text)) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        read_vshc(path)
+    assert str(err.value) == "%s: %s" % (path, message)
+
+
+@pytest.mark.parametrize("header, line, message", [
+    (["kind annulus", "r0 1", "r1 0.5"], 4, "annulus needs r1 > r0"),
+    (["kind exterior", "r0 2", "rsup 2"], 4,
+     "exterior needs a support radius R_sup > r0"),
+    (["kind disk", "r0 -1"], 3, "r0 must be positive, got -1.0"),
+])
+def test_pfld_geometry_refused_at_its_header_line(tmp_path, header, line,
+                                                  message):
+    path = tmp_path / "g.pfld"
+    path.write_text("\n".join(["pfld 1"] + header + ["nrho 8", "nphi 3"]))
+    with pytest.raises(FileFormatError) as err:
+        read_polar(path)
+    assert str(err.value) == "%s: line %d: %s" % (path, line, message)
+
+
+def test_vshc_grid_refused_at_its_node_line(tmp_path):
+    # the nodes are a Gauss-Legendre rule on [-1, 1], which RadialGrid
+    # refuses
+    nodes = np.polynomial.legendre.leggauss(4)[0]
+    path = tmp_path / "neg.vshc"
+    path.write_text("vshc 1\nr0 -1\nrmax 1\nnr 4\nlmax 0\n%s\n"
+                    % " ".join(map(str, nodes.tolist())))
+    with pytest.raises(FileFormatError) as err:
+        read_vshc(path)
+    assert str(err.value) == ("%s: line 6: inner radius must be nonnegative"
+                              % path)
 
 
 ############################################
@@ -527,3 +616,25 @@ def test_vfld_io_memory_is_bounded_by_the_field(tmp_path):
     assert write_peak <= 2.0 * size
     assert read_peak <= 2.2 * size
     assert np.array_equal(back.values, field.values)
+
+
+def test_vfld_read_from_a_pipe_holds_what_a_file_read_holds(tmp_path):
+    # each line is read once, so a pipe is not copied into memory first
+    ang, rad = make_grids(1.0, 5.0, 64, 8)
+    path = tmp_path / "f.vfld"
+    write_vfld(path, synthesize(_random_spectral(rad, 8, 13), ang))
+    code = ("import sys, tracemalloc\n"
+            "from divcurl.fileio import read_vfld\n"
+            "tracemalloc.start()\n"
+            "read_vfld(sys.argv[1])\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(divcurl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+
+    def peak(arg, stdin):
+        proc = subprocess.run([sys.executable, "-c", code, arg], input=stdin,
+                              capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    assert peak("/dev/stdin", path.read_bytes()) <= 1.1 * peak(str(path), None)

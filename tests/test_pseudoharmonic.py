@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from divcurl.grids import make_grids, surface_integral
-from divcurl.pseudoharmonic import (harmonicity_check, orthogonality_residual,
-                                    phf_field, verify_pseudoharmonic)
-from divcurl.solver import check_compatibility
+from divcurl.pseudoharmonic import (harmonicity_check, phf_field,
+                                    verify_pseudoharmonic)
+from divcurl.solver import check_compatibility, radial_moments
 from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
                                spectral_curl, spectral_div, spectral_grad,
                                synthesize)
@@ -80,11 +80,6 @@ def test_validation():
         phf_field(5, 0, rad, 4)
     with pytest.raises(ValueError):
         phf_field(2, 3, rad, 4)
-    f = SpectralField(rad, 4)
-    with pytest.raises(ValueError):
-        orthogonality_residual(f, 0, 0)
-    with pytest.raises(ValueError):
-        orthogonality_residual(f, 5, 0)
 
 
 def test_large_degree_profile_stays_finite():
@@ -109,7 +104,7 @@ def test_high_degree_profile_is_the_plain_power():
 
 
 def test_volume_form_matches_direct_quadrature():
-    # the reduced volume form equals the honest 3D inner product
+    # l(l+1) times the radial moment equals the honest 3D inner product
     ang, rad = _wide_grids()
     rng = np.random.default_rng(0)
     f = SpectralField(rad, 6)
@@ -120,21 +115,14 @@ def test_volume_form_matches_direct_quadrature():
     f.coeffs[0, 1:] = 0.0
 
     l, m = 3, 1
-    vol = orthogonality_residual(f, l, m).volume
+    vol = l * (l + 1.0) * radial_moments(rad, f.coeffs[:, 2], f.ells)[
+        mode_index(l, m)]
     vf = synthesize(f, ang).values
     vg = synthesize(phf_field(l, m, rad, 6), ang).values
     dens = (vf * np.conj(vg)).sum(axis=-1)
     shell = np.array([surface_integral(ang, dens[i]) for i in range(rad.n_r)])
     direct = rad.integrate(shell * rad.r ** 2)
     assert abs(vol - direct) < 1e-12 * max(abs(direct), 1.0)
-
-
-def test_volume_form_is_scaled_radial_form():
-    _, rad = _wide_grids(L=4)
-    f = SpectralField(rad, 4)
-    f.coeffs[mode_index(2, -1), 2] = np.sin(rad.r)
-    forms = orthogonality_residual(f, 2, -1)
-    assert abs(forms.volume - 6.0 * forms.radial) < 1e-15 * abs(forms.volume)
 
 
 def test_radial_form_is_the_solver_moment():
@@ -145,7 +133,6 @@ def test_radial_form_is_the_solver_moment():
                       + 1j * rng.standard_normal((f.n_modes, rad.n_r)))
     f.coeffs[0, 1:] = 0.0
     rep = check_compatibility(f)
-    for l in range(1, 7):
-        for m in range(-l, l + 1):
-            # one moment integral serves both, so they agree to the bit
-            assert orthogonality_residual(f, l, m).radial == rep.moment[mode_index(l, m)]
+    # one moment integral serves both, so they agree to the bit
+    moments = radial_moments(rad, f.coeffs[:, 2], f.ells)
+    assert np.array_equal(moments, rep.moment)
