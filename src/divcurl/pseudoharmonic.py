@@ -94,4 +94,3 @@ def harmonicity_check(l, m, radial, L_max):
     lap = spectral_curl(spectral_curl(S))
     lap.coeffs -= spectral_grad(spectral_div(S)).coeffs
     return lap.norm() / spectral_curl(S).norm()
-
