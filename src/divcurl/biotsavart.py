@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .frames import sph_to_cart_points, spherical_frame
+from .frames import as_points, sph_to_cart_points, spherical_frame
 
 __all__ = ["biot_savart_eval", "circulation_diagnostic", "sphere_points",
            "ProximityError"]
@@ -175,9 +175,7 @@ def biot_savart_eval(field, pts, threads=1):
     ProximityError
         when a point violates the separation above
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"pts must be (N, 3), got {pts.shape}")
+    pts = as_points(pts)
     if not np.isfinite(pts).all():
         raise ValueError("evaluation points must be finite")
     if not np.isfinite(field.values).all():

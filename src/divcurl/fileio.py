@@ -48,8 +48,9 @@ points  one evaluation point per row: ``x y z`` (blank lines ignored).
             rho phi re im                                        (one row
             per node, lexicographic in (rho, phi))
 
-Malformed input, NaN and infinities included, raises FileFormatError whose
-message carries the path and 1-based line number of the offending line.
+Malformed input, NaN and infinities included, and a header declaring more
+rows than can be allocated raise FileFormatError whose message carries the
+path and 1-based line number of the offending line.
 
 Files are streamed, and each line is read once, so a pipe reads like a
 file.  Readers parse the header line by line, then every body by one
@@ -102,6 +103,16 @@ def _dump(text, out):
 
 def _fail(path, lineno, message):
     raise FileFormatError("%s: line %d: %s" % (path, lineno, message))
+
+
+@contextlib.contextmanager
+def _sized(path, lineno, n, count):
+    """A failed allocation of n rows of count numbers fails at lineno."""
+    try:
+        yield
+    except (MemoryError, ValueError):        # ValueError: beyond numpy's sizes
+        _fail(path, lineno, "the declared %d rows of %d numbers are too many "
+              "to allocate" % (n, count))
 
 
 def _write_rows(fh, n, width, block, head=""):
@@ -293,7 +304,8 @@ class _Lines:
         The n rows of a grid file's body, n_axes node coordinates and width
         complex values each: (nodes, values, row index -> line number).
         """
-        nodes, values = np.empty((n, n_axes)), np.empty((n, width), dtype=complex)
+        with _sized(self.path, self.lineno, n, n_axes + 2 * width):
+            nodes, values = np.empty((n, n_axes)), np.empty((n, width), dtype=complex)
         lo, chunks = 0, []
         for rows, at in self.body(n_axes + 2 * width, what, n):
             nodes[lo:lo + len(rows)] = rows[:, :n_axes]
@@ -468,10 +480,11 @@ def read_vshc(path):
         if n_r < 1 or L_max < 0:
             _fail(path, lines.lineno,
                   "nr must be positive and lmax nonnegative")
+        n, lo = 3 * (L_max + 1) ** 2, 0
+        with _sized(path, lines.lineno, n, 2 * n_r):
+            vals = np.empty((n, 2 * n_r))
         nodes = lines.floats(n_r, "radial nodes")
         radial = radial_from_nodes(r0, rmax, nodes, path, lines.lineno)
-        n = 3 * (L_max + 1) ** 2
-        vals, lo = np.empty((n, 2 * n_r)), 0
         for rows, at in lines.body(2 * n_r, "coefficients for mode (%s, %s) "
                                    "channel %s", n, _vshc_head):
             vals[lo:lo + len(rows)] = rows

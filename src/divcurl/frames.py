@@ -58,6 +58,14 @@ def sph_to_cart_points(r, theta, phi):
                      r * np.cos(theta)], axis=-1)
 
 
+def as_points(pts):
+    """pts as an (N, 3) float array; a single (3,) point gives one row."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"pts must be (N, 3), got {pts.shape}")
+    return pts
+
+
 def cart_to_sph_points(pts):
     """Cartesian (..., 3) points -> (r, theta, phi) with theta in [0, pi]."""
     pts = np.asarray(pts, dtype=float)

@@ -19,9 +19,9 @@ formed, so synthesize peaks at about the size of the field it returns.
 analyze takes its FFT a few radial nodes at a time, so it holds the
 coefficients it returns and one FFT chunk no larger than them.
 synthesize_at sorts its points by radial panel and works through them in
-blocks of at most _POINT_BLOCK: per block one real product interpolates
-every radial profile, and one batched real product of each point's
-Legendre rows with its coefficients does the sum over modes.
+blocks of at most _POINT_BLOCK = 128: per block one real product
+interpolates every radial profile, and one batched real product of each
+point's Legendre rows with its coefficients does the sum over modes.
 
 In this basis divergence and curl act mode by mode on the radial profiles:
 
@@ -35,6 +35,9 @@ The derivative combinations g' + k g/r are realized in the conservative
 form r^(-k) (r^k g)'; with the shared discrete derivative this makes
 div(curl S) vanish to rounding for arbitrary profiles, not just resolved
 ones, which keeps manufactured-source pipelines exactly solenoidal.
+Divergence, curl and gradient take the modes in equal blocks of about
+_MODE_BLOCK numbers per channel, so each peaks near the size of its
+output, and every value keeps the bits of one whole-array pass.
 """
 
 import numpy as np
@@ -211,7 +214,9 @@ def _real_gemm(M, Z):
 # Transforms
 
 # points per block in synthesize_at; bounds its (block, n_modes) buffers
-_POINT_BLOCK = 256
+_POINT_BLOCK = 128
+# numbers per channel in a mode block of the spectral operators
+_MODE_BLOCK = 1 << 14
 # analyze transforms its input a multiple of this many radial nodes at a
 # time; cut there, every product column is rounded as in one whole call
 _RADIAL_STEP = 16
@@ -330,22 +335,21 @@ def synthesize_at(S, pts):
     channel) profile, e^{i m phi} multiplies the interpolated coefficients,
     and the sum over modes is one batched real product of the point's
     Legendre rows with the float view of its coefficients.  The result is
-    rotated to the Cartesian frame.  Points must lie inside [r0, rmax]
-    radially.
+    rotated to the Cartesian frame.  Points outside [r0, rmax] radially, or
+    pts of another shape than (N, 3) or (3,), raise ValueError.
 
     Parameters
     ----------
     S: SpectralField
-    pts: (N, 3) array of Cartesian positions
+    pts: (N, 3) array of Cartesian positions, or one (3,) position
 
     Returns
     -------
     (N, 3) complex array of Cartesian field values
     """
-    from .frames import cart_to_sph_points, sph_to_cart_vector
+    from .frames import as_points, cart_to_sph_points, sph_to_cart_vector
 
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    r, theta, phi = cart_to_sph_points(pts)
+    r, theta, phi = cart_to_sph_points(as_points(pts))
     order, runs = S.radial.locate(r)
     n, K = S.radial.nodes_per_panel, S.n_modes
     orders = np.arange(-S.L_max, S.L_max + 1)
@@ -368,7 +372,11 @@ def synthesize_at(S, pts):
             np.matmul(S.radial.eval_matrix(p, r[order[a:b]]), slab[1],
                       out=c[a - lo:b - lo])
         c = c.view(complex).reshape(hi - lo, K, 3)
-        c *= np.exp(1j * phi[at, None] * orders)[:, S.ems + S.L_max, None]
+        # e^{i m phi} per point and order, spread over the modes 16 points
+        # at a time, so the spread table stays small beside c
+        e = np.exp(1j * phi[at, None] * orders)
+        for i in range(0, hi - lo, 16):
+            c[i:i + 16] *= e[i:i + 16, S.ems + S.L_max, None]
         # V[n, j, t] = sum over modes of column j of c and row t of T, with
         # j = (Re, Im) of (c_r, c_1, c_2) and t = (A, B, C)
         V = np.matmul(c.view(float).transpose(0, 2, 1), T.transpose(1, 0, 2))
@@ -384,6 +392,17 @@ def synthesize_at(S, pts):
 # Spectral differential operators
 
 
+def _mode_blocks(S):
+    """
+    Equal slices of the modes of S, about _MODE_BLOCK numbers per channel
+    each and two modes or more (unless S has one): a one-mode block would
+    take BLAS's matrix-vector path and round otherwise.
+    """
+    n = S.coeffs.shape[0]
+    k = max(1, n // max(2, _MODE_BLOCK // S.radial.n_r))     # block count
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def spectral_div(S):
     """
     Divergence of a SpectralField, as a ScalarSpectral.
@@ -394,8 +413,10 @@ def spectral_div(S):
     r = S.radial.r
     ll1 = (S.ells * (S.ells + 1.0))[:, None]
     out = ScalarSpectral(S.radial, S.L_max)
-    np.subtract(S.radial.differentiate(r ** 2 * S.coeffs[:, 0]) / r ** 2,
-                ll1 / r * S.coeffs[:, 1], out=out.coeffs)
+    for b in _mode_blocks(S):
+        c = S.coeffs[b]
+        np.subtract(S.radial.differentiate(r ** 2 * c[:, 0]) / r ** 2,
+                    ll1[b] / r * c[:, 1], out=out.coeffs[b])
     return out
 
 
@@ -408,8 +429,9 @@ def spectral_grad(s):
     """
     r = s.radial.r
     out = SpectralField(s.radial, s.L_max)
-    out.coeffs[:, 0] = s.radial.differentiate(s.coeffs)
-    out.coeffs[:, 1] = s.coeffs / r
+    for b in _mode_blocks(s):
+        out.coeffs[b, 0] = s.radial.differentiate(s.coeffs[b])
+        out.coeffs[b, 1] = s.coeffs[b] / r
     out.coeffs[0, 1:] = 0.0
     return out
 
@@ -427,8 +449,10 @@ def spectral_curl(S):
     r = S.radial.r
     ll1 = (S.ells * (S.ells + 1.0))[:, None]
     out = SpectralField(S.radial, S.L_max)
-    out.coeffs[:, 0] = -ll1 / r * S.coeffs[:, 2]
-    out.coeffs[:, 1] = -S.radial.differentiate(r * S.coeffs[:, 2]) / r
-    out.coeffs[:, 2] = -S.coeffs[:, 0] / r + S.radial.differentiate(r * S.coeffs[:, 1]) / r
+    for b in _mode_blocks(S):
+        c, o = S.coeffs[b], out.coeffs[b]
+        o[:, 0] = -ll1[b] / r * c[:, 2]
+        o[:, 1] = -S.radial.differentiate(r * c[:, 2]) / r
+        o[:, 2] = -c[:, 0] / r + S.radial.differentiate(r * c[:, 1]) / r
     out.coeffs[0] = 0.0
     return out

@@ -107,6 +107,18 @@ def test_header_the_grids_refuse_exits_2(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("ext, command", [("vshc", "check"),
+                                          ("vfld", "analyze"),
+                                          ("pfld", "moments2d")])
+def test_header_too_large_to_allocate_exits_2(tmp_path, capsys, ext, command):
+    from test_fileio import _header_too_large
+    src, message = _header_too_large(tmp_path, ext, 1000000 if ext == "vshc"
+                                     else 4000000000)
+    assert main([command, str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s\n" % message
+
+
 def test_synthesize_round(tmp_path):
     src = tmp_path / "z.vfld"
     mid = tmp_path / "z.vshc"

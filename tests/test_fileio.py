@@ -590,6 +590,37 @@ def test_vshc_grid_refused_at_its_node_line(tmp_path):
                               % path)
 
 
+def _header_too_large(tmp_path, ext, size):
+    """A file whose header declares a size that cannot be allocated."""
+    if ext == "vshc":
+        nodes = 3.0 + 2.0 * np.polynomial.legendre.leggauss(4)[0]
+        text = ("vshc 1\nr0 1\nrmax 5\nnr 4\nlmax %d\n%s\n"
+                % (size, " ".join(map(repr, nodes.tolist()))))
+        line, n, count = 5, 3 * (size + 1) ** 2, 8
+    elif ext == "vfld":
+        text = ("vfld 1\nr0 1\nrmax 5\nnr 1\nntheta 100000\nnphi %d\n"
+                "1 0 0 0 0 0 0 0 0\n" % size)
+        line, n, count = 6, 100000 * size, 9
+    else:
+        text = "pfld 1\nkind disk\nr0 1\nnrho %d\nnphi %d\n" % (size, size)
+        line, n, count = 5, size * size, 4
+    path = tmp_path / ("big." + ext)
+    path.write_text(text)
+    return path, "%s: line %d: the declared %d rows of %d numbers are too " \
+        "many to allocate" % (path, line, n, count)
+
+
+# sizes past the address space (MemoryError) and past numpy's (ValueError)
+@pytest.mark.parametrize("ext, size", [("vshc", 1000000), ("vshc", 10 ** 12),
+                                       ("vfld", 4000000000), ("pfld", 10 ** 10)])
+def test_header_too_large_to_allocate_names_its_line(tmp_path, ext, size):
+    path, message = _header_too_large(tmp_path, ext, size)
+    read = {"vshc": read_vshc, "vfld": read_vfld, "pfld": read_polar}[ext]
+    with pytest.raises(FileFormatError) as err:
+        read(path)
+    assert str(err.value) == message
+
+
 ############################################
 # Memory
 

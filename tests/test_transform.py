@@ -347,6 +347,50 @@ def test_synthesize_at_temporaries_do_not_grow_with_point_count():
     assert peaks[1] < peaks[0] + 2 * extra_out
 
 
+def test_synthesize_at_peak_halves_with_its_block():
+    # 128-point blocks and the phase spread 16 points at a time: 256-point
+    # blocks with one (block, n_modes) phase table peaked at 6.97 MB here
+    _, rad = make_grids(1.0, 5.0, 64, 16)
+    S = _random_spectral(rad, 16, seed=31)
+    pts = _special_points(rad, np.random.default_rng(32), 512)[:512]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        synthesize_at(S, pts)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 6.97e6
+
+
+@pytest.mark.parametrize("block", [1, 7, 128, 256])
+def test_synthesize_at_blocks_keep_every_bit_on_radial_nodes(monkeypatch,
+                                                             block):
+    # a point's value depends on its block only through the rows of the
+    # panel products.  At a radial node the interpolation row is exact, so
+    # every block size keeps every bit; elsewhere a row rounds by the BLAS
+    # tile it falls in (see test_synthesize_at_blocks_match_pointwise_calls)
+    _, rad = make_grids(1.0, 5.0, 64, 8)
+    S = _random_spectral(rad, 8, seed=33)
+    rng = np.random.default_rng(34)
+    n = 600
+    pts = sph_to_cart_points(rng.choice(rad.r, n),
+                             np.arccos(rng.uniform(-1.0, 1.0, n)),
+                             rng.uniform(0.0, 2.0 * np.pi, n))
+    monkeypatch.setattr(transform, "_POINT_BLOCK", 1 << 20)
+    whole = synthesize_at(S, pts)
+    monkeypatch.setattr(transform, "_POINT_BLOCK", block)
+    assert synthesize_at(S, pts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("bad", [(5, 4), (5, 2), (2, 3, 3), (4,)])
+def test_synthesize_at_rejects_points_not_n_by_3(bad):
+    _, rad = _grids()
+    S = _random_spectral(rad, 6, seed=35)
+    with pytest.raises(ValueError, match=r"pts must be \(N, 3\), got "):
+        synthesize_at(S, np.full(bad, 1.5))
+
+
 def test_synthesize_at_rejects_points_outside_shell():
     _, rad = _grids()
     S = SpectralField(rad, 6)
@@ -492,3 +536,49 @@ def test_l0_tangential_channels_stay_zero():
     U = T.copy()
     U.coeffs[:] = 2.0
     assert np.all(T.coeffs[1:] == 1.0)
+
+
+def _operators(S):
+    """curl, div and the gradient of the Y channel of S, as byte strings."""
+    s = ScalarSpectral(S.radial, S.L_max, S.coeffs[:, 0])
+    return [spectral_curl(S).coeffs.tobytes(), spectral_div(S).coeffs.tobytes(),
+            spectral_grad(s).coeffs.tobytes()]
+
+
+@pytest.mark.parametrize("L", [0, 4, 7])
+@pytest.mark.parametrize("per", [2, 3, 4, 8])
+def test_operator_mode_blocks_keep_every_bit(monkeypatch, L, per):
+    # blocks of at least `per` modes, equal to within one mode; 25 and 64
+    # modes cut by plain slices of 4 or 8 would leave a one-mode tail
+    _, rad = _grids()
+    S = _random_spectral(rad, L, seed=36)
+    default = _operators(S)
+    monkeypatch.setattr(transform, "_MODE_BLOCK", 1 << 30)
+    whole = _operators(S)
+    monkeypatch.setattr(transform, "_MODE_BLOCK", per * rad.n_r)
+    sizes = [b.stop - b.start for b in transform._mode_blocks(S)]
+    assert sum(sizes) == S.n_modes and (L == 0 or min(sizes) >= per)
+    assert max(sizes) - min(sizes) <= 1
+    assert default == whole
+    assert _operators(S) == whole
+
+
+def test_operator_peaks_stay_near_their_outputs():
+    # mode blocks of about 2^14 numbers: curl held about six, and div four,
+    # (n_modes, n_r) temporaries when they worked on whole arrays
+    _, rad = make_grids(1.0, 5.0, 256, 32)
+    S = _random_spectral(rad, 32, seed=37)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for op in (spectral_curl, spectral_div):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = op(S)
+            peaks.append((tracemalloc.get_traced_memory()[1] - held)
+                         / out.coeffs.nbytes)
+            del out
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 1.15
+    assert peaks[1] <= 1.3
