@@ -35,11 +35,11 @@ from .frames import (cart_to_sph_points, cart_to_sph_vector,
 from .grids import (AngularGrid, RadialGrid, SampledField, make_grids,
                     surface_integral)
 from .planar import PlanarGeometry, PolarGrid, planar_moments
-from .pseudoharmonic import (PseudoHarmonicReport, harmonicity_check,
-                             phf_field, verify_pseudoharmonic)
+from .pseudoharmonic import (PseudoHarmonicReport, phf_field,
+                             verify_pseudoharmonic)
 from .solver import (DEFAULT_TOL, REFUSE_TOL, BoundaryTrace, CompatReport,
-                     CompatibilityWarning, FarFieldSpec, IncompatibilityError,
-                     boundary_trace, check_compatibility, far_field_coeffs,
+                     CompatibilityWarning, IncompatibilityError, boundary_trace,
+                     check_compatibility, far_field_coeffs,
                      partial_slip_project, solve_exterior)
 from .transform import (ScalarSpectral, SpectralField, analyze, mode_degrees,
                         mode_index, spectral_curl, spectral_div, spectral_grad,
@@ -49,16 +49,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularGrid", "BoundaryTrace", "CompatReport", "CompatibilityWarning",
-    "DEFAULT_TOL", "FarFieldSpec", "FileFormatError", "IncompatibilityError",
-    "PlanarGeometry", "PolarGrid", "ProximityError", "PseudoHarmonicReport",
-    "REFUSE_TOL", "RadialGrid", "SampledField", "ScalarSpectral",
-    "SpectralField", "analyze", "biot_savart_eval", "boundary_trace",
-    "cart_to_sph_points", "cart_to_sph_vector", "check_compatibility",
-    "circulation_diagnostic", "far_field_coeffs", "harmonicity_check",
-    "make_grids", "mode_degrees", "mode_index", "partial_slip_project",
-    "phf_field", "planar_moments", "read_points", "read_polar", "read_vfld",
-    "read_vshc", "solve_exterior", "spectral_curl", "spectral_div",
-    "spectral_grad", "sph_to_cart_points", "sph_to_cart_vector",
-    "sphere_points", "surface_integral", "synthesize", "synthesize_at",
-    "verify_pseudoharmonic", "write_points", "write_polar", "write_vfld",
-    "write_vshc"]
+    "DEFAULT_TOL", "FileFormatError", "IncompatibilityError", "PlanarGeometry",
+    "PolarGrid", "ProximityError", "PseudoHarmonicReport", "REFUSE_TOL",
+    "RadialGrid", "SampledField", "ScalarSpectral", "SpectralField", "analyze",
+    "biot_savart_eval", "boundary_trace", "cart_to_sph_points",
+    "cart_to_sph_vector", "check_compatibility", "circulation_diagnostic",
+    "far_field_coeffs", "make_grids", "mode_degrees", "mode_index",
+    "partial_slip_project", "phf_field", "planar_moments", "read_points",
+    "read_polar", "read_vfld", "read_vshc", "solve_exterior", "spectral_curl",
+    "spectral_div", "spectral_grad", "sph_to_cart_points",
+    "sph_to_cart_vector", "sphere_points", "surface_integral", "synthesize",
+    "synthesize_at", "verify_pseudoharmonic", "write_points", "write_polar",
+    "write_vfld", "write_vshc"]

@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .frames import as_points, sph_to_cart_points, spherical_frame
+from .frames import finite_points, sph_to_cart_points, spherical_frame
 
 __all__ = ["biot_savart_eval", "circulation_diagnostic", "sphere_points",
            "ProximityError"]
@@ -175,9 +175,7 @@ def biot_savart_eval(field, pts, threads=1):
     ProximityError
         when a point violates the separation above
     """
-    pts = as_points(pts)
-    if not np.isfinite(pts).all():
-        raise ValueError("evaluation points must be finite")
+    pts = finite_points(pts)
     if not np.isfinite(field.values).all():
         raise ValueError("source field values must be finite")
     r0 = field.radial.r0
@@ -299,11 +297,8 @@ def circulation_diagnostic(v_sphere, angular, R, field):
         enclosing R (and both vanish for zero-mean sources); the caller
         compares them.
     """
-    v = np.asarray(v_sphere, dtype=complex)
-    v = v.reshape(angular.n_theta, angular.n_phi, 3)
-    T, P = np.meshgrid(angular.theta, angular.phi, indexing="ij")
-    n = sph_to_cart_points(np.ones_like(T), T, P)
-    integrand = np.cross(n, v)
+    v = np.asarray(v_sphere, dtype=complex).reshape(angular.n_theta, angular.n_phi, 3)
+    integrand = np.cross(sphere_points(angular, 1.0).reshape(v.shape), v)
     w = angular.w_ct[:, None] * angular.w_phi
     surface = R ** 2 * np.einsum("tp,tpc->c", w, integrand)
 

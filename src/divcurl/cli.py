@@ -10,12 +10,13 @@ Command-line front-end: scriptable subcommands over the text formats.
     divcurl verify     IN.vshc  [--out FILE]
     divcurl biot       IN.vfld  --points FILE [--threads n] [--out FILE]
     divcurl moments2d  IN.pfld  [--geometry KIND] [--kmax K] [--out FILE]
-    divcurl selftest
+    divcurl selftest   [--out FILE]
 
-Data goes to --out when given, else to stdout; diagnostics (boundary
-traces, solver warnings) go to stderr so piped output stays clean.  All
-numbers are printed at full double precision, `%.17g`, and every listing
-is ordered deterministically (l ascending, m ascending, channels r, psi,
+Data goes to --out when given, else to stdout; `check` and `verify`
+print to stdout and also write --out.  Diagnostics (boundary traces,
+solver warnings) go to stderr so piped output stays clean.  All numbers
+are printed at full double precision, `%.17g`, and every listing is
+ordered deterministically (l ascending, m ascending, channels r, psi,
 phi), so repeated runs with the same inputs are byte-identical.
 
 Exit codes: 0 success, 1 operational failure (incompatible data, point
@@ -136,11 +137,7 @@ def cmd_moments2d(args):
     lines = ["k\tre\tim"]
     lines += ["%d\t%.17g\t%.17g" % (k, table[k].real, table[k].imag)
               for k in sorted(table)]
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _dump(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _dump("\n".join(lines) + "\n", _out_or_stdout(args))
 
 
 ############################################
@@ -248,9 +245,8 @@ def cmd_selftest(args):
         failed = failed or not ok
         rows.append((name, value, bound, "PASS" if ok else "FAIL"))
     width = max(len(r[0]) for r in rows)
-    for name, value, bound, status in rows:
-        print("%-*s  %12.5e  (bound %8.1e)  %s"
-              % (width, name, value, bound, status))
+    _dump("".join("%-*s  %12.5e  (bound %8.1e)  %s\n" % (width, *row)
+                  for row in rows), _out_or_stdout(args))
     return 1 if failed else 0
 
 

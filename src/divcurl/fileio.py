@@ -67,7 +67,8 @@ import math
 
 import numpy as np
 
-from .grids import AngularGrid, RadialGrid, SampledField
+from .frames import finite_points
+from .grids import AngularGrid, RadialGrid, SampledField, node_tolerance
 from .planar import PlanarGeometry, PolarGrid
 from .transform import SpectralField
 
@@ -352,8 +353,7 @@ def radial_from_nodes(r0, rmax, nodes, path="<nodes>", lineno=0):
     """
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
-    scale = max(abs(r0), abs(rmax), 1.0)
-    tol = 1e-9 * scale
+    tol = node_tolerance(r0, rmax)
     for p in range(n, 1, -1):
         if n % p:
             continue
@@ -425,7 +425,7 @@ def read_vfld(path):
         angular = AngularGrid(n_theta, n_phi)
         _check_nodes(path, lineno, nodes,
                      (radial.r, angular.theta, angular.phi),
-                     1e-9 * max(rmax, 1.0))
+                     node_tolerance(r0, rmax))
     return SampledField(radial, angular, v.reshape(n_r, n_theta, n_phi, 3))
 
 
@@ -509,18 +509,18 @@ def read_points(path):
 
 
 def write_points(path, pts):
-    """Write an (n, 3) array as `x y z` rows."""
-    pts = np.asarray(pts, dtype=float)
+    """Write (n, 3) finite points, or one (3,) point, as `x y z` rows."""
+    pts = finite_points(pts)
     with _output(path) as fh:
-        _write_rows(fh, len(pts), pts.shape[1], lambda lo, hi: pts[lo:hi])
+        _write_rows(fh, len(pts), 3, lambda lo, hi: pts[lo:hi])
 
 
 def write_eval_table(path, pts, values):
     """
     Write point evaluations as rows `x y z vx_re vx_im vy_re vy_im
-    vz_re vz_im`.
+    vz_re vz_im`; pts as for write_points.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts = finite_points(pts)
     values = np.ascontiguousarray(values, dtype=complex)
     with _output(path) as fh:
         if not len(pts):
@@ -588,5 +588,5 @@ def read_polar(path):
         radial = radial_from_nodes(lo, hi, nodes[::n_phi, 0], path, lineno(0))
         grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=radial.breakpoints)
         _check_nodes(path, lineno, nodes, (grid.rho, grid.phi),
-                     1e-9 * max(hi, 1.0))
+                     node_tolerance(lo, hi))
     return samples.reshape(n_rho, n_phi), grid, geom

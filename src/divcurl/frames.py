@@ -66,6 +66,13 @@ def as_points(pts):
     return pts
 
 
+def finite_points(pts):
+    """as_points(pts), refusing NaN or infinite coordinates with ValueError."""
+    if not np.isfinite(pts := as_points(pts)).all():
+        raise ValueError("evaluation points must be finite")
+    return pts
+
+
 def cart_to_sph_points(pts):
     """Cartesian (..., 3) points -> (r, theta, phi) with theta in [0, pi]."""
     pts = np.asarray(pts, dtype=float)

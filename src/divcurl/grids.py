@@ -30,6 +30,11 @@ __all__ = ["AngularGrid", "RadialGrid", "SampledField", "make_grids",
 _EVAL_BLOCK = 1 << 17    # entries of the (nodes, n, n) temporary K is built from
 
 
+def node_tolerance(lo, hi):
+    """Tolerance for matching nodes or grid ends on [lo, hi] to the grid they claim."""
+    return 1e-9 * max(abs(lo), abs(hi), 1.0)
+
+
 def _bary_eval_matrix(x, w, pts):
     """
     Rows map samples at nodes x to interpolant values at pts.  A point
@@ -185,13 +190,6 @@ class RadialGrid:
         w = self.w.reshape(self.n_panels, -1, 1)
         ov[1:] += np.cumsum(self._matmul(v[:-1], w[:-1]), axis=0)
         return out
-
-    def tail_integral(self, g):
-        """Cumulative integral from the outer end: integral_{r_i}^{rmax} g(s) ds."""
-        g = np.asarray(g)
-        total = np.asarray(g @ self.w)
-        run = self.running_integral(g)
-        return np.subtract(total[..., None], run, out=run)
 
     def at_r0(self, g):
         """Interpolant of sampled g at the wall r0, equal to interp(g, [r0])[..., 0]."""

@@ -17,7 +17,7 @@ band-limited integrands.
 
 import numpy as np
 
-from .grids import RadialGrid
+from .grids import RadialGrid, node_tolerance
 
 __all__ = ["PolarGrid", "PlanarGeometry", "planar_moments"]
 
@@ -160,9 +160,8 @@ def planar_moments(samples, grid, geom, k_max):
             f"k_max = {k_max} exceeds the angular resolution of n_phi = "
             f"{grid.n_phi}; need k_max <= {(grid.n_phi - 1) // 2}")
     lo, hi = geom.domain()
-    scale = max(1.0, hi)
-    if abs(grid.rho_min - lo) > 1e-9 * scale \
-            or abs(grid.rho_max - hi) > 1e-9 * scale:
+    tol = node_tolerance(lo, hi)
+    if abs(grid.rho_min - lo) > tol or abs(grid.rho_max - hi) > tol:
         raise ValueError(f"grid covers [{grid.rho_min:g}, {grid.rho_max:g}] "
                          f"but the geometry needs [{lo:g}, {hi:g}]")
 

@@ -17,11 +17,9 @@ as a test bench for the exterior solver:
 
 from collections import namedtuple
 
-from .transform import (SpectralField, mode_index, spectral_curl,
-                        spectral_div, spectral_grad)
+from .transform import SpectralField, mode_index, spectral_curl
 
-__all__ = ["phf_field", "verify_pseudoharmonic", "harmonicity_check",
-           "PseudoHarmonicReport"]
+__all__ = ["phf_field", "verify_pseudoharmonic", "PseudoHarmonicReport"]
 
 
 def phf_field(l, m, radial, L_max):
@@ -45,8 +43,6 @@ def phf_field(l, m, radial, L_max):
         raise ValueError(f"family starts at l = 1, got l = {l}")
     if l > L_max:
         raise ValueError(f"l = {l} exceeds L_max = {L_max}")
-    if abs(m) > l:
-        raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
     out = SpectralField(radial, L_max)
     out.coeffs[mode_index(l, m), 2] = radial.r ** (-(l + 1.0))
     return out
@@ -78,19 +74,3 @@ def verify_pseudoharmonic(S):
         return PseudoHarmonicReport(cc.norm() / base, curl_norm, True)
     return PseudoHarmonicReport(cc.norm() / curl_norm, curl_norm, False)
 
-
-def harmonicity_check(l, m, radial, L_max):
-    """
-    Residual of the vector Laplacian -grad(div) + curl(curl) on a family
-    member, relative to the norm of its curl.
-
-    The divergence channel is evaluated by spectral_div (identically zero
-    for the family, which has no Y or Psi content) and the curl-curl
-    channel by two spectral_curl passes, so the returned number measures
-    how well the discrete operators reproduce the harmonicity of
-    Phi_lm / r^(l+1).
-    """
-    S = phf_field(l, m, radial, L_max)
-    lap = spectral_curl(spectral_curl(S))
-    lap.coeffs -= spectral_grad(spectral_div(S)).coeffs
-    return lap.norm() / spectral_curl(S).norm()

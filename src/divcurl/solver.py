@@ -32,12 +32,12 @@ import warnings
 
 import numpy as np
 
-from .transform import SpectralField, mode_index
+from .transform import SpectralField, mode_index, spectral_div
 
-__all__ = ["CompatReport", "FarFieldSpec", "IncompatibilityError",
-           "CompatibilityWarning", "check_compatibility", "solve_exterior",
-           "boundary_trace", "BoundaryTrace", "partial_slip_project",
-           "far_field_coeffs", "radial_moments", "DEFAULT_TOL", "REFUSE_TOL"]
+__all__ = ["CompatReport", "IncompatibilityError", "CompatibilityWarning",
+           "check_compatibility", "solve_exterior", "boundary_trace",
+           "BoundaryTrace", "partial_slip_project", "far_field_coeffs",
+           "radial_moments", "DEFAULT_TOL", "REFUSE_TOL"]
 
 # residuals (scaled by the data norm) below DEFAULT_TOL are clean; between
 # the two thresholds the solver warns and proceeds; beyond REFUSE_TOL it
@@ -62,29 +62,12 @@ class IncompatibilityError(ValueError):
             f"(relative to data norm) exceeds {REFUSE_TOL:g}")
 
 
-class FarFieldSpec:
-    """Prescribed uniform flow at infinity (a real Cartesian 3-vector)."""
-
-    def __init__(self, vinf=(0.0, 0.0, 0.0)):
-        v = np.asarray(vinf, dtype=float)
-        if v.shape != (3,) or not np.all(np.isfinite(v)):
-            raise ValueError("vinf must be a finite Cartesian 3-vector")
-        self.vinf = v
-
-    @property
-    def is_zero(self):
-        return not self.vinf.any()
-
-    def __repr__(self):
-        return f"FarFieldSpec({tuple(self.vinf)})"
-
-
-def _as_far(far):
-    if far is None:
-        return FarFieldSpec()
-    if isinstance(far, FarFieldSpec):
-        return far
-    return FarFieldSpec(far)
+def _vinf(far):
+    """The uniform flow at infinity as a (3,) array; None is no flow."""
+    v = np.zeros(3) if far is None else np.asarray(far, dtype=float)
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError("vinf must be a finite Cartesian 3-vector")
+    return v
 
 
 _L1 = slice(1, 4)       # flat indices l^2 + l + m of the l = 1 modes
@@ -225,17 +208,11 @@ def check_compatibility(f):
         up through its normal trace and divergence.
     """
     rad = f.radial
-    r = rad.r
     fr, f1, f2 = f.coeffs[:, 0], f.coeffs[:, 1], f.coeffs[:, 2]
-    ll1 = (f.ells * (f.ells + 1.0))[:, None]
-
-    # same conservative discretization as spectral_div
-    div = rad.differentiate(r ** 2 * fr)
-    div /= r ** 2
-    solenoid = np.abs(np.subtract(div, ll1 / r * f1, out=div)).max(axis=1)
-
+    solenoid = np.abs(spectral_div(f).coeffs).max(axis=1)
     normal_trace = np.abs(rad.at_r0(fr))
-    boundary_deriv = np.abs(rad.r0 * rad.slope_at_r0(fr) - ll1[:, 0] * rad.at_r0(f1))
+    boundary_deriv = np.abs(rad.r0 * rad.slope_at_r0(fr)
+                            - f.ells * (f.ells + 1.0) * rad.at_r0(f1))
     moment = radial_moments(rad, f2, f.ells)
     return CompatReport(f.ells.copy(), f.ems.copy(), normal_trace, solenoid,
                         boundary_deriv, moment, f.norm())
@@ -253,7 +230,7 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     ----------
     f: SpectralField
         source (vorticity), supported in [r0, rmax]
-    far: FarFieldSpec, 3-vector, or None
+    far: 3-vector or None
         uniform flow at infinity; None means decay to zero
     tol: float
         residuals scaled by the data norm above this emit a
@@ -274,16 +251,16 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
-    far = _as_far(far)
+    vinf = _vinf(far)
     report = check_compatibility(f)
 
-    cfar = _far_l1_coeffs(far.vinf)[:f.n_modes - 1]     # empty when L_max = 0
+    cfar = _far_l1_coeffs(vinf)[:f.n_modes - 1]         # empty when L_max = 0
     required = np.zeros(f.n_modes, dtype=complex)
     # no slip on top of the uniform flow trades the zero moment for
     # M = (2l+1)/(l(l+1)) a_m at l = 1, i.e. 3/2 of the coefficient
     required[_L1] = 1.5 * cfar
 
-    denom = report.field_norm + float(np.linalg.norm(far.vinf)) or 1.0
+    denom = report.field_norm + float(np.linalg.norm(vinf)) or 1.0
     l_bad, m_bad, name, value = report.worst(required)
     # a NaN or Inf coefficient makes the data norm non-finite
     if not (np.isfinite(denom) and value <= REFUSE_TOL * denom):
@@ -302,7 +279,8 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     fr, f2 = f.coeffs[:, 0], f.coeffs[:, 2]
 
     A = rad.running_integral(_powers(r, f.ells, 2.0, 1) * f2)
-    B = rad.tail_integral(_powers(r, f.ells, 1.0, -1) * f2)
+    B = rad.running_integral(_powers(r, f.ells, 1.0, -1) * f2)
+    np.subtract(report.moment[:, None], B, out=B)      # tail: M - integral to r
     A *= _powers(r, f.ells, -2.0, -1)       # grow
     B *= _powers(r, f.ells, -1.0, 1)        # decay
 
@@ -317,7 +295,7 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     np.divide(-r * fr, safe, out=V.coeffs[:, 2])
     V.coeffs[0] = 0.0                       # no l = 0 content in the solution
 
-    if not far.is_zero:                     # adding +0.0 would flip a -0.0
+    if vinf.any():                          # adding +0.0 would flip a -0.0
         V.coeffs[_L1, :2] += cfar[:, None, None]
     return V
 
@@ -345,11 +323,8 @@ def boundary_trace(V):
         values[k] = (V_r, V_1, V_2) at r0 for mode k; aggregate is the
         L2(sphere) norm using the channel weights (1, l(l+1), l(l+1)).
     """
-    rad = V.radial
-    vals = rad.at_r0(V.coeffs)                          # (n_modes, 3)
-    ll1 = V.ells * (V.ells + 1.0)
-    agg = np.sqrt(np.sum(np.abs(vals[:, 0]) ** 2
-                         + ll1 * (np.abs(vals[:, 1]) ** 2 + np.abs(vals[:, 2]) ** 2)))
+    vals = V.radial.at_r0(V.coeffs)                     # (n_modes, 3)
+    agg = np.sqrt(V._density(vals[..., None])[0])
     return BoundaryTrace(V.ells.copy(), V.ems.copy(), vals, agg)
 
 
@@ -404,7 +379,7 @@ def far_field_coeffs(far, radial, L_max=1):
 
     Parameters
     ----------
-    far: FarFieldSpec or 3-vector
+    far: 3-vector
     radial: RadialGrid
     L_max: int
         band limit of the output (content sits entirely at l = 1)
@@ -414,9 +389,9 @@ def far_field_coeffs(far, radial, L_max=1):
     SpectralField
         c_r = c_1 = the l = 1 expansion coefficients, constant in r.
     """
-    far = _as_far(far)
+    vinf = _vinf(far)
     if L_max < 1:
         raise ValueError("need L_max >= 1 to hold an l = 1 field")
     S = SpectralField(radial, L_max)
-    S.coeffs[_L1, :2] = _far_l1_coeffs(far.vinf)[:, None, None]
+    S.coeffs[_L1, :2] = _far_l1_coeffs(vinf)[:, None, None]
     return S

@@ -338,6 +338,10 @@ def synthesize_at(S, pts):
     rotated to the Cartesian frame.  Points outside [r0, rmax] radially, or
     pts of another shape than (N, 3) or (3,), raise ValueError.
 
+    A point off the radial nodes may change its last bits (~1e-16 relative)
+    with the other points of the call, as BLAS rounds its row of the panel
+    product by the rows around it; a point on a radial node keeps its bits.
+
     Parameters
     ----------
     S: SpectralField

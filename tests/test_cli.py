@@ -435,6 +435,15 @@ def test_selftest_passes(capsys):
     assert "PASS" in stdout and "FAIL" not in stdout
 
 
+def test_selftest_writes_its_table_to_out(tmp_path, capsys):
+    code = main(["selftest"])
+    table = capsys.readouterr().out
+    out = tmp_path / "selftest.txt"
+    assert main(["selftest", "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == table
+
+
 def test_cli_processes_never_import_scipy():
     # scipy's import alone costs a CLI process about 0.3 s of start-up
     code = ("import sys, divcurl.cli\n"

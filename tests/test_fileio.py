@@ -80,6 +80,24 @@ def test_points_round_trip(tmp_path):
     assert np.array_equal(read_points(path), pts)
 
 
+@pytest.mark.parametrize("write, pts, match", [
+    (write_points, np.ones((4, 2)), r"pts must be \(N, 3\), got \(4, 2\)"),
+    (write_points, [[1.0, 2.0, 3.0], [np.nan, 0.0, 0.0]], "evaluation points must be finite"),
+    (write_eval_table, np.ones((4, 2)), r"pts must be \(N, 3\), got \(4, 2\)"),
+    (write_eval_table, [[np.inf, 0.0, 0.0]], "evaluation points must be finite"),
+])
+def test_points_writers_refuse_what_read_points_refuses(tmp_path, write, pts, match):
+    args = () if write is write_points else (np.zeros((len(pts), 3)),)
+    with pytest.raises(ValueError, match=match):
+        write(tmp_path / "pts.txt", pts, *args)
+
+
+def test_write_points_takes_one_point(tmp_path):
+    path = tmp_path / "pts.txt"
+    write_points(path, [1, 2, 3])
+    assert np.array_equal(read_points(path), [[1.0, 2.0, 3.0]])
+
+
 def test_points_skip_blank_lines(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("1 2 3\n\n\n4 5 6\n")

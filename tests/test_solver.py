@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import divcurl.solver as solver
 from divcurl.grids import RadialGrid, make_grids
-from divcurl.solver import (CompatibilityWarning, FarFieldSpec,
-                            IncompatibilityError, boundary_trace,
-                            check_compatibility, far_field_coeffs,
-                            partial_slip_project, radial_moments,
-                            solve_exterior)
+from divcurl.solver import (CompatibilityWarning, IncompatibilityError,
+                            boundary_trace, check_compatibility,
+                            far_field_coeffs, partial_slip_project,
+                            radial_moments, solve_exterior)
 from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
                                spectral_curl, spectral_div, synthesize_at)
 
@@ -391,13 +390,12 @@ def test_uniform_flow_with_matched_source():
     _, rad = _panel_grids(L=2)
     vinf = np.array([0.3, -0.4, 0.5])
     G = _moment_matched_pair(rad)
-    far = FarFieldSpec(vinf)
     f = SpectralField(rad, 2)
-    req = far_field_coeffs(far, rad, L_max=2)
+    req = far_field_coeffs(vinf, rad, L_max=2)
     for m in (-1, 0, 1):
         k = mode_index(1, m)
         f.coeffs[k, 2] = 1.5 * req.coeffs[k, 0, 0] * G
-    U = solve_exterior(f, far)
+    U = solve_exterior(f, vinf)
     assert boundary_trace(U).aggregate < 1e-10
     pts = np.array([[0.0, 0.0, 4.7], [3.1, 2.9, -1.5], [-4.4, 0.3, 0.8]])
     vals = synthesize_at(U, pts)
@@ -406,12 +404,14 @@ def test_uniform_flow_with_matched_source():
 
 
 def test_far_spec_validation():
-    with pytest.raises(ValueError):
-        FarFieldSpec((1.0, 2.0))
-    with pytest.raises(ValueError):
-        FarFieldSpec((np.nan, 0.0, 0.0))
-    assert FarFieldSpec().is_zero
-    assert not FarFieldSpec((0.0, 1.0, 0.0)).is_zero
+    # both entry points refuse a far field that is not a finite 3-vector
+    _, rad = _panel_grids(L=2)
+    f = SpectralField(rad, 2)
+    for bad in ((1.0, 2.0), (np.nan, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="vinf must be a finite Cartesian 3-vector"):
+            solve_exterior(f, bad)
+        with pytest.raises(ValueError, match="vinf must be a finite Cartesian 3-vector"):
+            far_field_coeffs(bad, rad, L_max=2)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])

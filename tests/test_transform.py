@@ -383,6 +383,27 @@ def test_synthesize_at_blocks_keep_every_bit_on_radial_nodes(monkeypatch,
     assert synthesize_at(S, pts).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("per_call", [1, 7, 37])
+def test_synthesize_at_split_calls_agree_and_keep_node_bits(per_call):
+    # the other points of a call only move the last bits of a point off the
+    # radial nodes; on a node its interpolation row is exact in any call
+    _, rad = make_grids(1.0, 5.0, 64, 8)
+    S = _random_spectral(rad, 8, seed=36)
+    rng = np.random.default_rng(37)
+    n = 600
+    angles = (np.arccos(rng.uniform(-1.0, 1.0, n)), rng.uniform(0.0, 2.0 * np.pi, n))
+    for r, exact in ((rng.uniform(rad.r0, rad.rmax, n), False),
+                     (rng.choice(rad.r, n), True)):
+        pts = sph_to_cart_points(r, *angles)
+        whole = synthesize_at(S, pts)
+        split = np.vstack([synthesize_at(S, pts[i:i + per_call])
+                           for i in range(0, n, per_call)])
+        if exact:
+            assert split.tobytes() == whole.tobytes()
+        else:
+            assert np.abs(split - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
 @pytest.mark.parametrize("bad", [(5, 4), (5, 2), (2, 3, 3), (4,)])
 def test_synthesize_at_rejects_points_not_n_by_3(bad):
     _, rad = _grids()
