@@ -30,8 +30,8 @@ from .biotsavart import (ProximityError, biot_savart_eval,
 from .fileio import (FileFormatError, read_points, read_polar, read_vfld,
                      read_vshc, write_points, write_polar, write_vfld,
                      write_vshc)
-from .frames import (cart_to_sph_points, cart_to_sph_vector,
-                     sph_to_cart_points, sph_to_cart_vector)
+from .frames import (cart_to_sph_points, sph_to_cart_points,
+                     sph_to_cart_vector)
 from .grids import (AngularGrid, RadialGrid, SampledField, make_grids,
                     surface_integral)
 from .planar import PlanarGeometry, PolarGrid, planar_moments
@@ -53,11 +53,11 @@ __all__ = [
     "PolarGrid", "ProximityError", "PseudoHarmonicReport", "REFUSE_TOL",
     "RadialGrid", "SampledField", "ScalarSpectral", "SpectralField", "analyze",
     "biot_savart_eval", "boundary_trace", "cart_to_sph_points",
-    "cart_to_sph_vector", "check_compatibility", "circulation_diagnostic",
-    "far_field_coeffs", "make_grids", "mode_degrees", "mode_index",
-    "partial_slip_project", "phf_field", "planar_moments", "read_points",
-    "read_polar", "read_vfld", "read_vshc", "solve_exterior", "spectral_curl",
-    "spectral_div", "spectral_grad", "sph_to_cart_points",
-    "sph_to_cart_vector", "sphere_points", "surface_integral", "synthesize",
-    "synthesize_at", "verify_pseudoharmonic", "write_points", "write_polar",
-    "write_vfld", "write_vshc"]
+    "check_compatibility", "circulation_diagnostic", "far_field_coeffs",
+    "make_grids", "mode_degrees", "mode_index", "partial_slip_project",
+    "phf_field", "planar_moments", "read_points", "read_polar", "read_vfld",
+    "read_vshc", "solve_exterior", "spectral_curl", "spectral_div",
+    "spectral_grad", "sph_to_cart_points", "sph_to_cart_vector",
+    "sphere_points", "surface_integral", "synthesize", "synthesize_at",
+    "verify_pseudoharmonic", "write_points", "write_polar", "write_vfld",
+    "write_vshc"]

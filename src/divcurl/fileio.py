@@ -53,12 +53,13 @@ rows than can be allocated raise FileFormatError whose message carries the
 path and 1-based line number of the offending line.
 
 Files are streamed, and each line is read once, so a pipe reads like a
-file.  Readers parse the header line by line, then every body by one
-method, _Lines.body: chunks of about _READ_NUMBERS numbers, each parsed by
-one numpy.loadtxt call and written straight into the returned arrays.
-Only a chunk that fails is parsed again line by line, from its own text,
-to name the first bad line.  Writers format about _BLOCK fields per `%`
-operation and write each block as made.
+file.  One chunk size, _CHUNK = 9,216 numbers, bounds the text that
+readers and writers hold.  Readers parse the header line by line, then
+every body by one method, _Lines.body: chunks of about _CHUNK numbers,
+each parsed by one numpy.loadtxt call and written straight into the
+returned arrays.  Only a chunk that fails is parsed again line by line,
+from its own text, to name the first bad line.  Writers format about
+_CHUNK fields per `%` operation and write each chunk as made.
 """
 
 import contextlib
@@ -78,8 +79,7 @@ __all__ = ["FileFormatError", "read_vfld", "write_vfld", "read_vshc",
 
 CHANNELS = ("r", "psi", "phi")
 
-_BLOCK = 1 << 15         # fields per `%` operation; bounds a writer's buffers
-_READ_NUMBERS = 9 << 10  # numbers per numpy.loadtxt call; bounds a reader's buffers
+_CHUNK = 9 << 10    # numbers per `%` or numpy.loadtxt call; bounds the text buffers
 
 
 class FileFormatError(ValueError):
@@ -120,11 +120,11 @@ def _write_rows(fh, n, width, block, head=""):
     """
     Write n rows of `head` (%s fields) and then width numbers at %.17g.
     block(lo, hi) returns the fields of rows lo..hi-1 as a 2-D array; it
-    is called for about _BLOCK fields at a time, each block formatted by
+    is called for about _CHUNK fields at a time, each block formatted by
     one `%`.
     """
     fmt = head + " ".join(["%.17g"] * width) + "\n"
-    step = max(1, _BLOCK // fmt.count("%"))
+    step = max(1, _CHUNK // fmt.count("%"))
     for lo in range(0, n, step):
         b = block(lo, min(lo + step, n))
         fh.write((fmt * len(b)) % tuple(b.ravel().tolist()))
@@ -149,7 +149,7 @@ def _grid_rows(axes, values):
 
 def _check_nodes(path, lineno, rows, axes, tol):
     """Fail at the row farthest from its grid node, if more than tol off."""
-    shape, step = [len(a) for a in axes], _READ_NUMBERS // len(axes)
+    shape, step = [len(a) for a in axes], _CHUNK // len(axes)
     worst, bad = 0.0, 0
     for lo in range(0, len(rows), step):
         at = np.unravel_index(np.arange(lo, min(lo + step, len(rows))), shape)
@@ -259,14 +259,14 @@ class _Lines:
     def body(self, count, what, n=None, head=None):
         """
         Yield the next n rows (n None: all) of count finite numbers as
-        (array, line numbers), in chunks of at most _READ_NUMBERS numbers;
+        (array, line numbers), in chunks of at most _CHUNK numbers;
         with head, row i starts with the tokens head(i) (see floats).
         Each chunk is one numpy.loadtxt call.  If that fails (or skips a
         blank line), floats parses the same text line by line, and the
         rows before the first bad line are yielded before it is named, so
         a caller's own checks of those rows still come first.
         """
-        lo, step = 0, max(1, _READ_NUMBERS // count)
+        lo, step = 0, max(1, _CHUNK // count)
         while n is None or lo < n:
             first = self.next(None if n is None else what if head is None
                               else what % tuple(head(lo)))

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "spherical_frame",
     "sph_to_cart_vector",
-    "cart_to_sph_vector",
     "sph_to_cart_points",
     "cart_to_sph_points",
 ]
@@ -41,14 +40,6 @@ def sph_to_cart_vector(v_r, v_t, v_p, theta, phi):
     return (np.asarray(v_r)[..., None] * rhat
             + np.asarray(v_t)[..., None] * thetahat
             + np.asarray(v_p)[..., None] * phihat)
-
-
-def cart_to_sph_vector(v_cart, theta, phi):
-    """Inverse of sph_to_cart_vector: (..., 3) Cartesian -> (v_r, v_t, v_p)."""
-    rhat, thetahat, phihat = spherical_frame(theta, phi)
-    v = np.asarray(v_cart)
-    return ((v * rhat).sum(axis=-1), (v * thetahat).sum(axis=-1),
-            (v * phihat).sum(axis=-1))
 
 
 def sph_to_cart_points(r, theta, phi):

@@ -81,10 +81,6 @@ class AngularGrid:
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self.w_phi = 2.0 * np.pi / self.n_phi
 
-    def __eq__(self, other):
-        return (isinstance(other, AngularGrid) and self.n_theta == other.n_theta
-                and self.n_phi == other.n_phi)
-
     def __repr__(self):
         return f"AngularGrid(n_theta={self.n_theta}, n_phi={self.n_phi})"
 
@@ -240,12 +236,6 @@ class RadialGrid:
             out[at] = self.eval_matrix(p, pts[at]) @ rows[:, p * n:(p + 1) * n].T
         return out.T.reshape(g.shape[:-1] + (pts.size,))
 
-    def __eq__(self, other):
-        return (isinstance(other, RadialGrid)
-                and self.nodes_per_panel == other.nodes_per_panel
-                and self.breakpoints.size == other.breakpoints.size
-                and np.allclose(self.breakpoints, other.breakpoints, rtol=1e-12, atol=0))
-
     def __repr__(self):
         return (f"RadialGrid([{self.r0:g}, {self.rmax:g}], {self.n_panels} panels x "
                 f"{self.nodes_per_panel} nodes)")
@@ -272,9 +262,6 @@ class SampledField:
     def zeros(cls, radial, angular):
         return cls(radial, angular,
                    np.zeros((radial.n_r, angular.n_theta, angular.n_phi, 3), dtype=complex))
-
-    def copy(self):
-        return SampledField(self.radial, self.angular, self.values.copy())
 
 
 ############################################

@@ -87,15 +87,15 @@ class PlanarGeometry:
     def __init__(self, kind, r0, r1=None, R_sup=None):
         if kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
-        if r0 <= 0:
+        if not r0 > 0:                    # NaN radii fail every test
             raise ValueError(f"r0 must be positive, got {r0}")
         if kind == "annulus":
-            if r1 is None or r1 <= r0:
+            if r1 is None or not r1 > r0:
                 raise ValueError("annulus needs r1 > r0")
         elif r1 is not None:
             raise ValueError(f"r1 is only meaningful for an annulus")
         if kind == "exterior":
-            if R_sup is None or R_sup <= r0:
+            if R_sup is None or not R_sup > r0:
                 raise ValueError("exterior needs a support radius R_sup > r0")
         elif R_sup is not None:
             raise ValueError("R_sup is only meaningful for the exterior kind")

@@ -135,6 +135,7 @@ class CompatReport:
 
     COLUMNS = ("l", "m", "normal_trace", "solenoid", "boundary_deriv",
                "moment_re", "moment_im")
+    _KINDS = ("normal_trace", "solenoid", "boundary_deriv", "moment")
 
     def __init__(self, ells, ems, normal_trace, solenoid, boundary_deriv,
                  moment, field_norm):
@@ -169,27 +170,18 @@ class CompatReport:
         """
         gap = np.abs(self.moment if required_moment is None
                      else self.moment - required_moment)
-        gap = np.where(self.ells >= 1, gap, 0.0)
-        stack = {"normal_trace": self.normal_trace, "solenoid": self.solenoid,
-                 "boundary_deriv": self.boundary_deriv, "moment": gap}
-        best = (0, 0, "normal_trace", -1.0)
-        for name, arr in stack.items():
-            k = int(np.argmax(arr))         # the first NaN, if there is one
-            if not arr[k] <= best[3]:       # true for a NaN, which wins
-                best = (int(self.ells[k]), int(self.ems[k]), name, float(arr[k]))
-                if np.isnan(arr[k]):
-                    break
-        return best
+        table = np.stack([self.normal_trace, self.solenoid, self.boundary_deriv,
+                          np.where(self.ells >= 1, gap, 0.0)])
+        kind, k = divmod(int(np.argmax(table)), table.shape[1])  # first NaN wins
+        return (int(self.ells[k]), int(self.ems[k]), self._KINDS[kind],
+                float(table[kind, k]))
 
     def as_table(self):
         """Tab-separated text table, one row per mode (l asc, m asc)."""
-        lines = ["\t".join(self.COLUMNS)]
-        for k in range(self.ells.size):
-            row = (self.ells[k], self.ems[k], self.normal_trace[k],
-                   self.solenoid[k], self.boundary_deriv[k],
-                   self.moment[k].real, self.moment[k].imag)
-            lines.append("%d\t%d\t%.17g\t%.17g\t%.17g\t%.17g\t%.17g" % row)
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack([self.ells, self.ems, self.normal_trace, self.solenoid,
+                                self.boundary_deriv, self.moment.real, self.moment.imag])
+        row = "\n%d\t%d" + "\t%.17g" * 5
+        return "\t".join(self.COLUMNS) + row * len(rows) % tuple(rows.ravel().tolist()) + "\n"
 
 
 def check_compatibility(f):

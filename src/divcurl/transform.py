@@ -126,10 +126,6 @@ class SpectralField(_Profiles):
         self.coeffs[0, 1:] = 0.0
 
     @property
-    def r0(self):
-        return self.radial.r0
-
-    @property
     def n_modes(self):
         return self.coeffs.shape[0]
 

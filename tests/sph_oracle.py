@@ -1,6 +1,8 @@
 """
 Reference spherical harmonics from scipy.special.sph_harm_y, independent
-of the package's own Legendre tables.
+of the package's own Legendre tables, and the Cartesian -> spherical-frame
+vector conversion written from the frame formulas, independent of
+divcurl.frames.
 
 The conventions are the package's: fully normalized, Condon-Shortley phase
 included, Y_l^{-m} = (-1)^m conj(Y_l^m).  The vector harmonics are
@@ -24,3 +26,17 @@ def vector(kind, l, m, theta, phi):
     if kind == "Psi":
         return zero, psi_t, psi_p
     return zero, -psi_p, psi_t
+
+
+def cart_to_sph_vector(v_cart, theta, phi):
+    """
+    (..., 3) Cartesian components -> (v_r, v_theta, v_phi), the projections
+    on rhat = (st cp, st sp, ct), thetahat = (ct cp, ct sp, -st) and
+    phihat = (-sp, cp, 0); angles broadcast against the leading axes.
+    """
+    v = np.asarray(v_cart)
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    return (vx * (st * cp) + vy * (st * sp) + vz * ct,
+            vx * (ct * cp) + vy * (ct * sp) - vz * st,
+            -vx * sp + vy * cp)

@@ -319,8 +319,10 @@ def test_phf_then_verify(tmp_path, capsys):
                  "--lmax", "6", "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert "curl-curl residual" in err
-    assert main(["verify", str(out)]) == 0
+    table = tmp_path / "verify.txt"
+    assert main(["verify", str(out), "--out", str(table)]) == 0
     stdout = capsys.readouterr().out
+    assert table.read_text() == stdout          # --out gets the same lines
     lines = dict(s.split(" ", 1) for s in stdout.strip().split("\n"))
     assert float(lines["residual"]) < 1e-8
     assert float(lines["curl_norm"]) > 1e-3

@@ -116,6 +116,8 @@ def test_polar_round_trip(tmp_path):
     assert np.array_equal(back, samples)
     assert geom2.kind == "annulus" and geom2.r1 == 2.0
     assert np.allclose(g2.rho, g.rho, rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match=r"samples shape \(9, 24\) does not match"):
+        write_polar(path, samples.T, g, geom)
 
 
 def test_writes_are_byte_identical(tmp_path):
@@ -153,6 +155,11 @@ def test_radial_reconstruction_rejects_garbage():
     nodes = np.linspace(1.0, 5.0, 16)       # equispaced, not Gauss-Legendre
     with pytest.raises(FileFormatError, match="not a recognizable"):
         radial_from_nodes(1.0, 5.0, nodes, "junk.vshc", 6)
+    # Gauss panels on [1, 2] and [4, 5]: each block fits, but they leave a gap
+    xi = np.polynomial.legendre.leggauss(4)[0]
+    gap = np.concatenate([1.5 + 0.5 * xi, 4.5 + 0.5 * xi])
+    with pytest.raises(FileFormatError, match="not a recognizable"):
+        radial_from_nodes(1.0, 5.0, gap)
 
 
 ############################################
@@ -333,7 +340,7 @@ def _written(write, *args):
 def test_writers_match_per_number_loops(monkeypatch, block, n_phi):
     # block 50 forces many blocks, most of them cut inside a row's fields
     if block is not None:
-        monkeypatch.setattr(fileio, "_BLOCK", block)
+        monkeypatch.setattr(fileio, "_CHUNK", block)
     rng = np.random.default_rng(n_phi)
     _, rad = make_grids(1.0, 5.0, 16, 3, breakpoints=[1.0, 2.0, 5.0])
     ang = AngularGrid(5, n_phi)
@@ -497,14 +504,14 @@ def test_readers_reject_non_finite_numbers(tmp_path, bad):
 
 @pytest.mark.parametrize("rows", [1, 7, 64])
 def test_vfld_chunks_keep_every_bit_and_line(monkeypatch, tmp_path, rows):
-    # the body is parsed _READ_NUMBERS numbers (rows of 9) at a time: the
+    # the body is parsed _CHUNK numbers (rows of 9) at a time: the
     # values and every diagnostic are those of one whole-body parse
     ang, rad = make_grids(1.0, 5.0, 16, 3, breakpoints=[1.0, 2.0, 5.0])
     field = synthesize(_random_spectral(rad, 3, 4), ang)
     path = tmp_path / "f.vfld"
     write_vfld(path, field)
     default = read_vfld(path).values
-    monkeypatch.setattr(fileio, "_READ_NUMBERS", 9 * rows)
+    monkeypatch.setattr(fileio, "_CHUNK", 9 * rows)
     assert read_vfld(path).values.tobytes() == default.tobytes()
 
     text = path.read_text().split("\n")          # 6 header lines, then rows
@@ -559,7 +566,7 @@ def _vshc_mode_line(text, line, k, tok):
 @pytest.mark.parametrize("rows", [1, 3, None])
 def test_vshc_chunks_keep_every_bit_and_line(monkeypatch, tmp_path, rows,
                                              edit, message):
-    # the body is parsed _READ_NUMBERS numbers (rows of 32) at a time, the
+    # the body is parsed _CHUNK numbers (rows of 32) at a time, the
     # default being one chunk: the coefficients and every diagnostic are
     # those of one whole-body parse, blank lines skipped
     _, rad = make_grids(1.0, 5.0, 16, 2)
@@ -567,7 +574,7 @@ def test_vshc_chunks_keep_every_bit_and_line(monkeypatch, tmp_path, rows,
     path = tmp_path / "c.vshc"
     write_vshc(path, S)
     if rows is not None:
-        monkeypatch.setattr(fileio, "_READ_NUMBERS", 32 * rows)
+        monkeypatch.setattr(fileio, "_CHUNK", 32 * rows)
     assert read_vshc(path).coeffs.tobytes() == S.coeffs.tobytes()
     text = path.read_text().split("\n")[:-1]
     assert len(text) == 33
@@ -585,6 +592,7 @@ def test_vshc_chunks_keep_every_bit_and_line(monkeypatch, tmp_path, rows,
     (["kind exterior", "r0 2", "rsup 2"], 4,
      "exterior needs a support radius R_sup > r0"),
     (["kind disk", "r0 -1"], 3, "r0 must be positive, got -1.0"),
+    (["kind square", "r0 1"], 2, "kind must be disk, exterior, or annulus"),
 ])
 def test_pfld_geometry_refused_at_its_header_line(tmp_path, header, line,
                                                   message):
@@ -593,6 +601,28 @@ def test_pfld_geometry_refused_at_its_header_line(tmp_path, header, line,
     with pytest.raises(FileFormatError) as err:
         read_polar(path)
     assert str(err.value) == "%s: line %d: %s" % (path, line, message)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("key.vfld", "vfld 1\nr0 1\nrmax 5\nnr 4\nnphi 3\n",
+     "line 5: expected 'ntheta <value>', got 'nphi 3'"),
+    ("int.vfld", "vfld 1\nr0 1\nrmax 5\nnr 4.5\n", "line 4: nr is not an integer: '4.5'"),
+    ("size.vfld", "vfld 1\nr0 1\nrmax 5\nnr 4\nntheta 0\nnphi 3\n",
+     "line 6: grid sizes must be positive"),
+    ("size.pfld", "pfld 1\nkind disk\nr0 1\nnrho 8\nnphi -1\n",
+     "line 5: grid sizes must be positive"),
+    ("nr.vshc", "vshc 1\nr0 1\nrmax 5\nnr 0\nlmax 2\n",
+     "line 5: nr must be positive and lmax nonnegative"),
+    ("lmax.vshc", "vshc 1\nr0 1\nrmax 5\nnr 4\nlmax -1\n",
+     "line 5: nr must be positive and lmax nonnegative"),
+])
+def test_header_errors_name_their_line(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    read = {"vfld": read_vfld, "vshc": read_vshc, "pfld": read_polar}[path.suffix[1:]]
+    with pytest.raises(FileFormatError) as err:
+        read(path)
+    assert str(err.value) == "%s: %s" % (path, message)
 
 
 def test_vshc_grid_refused_at_its_node_line(tmp_path):

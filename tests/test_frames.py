@@ -4,9 +4,9 @@ Conversions between Cartesian and spherical coordinates and vector frames.
 
 import numpy as np
 
-from divcurl.frames import (cart_to_sph_points, cart_to_sph_vector,
-                            sph_to_cart_points, sph_to_cart_vector,
-                            spherical_frame)
+from divcurl.frames import (cart_to_sph_points, sph_to_cart_points,
+                            sph_to_cart_vector, spherical_frame)
+from sph_oracle import cart_to_sph_vector
 
 
 ############################################

@@ -140,6 +140,8 @@ def test_radial_grid_rejects_bad_breakpoints():
     for bad in ([1.0, np.nan, 5.0], [1.0, np.inf], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="finite"):
             RadialGrid(bad, 8)
+    with pytest.raises(ValueError, match="need at least 2 nodes per panel"):
+        RadialGrid([1.0, 2.0], 1)
 
 
 @pytest.mark.filterwarnings("error")      # the finite check comes before any breakpoints
@@ -154,6 +156,10 @@ def test_make_grids_validation():
         make_grids(1.0, 5.0, 63, 8, breakpoints=[1.0, 2.0, 5.0])
     with pytest.raises(ValueError, match="finite"):
         make_grids(1.0, np.inf, 64, 4)
+    with pytest.raises(ValueError, match="need n_r >= 4"):
+        make_grids(1.0, 5.0, 3, 8)
+    with pytest.raises(ValueError, match="need L_max >= 1"):
+        make_grids(1.0, 5.0, 64, 0)
 
 
 ############################################
@@ -322,6 +328,11 @@ def test_sphere_area():
     ang = AngularGrid(9, 17)
     one = np.ones((9, 17))
     assert abs(surface_integral(ang, one) - 4.0 * np.pi) < 1e-13
+    with pytest.raises(ValueError, match=r"sample shape \(17, 9\) does not match"):
+        surface_integral(ang, one.T)
+    for n_theta, n_phi in ((0, 17), (9, 0)):
+        with pytest.raises(ValueError, match="angular node counts must be positive"):
+            AngularGrid(n_theta, n_phi)
 
 
 def test_harmonic_products_integrate_exactly():
@@ -333,11 +344,6 @@ def test_harmonic_products_integrate_exactly():
     assert abs(surface_integral(ang, y32 * np.conj(y32)) - 1.0) < 1e-12
     assert abs(surface_integral(ang, y21)) < 1e-13
     assert abs(surface_integral(ang, y32 * np.conj(y21))) < 1e-13
-
-
-def test_angular_equality():
-    assert AngularGrid(9, 17) == AngularGrid(9, 17)
-    assert AngularGrid(9, 17) != AngularGrid(9, 19)
 
 
 ############################################

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 import sph_oracle
-from divcurl.frames import cart_to_sph_vector, sph_to_cart_points
+from divcurl.frames import sph_to_cart_points
 from divcurl.grids import AngularGrid, RadialGrid, surface_integral
 from divcurl.harmonics import dpbar_table, pbar_table, qbar_table
 from divcurl.transform import (SpectralField, _mode_tables, mode_degrees,
@@ -186,7 +186,7 @@ def _cart(kind, l, m, theta, phi):
 
 def _at(kind, l, m, theta, phi):
     # (v_r, v_theta, v_phi) of the unit mode at a radial node
-    return cart_to_sph_vector(_cart(kind, l, m, theta, phi), theta, phi)
+    return sph_oracle.cart_to_sph_vector(_cart(kind, l, m, theta, phi), theta, phi)
 
 
 def test_y21_reference_value():

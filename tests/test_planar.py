@@ -50,6 +50,8 @@ def test_polar_grid_validation():
         PolarGrid(0.0, 1.0, 16, 0)
     with pytest.raises(ValueError):
         PolarGrid(0.0, 1.0, 15, 8, breakpoints=[0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="breakpoints must span"):
+        PolarGrid(0.0, 1.0, 16, 8, breakpoints=[0.0, 0.5, 0.9])
     for kw in ({"rho_max": np.inf}, {"breakpoints": [0.0, np.nan, 1.0]}):
         with pytest.raises(ValueError, match="finite"):
             PolarGrid(**{"rho_min": 0.0, "rho_max": 1.0, "n_rho": 16,
@@ -78,7 +80,19 @@ def test_geometry_validation():
         PlanarGeometry("exterior", 1.0)
     with pytest.raises(ValueError):
         PlanarGeometry("exterior", 1.0, R_sup=0.5)
+    for kind, extra in (("disk", {"R_sup": 2.0}), ("annulus", {"r1": 2.0, "R_sup": 3.0})):
+        with pytest.raises(ValueError, match="R_sup is only meaningful"):
+            PlanarGeometry(kind, 1.0, **extra)
 
+
+@pytest.mark.parametrize("args, kw, message", [
+    (("disk", np.nan), {}, "r0 must be positive, got nan"),
+    (("annulus", 1.0), {"r1": np.nan}, "annulus needs r1 > r0"),
+    (("exterior", 1.0), {"R_sup": np.nan}, "exterior needs a support radius R_sup > r0"),
+])
+def test_geometry_refuses_nan_radii(args, kw, message):
+    with pytest.raises(ValueError, match=message):
+        PlanarGeometry(*args, **kw)
 
 def test_geometry_domains_and_powers():
     disk = PlanarGeometry("disk", 2.0)
@@ -253,3 +267,7 @@ def test_moment_validation():
     other = PlanarGeometry("disk", 3.0)
     with pytest.raises(ValueError):
         planar_moments(f, g, other, 2)
+    # a NaN outer radius made the domain check pass for any grid from r0
+    with pytest.raises(ValueError, match="annulus needs r1 > r0"):
+        planar_moments(np.ones((16, 9)), PolarGrid(1.0, 7.0, 16, 9),
+                       PlanarGeometry("annulus", 1.0, r1=np.nan), 2)

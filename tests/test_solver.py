@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import divcurl.solver as solver
 from divcurl.grids import RadialGrid, make_grids
-from divcurl.solver import (CompatibilityWarning, IncompatibilityError,
-                            boundary_trace, check_compatibility,
+from divcurl.solver import (CompatibilityWarning, CompatReport,
+                            IncompatibilityError, boundary_trace, check_compatibility,
                             far_field_coeffs, partial_slip_project,
                             radial_moments, solve_exterior)
 from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
@@ -267,6 +267,78 @@ def test_as_table_shape():
     float(first[2])
 
 
+def _report(nt=(0, 0, 0, 0), sol=(0, 0, 0, 0), bd=(0, 0, 0, 0), moment=(0, 0, 0, 0)):
+    # a report on the L_max = 1 modes (0, 0), (1, -1), (1, 0), (1, 1)
+    ells, ems = np.array([0, 1, 1, 1]), np.array([0, -1, 0, 1])
+    return CompatReport(ells, ems, *(np.array(a, dtype=float) for a in (nt, sol, bd)),
+                        np.array(moment, dtype=complex), 1.0)
+
+
+def _worst_by_loop(rep, required=None):
+    # the first NaN, else the first maximum, scanning kinds then modes in order
+    gap = np.abs(rep.moment - (0.0 if required is None else required))
+    kinds = [("normal_trace", rep.normal_trace), ("solenoid", rep.solenoid),
+             ("boundary_deriv", rep.boundary_deriv),
+             ("moment", [g if l >= 1 else 0.0 for g, l in zip(gap, rep.ells)])]
+    best = None
+    for name, values in kinds:
+        for k, v in enumerate(values):
+            if np.isnan(v):
+                return (int(rep.ells[k]), int(rep.ems[k]), name, float(v))
+            if best is None or v > best[3]:
+                best = (int(rep.ells[k]), int(rep.ems[k]), name, float(v))
+    return best
+
+
+@pytest.mark.parametrize("rep, want", [
+    # a NaN in a later kind beats a larger finite value in an earlier one
+    (_report(nt=(0, 5, 0, 0), bd=(0, 0, np.nan, np.nan)), (1, 0, "boundary_deriv")),
+    (_report(sol=(0, np.inf, 0, 0), moment=(0, 0, 0, complex(np.nan, 0))), (1, 1, "moment")),
+    # ties go to the earliest kind, then to the lowest mode
+    (_report(nt=(0, 0, 2, 2), sol=(2, 0, 0, 0), moment=(0, 2, 2, 2)), (1, 0, "normal_trace")),
+    (_report(sol=(0, 0, 3, 3), bd=(0, 3, 0, 0)), (1, 0, "solenoid")),
+    (_report(bd=(0, np.inf, np.inf, 1)), (1, -1, "boundary_deriv")),
+    # the l = 0 moment is ignored, even when it is NaN
+    (_report(moment=(100, 1j, 0, -0.5)), (1, -1, "moment")),
+    (_report(moment=(np.nan, 0, 0, 0)), (0, 0, "normal_trace")),
+    (_report(), (0, 0, "normal_trace")),
+])
+def test_worst_picks_first_nan_then_first_maximum(rep, want):
+    got, loop = rep.worst(), _worst_by_loop(rep)
+    assert got[:3] == want == loop[:3]
+    assert got[3] == loop[3] or np.isnan(got[3]) and np.isnan(loop[3])
+    assert all(isinstance(v, t) for v, t in zip(got, (int, int, str, float)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, np.inf, np.nan]),
+                       min_size=24, max_size=24))
+def test_worst_matches_a_loop_over_kinds_and_modes(values):
+    v = np.array(values)
+    moment = np.zeros(4, dtype=complex)
+    moment.real, moment.imag = v[12:16], v[16:20]
+    rep = _report(v[0:4], v[4:8], v[8:12], moment)
+    for required in (None, v[20:24]):
+        with np.errstate(invalid="ignore"):
+            got, want = rep.worst(required), _worst_by_loop(rep, required)
+        assert got[:3] == want[:3]
+        assert got[3] == want[3] or (np.isnan(got[3]) and np.isnan(want[3]))
+
+
+def test_as_table_bytes_match_a_per_row_format():
+    rep = _report(nt=(-0.0, np.nan, np.inf, 1e-300), sol=(0.1, 2.0, -np.inf, 5e-324),
+                  bd=(1.0 / 3.0, 0.0, 1e300, np.nan),
+                  moment=(complex(-0.0, -0.0), complex(np.nan, np.inf),
+                          complex(-np.inf, 0.25), complex(1e-17, -0.0)))
+    rows = ["%d\t%d\t%.17g\t%.17g\t%.17g\t%.17g\t%.17g"
+            % (rep.ells[k], rep.ems[k], rep.normal_trace[k], rep.solenoid[k],
+               rep.boundary_deriv[k], rep.moment[k].real, rep.moment[k].imag)
+            for k in range(4)]
+    text = rep.as_table()
+    assert text == "\n".join(["\t".join(CompatReport.COLUMNS)] + rows) + "\n"
+    assert "\t-0\t-0\n" in text and "\tnan\tinf\n" in text
+
+
 ############################################
 # Partial-slip projection
 
@@ -412,6 +484,8 @@ def test_far_spec_validation():
             solve_exterior(f, bad)
         with pytest.raises(ValueError, match="vinf must be a finite Cartesian 3-vector"):
             far_field_coeffs(bad, rad, L_max=2)
+    with pytest.raises(ValueError, match="need L_max >= 1 to hold an l = 1 field"):
+        far_field_coeffs((1.0, 0.0, 0.0), rad, L_max=0)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])

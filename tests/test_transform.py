@@ -9,7 +9,7 @@ import pytest
 
 import sph_oracle
 from divcurl import transform
-from divcurl.frames import sph_to_cart_points, cart_to_sph_vector
+from divcurl.frames import sph_to_cart_points
 from divcurl.grids import AngularGrid, SampledField, make_grids
 from divcurl.transform import (_POINT_BLOCK, ScalarSpectral, SpectralField,
                                analyze, mode_degrees, mode_index,
@@ -550,6 +550,10 @@ def test_l0_tangential_channels_stay_zero():
     S = SpectralField(rad, 2)
     with pytest.raises(ValueError):
         S.set_mode(0, 0, 1, rad.r)
+    with pytest.raises(ValueError, match="l = 3 exceeds L_max = 2"):
+        S.mode(3, 0)
+    with pytest.raises(ValueError, match=r"coeffs shape \(9, 3, 5\) does not match"):
+        SpectralField(rad, 2, np.zeros((9, 3, 5)))
     coeffs = np.ones((9, 3, rad.n_r), dtype=complex)
     T = SpectralField(rad, 2, coeffs)
     assert np.abs(T.coeffs[0, 1:]).max() == 0.0

@@ -1,0 +1,246 @@
+"""
+Same-bits check: sha256 digests of divcurl's outputs on fixed seeded
+inputs, and a comparison of two trees by them.
+
+    python tools/samebits.py [--root DIR] [--groups G,...] [--seeds 7,3] [--out FILE]
+    python tools/samebits.py --compare REV [--groups G,...] [--seeds 7,3]
+
+The first form runs the divcurl of DIR (default: this checkout; its
+`src/` and `demos/`) and writes a sorted JSON object {name: sha256} to
+FILE (default: stdout).  The inputs are built by the workloads in this
+checkout's `perfbench/`, so two trees see the same workload code.  Groups
+(default: all):
+
+    cli_pipeline     per seed, the benchmark's CLI flow: its input and
+                     output files and each command's stdout, stderr and
+                     exit code
+    commands         check, verify, phf and selftest, and solve clean,
+                     refused, --vinf 1,2,0, --vinf 1,nan,0 and
+                     --partial-slip 3, on each seed's cli_pipeline inputs
+    solve_sweep      per seed and case: the decisions, the CompatReport
+                     arrays, as_table(), worst(), the solutions W and W2
+                     and the boundary trace
+    transform_large  per seed, F, R, D and P of each pooled field
+    demo08           demos/08_cli_pipeline.py: its files, its stdout without
+                     the line naming its temporary directory, its stderr
+                     and exit code
+
+`--compare REV` extracts `git archive REV` to a temporary directory, writes
+the manifest of that tree and of this checkout, each in a fresh process,
+and lists every name whose digest differs or that one side lacks; it exits
+1 if there is any.  Digests depend on the host (BLAS kernels, numpy's SIMD
+paths), so compare manifests made on one machine; none is committed.
+BLAS runs one thread.
+"""
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+HERE = Path(__file__).resolve().parent.parent
+GROUPS = ("cli_pipeline", "commands", "solve_sweep", "transform_large", "demo08")
+
+# run a demo with its temporary directory kept, so its files can be read
+KEEP_TMP = """\
+import runpy, sys, tempfile
+class Kept:
+    def __init__(self, **kw):
+        self.name = tempfile.mkdtemp(**kw)
+    def cleanup(self):
+        pass
+tempfile.TemporaryDirectory = Kept
+runpy.run_path(sys.argv[1], run_name="__main__")
+"""
+
+
+def sha(obj):
+    """Digest of bytes, text, or an array with its dtype and shape."""
+    import numpy as np              # after main has set the BLAS threads
+    if isinstance(obj, str):
+        obj = obj.encode()
+    if not isinstance(obj, bytes):
+        a = np.ascontiguousarray(obj)
+        obj = repr((a.dtype.str, a.shape)).encode() + a.tobytes()
+    return hashlib.sha256(obj).hexdigest()
+
+
+class Manifest:
+    def __init__(self, root, work):
+        self.root, self.work, self.digests = root, work, {}
+        self.env = dict(os.environ, PYTHONPATH=str(root / "src"), **THREADS)
+
+    def add(self, name, obj):
+        self.digests[name] = sha(obj)
+
+    def process(self, name, argv, cwd, env=None):
+        """Run argv; record its stdout, stderr and exit code."""
+        proc = subprocess.run(argv, cwd=cwd, env=env or self.env,
+                              capture_output=True, timeout=600)
+        self.add(name + ".stdout", proc.stdout)
+        self.add(name + ".stderr", proc.stderr)
+        self.add(name + ".code", str(proc.returncode))
+        return proc
+
+    def cli(self, name, args, cwd):
+        return self.process(name, [sys.executable, "-m", "divcurl.cli"] + args, cwd)
+
+
+def cli_inputs(m, workloads, seed, groups):
+    """The cli_pipeline inputs of seed, its flow if asked, and the commands."""
+    work = m.work / ("cli_%d" % seed)
+    work.mkdir()
+    pipeline = workloads.CliPipeline(m.root)
+    pipeline.setup(seed, work)
+    for name in ("source.vfld", "incompatible.vshc", "points.txt"):
+        m.add("cli_pipeline/%d/input/%s" % (seed, name), (work / name).read_bytes())
+    if "cli_pipeline" in groups:
+        for name, args in pipeline.commands():
+            m.cli("cli_pipeline/%d/%s" % (seed, name), args, work)
+        for name in pipeline.OUTPUTS:
+            m.add("cli_pipeline/%d/%s" % (seed, name), (work / name).read_bytes())
+    if "commands" not in groups:
+        return
+    if not (work / "source.vshc").exists():
+        m.cli("commands/%d/analyze" % seed, pipeline.commands()[0][1], work)
+    for name, args in (
+            ("check", ["check", "source.vshc"]),
+            ("verify", ["verify", "source.vshc"]),
+            ("solve", ["solve", "source.vshc"]),
+            ("solve_refused", ["solve", "incompatible.vshc"]),
+            ("solve_vinf", ["solve", "source.vshc", "--vinf", "1,2,0"]),
+            ("solve_vinf_nan", ["solve", "source.vshc", "--vinf", "1,nan,0"]),
+            ("solve_partial_slip", ["solve", "incompatible.vshc", "--partial-slip", "3"])):
+        m.cli("commands/%d/%s" % (seed, name), args, work)
+
+
+def seedless_commands(m):
+    """selftest, phf to stdout and to a file, and verify of that member."""
+    work = m.work / "commands"
+    work.mkdir()
+    m.cli("commands/selftest", ["selftest"], work)
+    phf = ["phf", "--l", "2", "--m", "1", "--nr", "64", "--lmax", "6"]
+    m.cli("commands/phf", phf, work)
+    m.cli("commands/phf_out", phf + ["--out", "phf.vshc"], work)
+    m.add("commands/phf_out/phf.vshc", (work / "phf.vshc").read_bytes())
+    m.cli("commands/verify_member", ["verify", "phf.vshc"], work)
+
+
+def solve_sweep(m, workloads, seed):
+    sweep = workloads.SolveSweep(m.root)
+    sweep.setup(seed, None)
+    for case, result in zip(sweep.cases, sweep.job(0)):
+        report, W, good, bad, W2, projected, trace = result
+        key = "solve_sweep/%d/L%d_r0=%g/" % (seed, case["L"], case["r0"])
+        m.add(key + "decisions", repr((good, bad, projected)))
+        for name in ("normal_trace", "solenoid", "boundary_deriv", "moment",
+                     "field_norm"):
+            m.add(key + "report." + name, getattr(report, name))
+        m.add(key + "as_table", report.as_table())
+        m.add(key + "worst", repr(report.worst()))
+        m.add(key + "W", "None" if W is None else W.coeffs)
+        m.add(key + "W2", "None" if W2 is None else W2.coeffs)
+        m.add(key + "trace", "None" if trace is None else trace.values)
+        m.add(key + "trace.aggregate", "None" if trace is None else repr(trace.aggregate))
+
+
+def transform_large(m, workloads, seed):
+    wl = workloads.TransformLarge(m.root)
+    wl.setup(seed, None)
+    for k in range(wl.POOL):
+        F, R, D, P = wl.job(k)
+        for name, a in (("F", F.values), ("R", R.coeffs), ("D", D.coeffs), ("P", P)):
+            m.add("transform_large/%d/%d/%s" % (seed, k, name), a)
+        del F, R, D, P              # hold one job's arrays at a time
+
+
+def demo08(m):
+    tmp = m.work / "demo08"
+    tmp.mkdir()
+    proc = m.process("demo08/run", [sys.executable, "-c", KEEP_TMP,
+                                    str(m.root / "demos" / "08_cli_pipeline.py")],
+                     tmp, dict(m.env, TMPDIR=str(tmp)))
+    # replaces the raw stdout: the temporary directory is new on every run
+    lines = proc.stdout.decode().splitlines(keepends=True)
+    m.add("demo08/run.stdout", "".join(l for l in lines
+                                       if not l.startswith("working directory:")))
+    for path in sorted(tmp.glob("divcurl_demo_*/*")):
+        m.add("demo08/" + path.name, path.read_bytes())
+
+
+def manifest(root, groups, seeds):
+    sys.path[:0] = [str(root / "src"), str(HERE / "perfbench")]
+    import workloads
+    with tempfile.TemporaryDirectory(prefix="samebits_") as work:
+        m = Manifest(root, Path(work))
+        for seed in seeds:
+            if {"cli_pipeline", "commands"} & groups:
+                cli_inputs(m, workloads, seed, groups)
+            if "solve_sweep" in groups:
+                solve_sweep(m, workloads, seed)
+            if "transform_large" in groups:
+                transform_large(m, workloads, seed)
+        if "commands" in groups:
+            seedless_commands(m)
+        if "demo08" in groups:
+            demo08(m)
+    return dict(sorted(m.digests.items()))
+
+
+def compare(rev, rest):
+    """Manifests of `git archive rev` and of this checkout; the names that differ."""
+    with tempfile.TemporaryDirectory(prefix="samebits_") as tmp:
+        tree = Path(tmp) / "tree"
+        tar = subprocess.run(["git", "-C", str(HERE), "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+            t.extractall(tree, filter="data")
+        sides = []
+        for root in (tree, HERE):
+            out = Path(tmp) / "manifest.json"
+            subprocess.run([sys.executable, __file__, "--root", str(root),
+                            "--out", str(out)] + rest, check=True)
+            sides.append(json.loads(out.read_text()))
+    base, this = sides
+    names = sorted(set(base) | set(this))
+    diff = [n for n in names if base.get(n) != this.get(n)]
+    for n in diff:
+        print("%s: %s" % (n, "only in %s" % rev if n not in this else
+                          "only here" if n not in base else "differs"))
+    print("%d names, %d differ (%s against this checkout)" % (len(names), len(diff), rev))
+    return 1 if diff else 0
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--root", type=Path, default=HERE, help="tree whose divcurl runs")
+    p.add_argument("--groups", default=",".join(GROUPS))
+    p.add_argument("--seeds", default="7,3")
+    p.add_argument("--out", default=None, help="manifest path (default: stdout)")
+    p.add_argument("--compare", metavar="REV", default=None)
+    args = p.parse_args(argv)
+    groups = set(args.groups.split(","))
+    if groups - set(GROUPS):
+        p.error("unknown groups: %s" % ", ".join(sorted(groups - set(GROUPS))))
+    if args.compare is not None:
+        return compare(args.compare, ["--groups", args.groups, "--seeds", args.seeds])
+    seeds = [int(s) for s in args.seeds.split(",")]
+    text = json.dumps(manifest(args.root.resolve(), groups, seeds), indent=1) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    os.environ.update(THREADS)      # before numpy is imported
+    sys.exit(main())
