@@ -480,11 +480,12 @@ def read_vshc(path):
         if n_r < 1 or L_max < 0:
             _fail(path, lines.lineno,
                   "nr must be positive and lmax nonnegative")
-        n, lo = 3 * (L_max + 1) ** 2, 0
-        with _sized(path, lines.lineno, n, 2 * n_r):
-            vals = np.empty((n, 2 * n_r))
+        n, lo, head = 3 * (L_max + 1) ** 2, 0, lines.lineno
         nodes = lines.floats(n_r, "radial nodes")
         radial = radial_from_nodes(r0, rmax, nodes, path, lines.lineno)
+        with _sized(path, head, n, 2 * n_r):
+            out = SpectralField(radial, L_max)      # filled in place, not copied
+        vals = out.coeffs.reshape(n, n_r).view(float)
         for rows, at in lines.body(2 * n_r, "coefficients for mode (%s, %s) "
                                    "channel %s", n, _vshc_head):
             vals[lo:lo + len(rows)] = rows
@@ -494,7 +495,8 @@ def read_vshc(path):
                           "profile must be zero" % CHANNELS[i])
             lo += len(rows)
         lines.done()
-    return SpectralField(radial, L_max, vals.view(complex).reshape(-1, 3, n_r))
+    out.coeffs[0, 1:] = 0.0                         # a -0.0 row reads as +0.0
+    return out
 
 
 ############################################

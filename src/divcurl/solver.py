@@ -26,13 +26,19 @@ moment integrand, the no-slip solution per mode reads
 
 which vanishes at r0 exactly when M_lm = 0 (there A(r0) = 0 and
 B(r0) = M_lm) and decays like r^(-2-l) beyond the support of f.
+
+No step needs every mode at once.  The divergence residual, the data
+norm, the moments, the solve and the projection take the modes in the
+blocks of `transform._mode_blocks`, writing into their outputs, so each
+holds its input, its output and one block's temporaries, and every value
+keeps the bits of one whole-array pass.
 """
 
 import warnings
 
 import numpy as np
 
-from .transform import SpectralField, mode_index, spectral_div
+from .transform import SpectralField, _divergence, _mode_blocks, mode_index
 
 __all__ = ["CompatReport", "IncompatibilityError", "CompatibilityWarning",
            "check_compatibility", "solve_exterior", "boundary_trace",
@@ -91,12 +97,15 @@ def _far_l1_coeffs(vinf):
 # Diagnostics
 
 
-def _powers(r, ells, a, s):
-    """r^(a + s l) on rows of degree l, with one pow per distinct degree."""
+def _powers(r, ells, *pairs):
+    """
+    (row, tables): per (a, s) in pairs a table of r^(a + s l), one pow per
+    distinct degree l; table[row[k]] is the row of degree ells[k].
+    """
     deg, row = np.unique(ells, return_inverse=True)
     if deg.size < 3:        # numpy may take another pow kernel (other bits) for < 3 rows
-        deg, row = np.asarray(ells), slice(None)
-    return (r ** (a + s * deg[:, None]))[row]
+        deg, row = np.asarray(ells), np.arange(len(ells))
+    return row, [r ** (a + s * deg[:, None]) for a, s in pairs]
 
 
 def radial_moments(radial, g, ells):
@@ -119,7 +128,11 @@ def radial_moments(radial, g, ells):
         the pseudo-harmonic family Phi_lm / r^(l+1) without the l(l+1)
         factor.
     """
-    return radial.integrate(_powers(radial.r, ells, 1.0, -1) * g)
+    row, (p,) = _powers(radial.r, ells, (1.0, -1))
+    out = np.empty(len(row), dtype=np.result_type(g, float))
+    for b in _mode_blocks(len(row), radial.n_r):
+        out[b] = radial.integrate(p[row[b]] * g[b])
+    return out
 
 
 class CompatReport:
@@ -201,7 +214,9 @@ def check_compatibility(f):
     """
     rad = f.radial
     fr, f1, f2 = f.coeffs[:, 0], f.coeffs[:, 1], f.coeffs[:, 2]
-    solenoid = np.abs(spectral_div(f).coeffs).max(axis=1)
+    solenoid = np.empty(f.n_modes)
+    for b in _mode_blocks(f.n_modes, rad.n_r):
+        solenoid[b] = np.abs(_divergence(f, b)).max(axis=1)
     normal_trace = np.abs(rad.at_r0(fr))
     boundary_deriv = np.abs(rad.r0 * rad.slope_at_r0(fr)
                             - f.ells * (f.ells + 1.0) * rad.at_r0(f1))
@@ -268,23 +283,28 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     r = rad.r
     ell = f.ells[:, None].astype(float)
     ll1 = ell * (ell + 1.0)
-    fr, f2 = f.coeffs[:, 0], f.coeffs[:, 2]
-
-    A = rad.running_integral(_powers(r, f.ells, 2.0, 1) * f2)
-    B = rad.running_integral(_powers(r, f.ells, 1.0, -1) * f2)
-    np.subtract(report.moment[:, None], B, out=B)      # tail: M - integral to r
-    A *= _powers(r, f.ells, -2.0, -1)       # grow
-    B *= _powers(r, f.ells, -1.0, 1)        # decay
-
-    V = SpectralField(rad, f.L_max)
-    A += B
-    np.multiply(-ll1 / (2.0 * ell + 1.0), A, out=V.coeffs[:, 0])
-    # V_1 = l/(2l+1) grow - (l+1)/(2l+1) decay, realized through the identity
-    # V_1 = (r^2 V_r)' / (l(l+1) r) so the discrete divergence of the
-    # solution vanishes to rounding (same derivative matrix as spectral_div)
+    coef = -ll1 / (2.0 * ell + 1.0)
     safe = np.where(ll1 > 0, ll1, 1.0)
-    np.divide(rad.differentiate(r ** 2 * V.coeffs[:, 0]), safe * r, out=V.coeffs[:, 1])
-    np.divide(-r * fr, safe, out=V.coeffs[:, 2])
+    row, (up, down, grow, decay) = _powers(r, f.ells, (2.0, 1), (1.0, -1),
+                                           (-2.0, -1), (-1.0, 1))
+    V = SpectralField(rad, f.L_max)
+    for b in _mode_blocks(f.n_modes, rad.n_r):
+        k, f2, v = row[b], f.coeffs[b, 2], V.coeffs[b]
+        # A r^(-2-l) waits in V_r; the sums go into the contiguous B, as numpy
+        # copies a strided operand that is also the output
+        prod = up[k] * f2                           # the block's product buffer
+        np.multiply(rad.running_integral(prod), grow[k], out=v[:, 0])
+        B = rad.running_integral(np.multiply(down[k], f2, out=prod))
+        np.subtract(report.moment[b, None], B, out=B)  # tail: M - integral to r
+        B *= decay[k]
+        np.multiply(coef[b], np.add(v[:, 0], B, out=B), out=v[:, 0])
+        del B                                       # before the derivative's temporaries
+        # V_1 = l/(2l+1) grow - (l+1)/(2l+1) decay, realized through the identity
+        # V_1 = (r^2 V_r)' / (l(l+1) r) so the discrete divergence of the
+        # solution vanishes to rounding (same derivative matrix as spectral_div)
+        np.divide(rad.differentiate(np.multiply(r ** 2, v[:, 0], out=prod)),
+                  safe[b] * r, out=v[:, 1])
+        np.divide(np.multiply(-r, f.coeffs[b, 0], out=prod), safe[b], out=v[:, 2])
     V.coeffs[0] = 0.0                       # no l = 0 content in the solution
 
     if vinf.any():                          # adding +0.0 would flip a -0.0
@@ -316,7 +336,8 @@ def boundary_trace(V):
         L2(sphere) norm using the channel weights (1, l(l+1), l(l+1)).
     """
     vals = V.radial.at_r0(V.coeffs)                     # (n_modes, 3)
-    agg = np.sqrt(V._density(vals[..., None])[0])
+    dens = V._density(vals[..., None], V.ells, np.empty((V.n_modes, 1)))
+    agg = np.sqrt(dens.sum(axis=0)[0])
     return BoundaryTrace(V.ells.copy(), V.ems.copy(), vals, agg)
 
 
@@ -358,10 +379,11 @@ def partial_slip_project(f, L):
         raise ValueError(f"projection weight has vanishing moment at l = {ell[low[0]]}")
 
     out = f.copy()
-    k = (f.ells >= 1) & (f.ells <= L)
-    j = f.ells[k] - 1
-    M = radial_moments(rad, out.coeffs[k, 2], f.ells[k])
-    out.coeffs[k, 2] -= (M / W[j])[:, None] * w[j]
+    n = (L + 1) ** 2                                # modes 1 <= l <= L: flat 1 .. n - 1
+    j = f.ells[1:n] - 1
+    M = radial_moments(rad, f.coeffs[1:n, 2], f.ells[1:n])
+    for b in _mode_blocks(n - 1, rad.n_r):
+        out.coeffs[1:n, 2][b] -= (M[b] / W[j[b]])[:, None] * w[j[b]]
     return out
 
 

@@ -94,18 +94,29 @@ class _Profiles:
         its largest |coefficient|, so finite data has a finite norm at any
         amplitude; NaN or Inf data gives a non-finite norm.
         """
-        n = self._norm(self.coeffs)
+        n = self._norm()
         if 1e-100 < n < 1e100:                   # squares safely in range
             return n
-        scale = np.abs(self.coeffs).max(initial=0.0)
+        blocks = _mode_blocks(len(self.coeffs), self.radial.n_r)
+        scale = np.max([np.abs(self.coeffs[b]).max(initial=0.0) for b in blocks])
         if not (0.0 < scale < np.inf):           # zero, NaN or Inf data
             return n
-        return scale * self._norm(self.coeffs / scale)
+        return scale * self._norm(scale)
 
-    def _norm(self, c):
+    def _norm(self, scale=None):
+        # the density of coeffs / scale, summed over the modes block by
+        # block: row 0 of each block's rows carries the sum so far, and
+        # numpy sums axis 0 row by row, so the bits are one whole sum's
+        n_r = self.radial.n_r
+        acc = np.zeros(n_r)
         with np.errstate(over="ignore", under="ignore"):    # norm() rescales
-            dens = self._density(c)
-        return np.sqrt(self.radial.integrate(dens * self.radial.r ** 2).real)
+            for b in _mode_blocks(len(self.coeffs), n_r):
+                c = self.coeffs[b] if scale is None else self.coeffs[b] / scale
+                rows = np.empty((len(c) + 1, n_r))
+                rows[0] = acc
+                self._density(c, self.ells[b], rows[1:])
+                acc = rows.sum(axis=0)
+        return np.sqrt(self.radial.integrate(acc * self.radial.r ** 2).real)
 
 
 class SpectralField(_Profiles):
@@ -144,12 +155,13 @@ class SpectralField(_Profiles):
     def copy(self):
         return SpectralField(self.radial, self.L_max, self.coeffs)
 
-    def _density(self, c):
-        # squared angular norms |c_r|^2 + l(l+1) (|c_1|^2 + |c_2|^2), in place
-        ll1 = (self.ells * (self.ells + 1.0))[:, None]
-        sq0, sq1, sq2 = (np.square(a, out=a) for a in map(np.abs, c.transpose(1, 0, 2)))
+    def _density(self, c, ells, out):
+        # squared angular norms |c_r|^2 + l(l+1) (|c_1|^2 + |c_2|^2) per mode, into out
+        ll1 = (ells * (ells + 1.0))[:, None]
+        sq0 = np.square(np.abs(c[:, 0], out=out), out=out)
+        sq1, sq2 = (np.square(a, out=a) for a in map(np.abs, (c[:, 1], c[:, 2])))
         sq0 += np.multiply(ll1, np.add(sq1, sq2, out=sq1), out=sq1)
-        return sq0.sum(axis=0)
+        return out
 
     def __repr__(self):
         return (f"SpectralField(L_max={self.L_max}, n_r={self.radial.n_r}, "
@@ -159,8 +171,8 @@ class SpectralField(_Profiles):
 class ScalarSpectral(_Profiles):
     """Radial profiles of a scalar field expanded in Y_lm (one per mode)."""
 
-    def _density(self, c):
-        return np.square(sq := np.abs(c), out=sq).sum(axis=0)
+    def _density(self, c, ells, out):
+        return np.square(np.abs(c, out=out), out=out)
 
 
 ############################################
@@ -392,31 +404,32 @@ def synthesize_at(S, pts):
 # Spectral differential operators
 
 
-def _mode_blocks(S):
+def _mode_blocks(n, n_r):
     """
-    Equal slices of the modes of S, about _MODE_BLOCK numbers per channel
-    each and two modes or more (unless S has one): a one-mode block would
-    take BLAS's matrix-vector path and round otherwise.
+    Equal slices of n modes on n_r radial nodes, about _MODE_BLOCK numbers
+    per channel each and two modes or more (unless n < 2): a one-mode
+    block would take BLAS's matrix-vector path and round otherwise.
     """
-    n = S.coeffs.shape[0]
-    k = max(1, n // max(2, _MODE_BLOCK // S.radial.n_r))     # block count
+    k = max(1, n // max(2, _MODE_BLOCK // n_r))     # block count
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def spectral_div(S):
+def _divergence(S, b, out=None):
     """
-    Divergence of a SpectralField, as a ScalarSpectral.
+    Divergence of the modes b of S: c_r' + (2/r) c_r - l(l+1)/r c_1, with
+    the first two terms realized as r^(-2) (r^2 c_r)'.
+    """
+    r, l = S.radial.r, S.ells[b, None]
+    c = S.coeffs[b]
+    return np.subtract(S.radial.differentiate(r ** 2 * c[:, 0]) / r ** 2,
+                       l * (l + 1.0) / r * c[:, 1], out=out)
 
-    Per mode: c_r' + (2/r) c_r - l(l+1)/r c_1, with the first two terms
-    realized as r^(-2) (r^2 c_r)'.
-    """
-    r = S.radial.r
-    ll1 = (S.ells * (S.ells + 1.0))[:, None]
+
+def spectral_div(S):
+    """Divergence of a SpectralField, as a ScalarSpectral (see _divergence)."""
     out = ScalarSpectral(S.radial, S.L_max)
-    for b in _mode_blocks(S):
-        c = S.coeffs[b]
-        np.subtract(S.radial.differentiate(r ** 2 * c[:, 0]) / r ** 2,
-                    ll1[b] / r * c[:, 1], out=out.coeffs[b])
+    for b in _mode_blocks(S.n_modes, S.radial.n_r):
+        _divergence(S, b, out=out.coeffs[b])
     return out
 
 
@@ -429,7 +442,7 @@ def spectral_grad(s):
     """
     r = s.radial.r
     out = SpectralField(s.radial, s.L_max)
-    for b in _mode_blocks(s):
+    for b in _mode_blocks(len(s.coeffs), s.radial.n_r):
         out.coeffs[b, 0] = s.radial.differentiate(s.coeffs[b])
         out.coeffs[b, 1] = s.coeffs[b] / r
     out.coeffs[0, 1:] = 0.0
@@ -449,7 +462,7 @@ def spectral_curl(S):
     r = S.radial.r
     ll1 = (S.ells * (S.ells + 1.0))[:, None]
     out = SpectralField(S.radial, S.L_max)
-    for b in _mode_blocks(S):
+    for b in _mode_blocks(S.n_modes, S.radial.n_r):
         c, o = S.coeffs[b], out.coeffs[b]
         o[:, 0] = -ll1[b] / r * c[:, 2]
         o[:, 1] = -S.radial.differentiate(r * c[:, 2]) / r

@@ -581,7 +581,7 @@ def test_operator_mode_blocks_keep_every_bit(monkeypatch, L, per):
     monkeypatch.setattr(transform, "_MODE_BLOCK", 1 << 30)
     whole = _operators(S)
     monkeypatch.setattr(transform, "_MODE_BLOCK", per * rad.n_r)
-    sizes = [b.stop - b.start for b in transform._mode_blocks(S)]
+    sizes = [b.stop - b.start for b in transform._mode_blocks(S.n_modes, rad.n_r)]
     assert sum(sizes) == S.n_modes and (L == 0 or min(sizes) >= per)
     assert max(sizes) - min(sizes) <= 1
     assert default == whole

@@ -21,6 +21,12 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
                      arrays, as_table(), worst(), the solutions W and W2
                      and the boundary trace
     transform_large  per seed, F, R, D and P of each pooled field
+    solver           per seed, at (L, n_r) = (48, 256), many mode blocks,
+                     and (2, 32), one block: a compatible source f = curl
+                     curl A, its CompatReport arrays, the solution V
+                     without and with a small uniform flow (which warns),
+                     the projection of f plus a moment bump and its
+                     solution, and the boundary traces
     demo08           demos/08_cli_pipeline.py: its files, its stdout without
                      the line naming its temporary directory, its stderr
                      and exit code
@@ -47,7 +53,8 @@ from pathlib import Path
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                             "MKL_NUM_THREADS")}
 HERE = Path(__file__).resolve().parent.parent
-GROUPS = ("cli_pipeline", "commands", "solve_sweep", "transform_large", "demo08")
+GROUPS = ("cli_pipeline", "commands", "solve_sweep", "transform_large", "solver",
+          "demo08")
 
 # run a demo with its temporary directory kept, so its files can be read
 KEEP_TMP = """\
@@ -162,6 +169,41 @@ def transform_large(m, workloads, seed):
         del F, R, D, P              # hold one job's arrays at a time
 
 
+def solver_passes(m, seed):
+    import warnings
+    import numpy as np
+    from divcurl import grids, solver, transform
+
+    rng = np.random.default_rng([seed, 5])
+    for L, n_r in ((48, 256), (2, 32)):
+        key = "solver/%d/L%d_nr%d/" % (seed, L, n_r)
+        rad = grids.RadialGrid(np.linspace(1.0, 5.0, 5), n_r // 4)
+        A = transform.SpectralField(rad, L)
+        z = rng.standard_normal((A.n_modes, 3)) + 1j * rng.standard_normal((A.n_modes, 3))
+        bump = np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3
+        A.coeffs[:] = (0.9 ** A.ells[:, None] * z)[:, :, None] * bump
+        f = transform.spectral_curl(transform.spectral_curl(A))
+        report = solver.check_compatibility(f)
+        m.add(key + "f", f.coeffs)
+        for name in ("normal_trace", "solenoid", "boundary_deriv", "moment", "field_norm"):
+            m.add(key + "report." + name, getattr(report, name))
+        bad = f.copy()
+        bad.coeffs[1:, 2] += 1e-3 * report.field_norm * np.exp(-(rad.r - 2.5) ** 2)
+        projected = solver.partial_slip_project(bad, min(L, 24))
+        m.add(key + "projected", projected.coeffs)
+        vinf = 1e-7 * report.field_norm * np.array([1.0, 2.0, 0.0])     # warns
+        for name, g, far in (("V", f, None), ("V_vinf", f, vinf),
+                             ("V_projected", projected, None)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                V = solver.solve_exterior(g, far)
+            m.add(key + name, V.coeffs)
+            m.add(key + name + ".warnings", repr([str(w.message) for w in caught]))
+            trace = solver.boundary_trace(V)
+            m.add(key + name + ".trace", trace.values)
+            m.add(key + name + ".trace.aggregate", repr(trace.aggregate))
+
+
 def demo08(m):
     tmp = m.work / "demo08"
     tmp.mkdir()
@@ -188,6 +230,8 @@ def manifest(root, groups, seeds):
                 solve_sweep(m, workloads, seed)
             if "transform_large" in groups:
                 transform_large(m, workloads, seed)
+            if "solver" in groups:
+                solver_passes(m, seed)
         if "commands" in groups:
             seedless_commands(m)
         if "demo08" in groups:
