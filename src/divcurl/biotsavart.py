@@ -14,8 +14,9 @@ the two must produce the same field.
 The sum is direct and exact: no multipole expansion, no truncation.
 Only source nodes where f is exactly zero are left out of it, since
 they contribute exactly zero; the proximity check still covers them.
-The source is converted a few radial shells at a time, and its data kept
-for the live (nonzero) nodes only; the other nodes are checked and dropped.
+The source is converted a few radial shells at a time into arrays,
+allocated once, of its live (nonzero) nodes; the other nodes are checked
+and dropped.
 The points are summed in fixed blocks of _POINT_BLOCK, cut at the same
 offsets for every thread count, and with `threads` > 1 each worker sums
 whole blocks.  A GEMM row is thus always rounded inside a block of the
@@ -125,7 +126,7 @@ _POINT_BLOCK = 64
 # source nodes per block; temporaries are (_POINT_BLOCK, _SOURCE_CHUNK)
 _SOURCE_CHUNK = 512
 # source nodes converted to Cartesian at a time, in whole radial shells
-_SHELL_NODES = 1 << 13
+_SHELL_NODES = 1 << 11
 # hit of a point on no node where f vanishes
 _NO_HIT = np.iinfo(np.intp).max
 
@@ -136,16 +137,18 @@ def biot_savart_eval(field, pts, threads=1):
 
     The sum is exact over every source node that carries a nonzero value
     (the others contribute exactly zero and are skipped).  The source is
-    converted _SHELL_NODES nodes at a time, in whole radial shells, and
-    only the live nodes' positions, weights, spacings and values are kept,
-    so besides the field the call holds O(live nodes); points exactly on a
-    dead node are found chunk by chunk.  For a block of _POINT_BLOCK points
-    and a chunk of _SOURCE_CHUNK live nodes it forms the real differences
-    d_a = x_a - y_a and k = |x - y|^-3, and accumulates the three real
-    products (d_a k) @ G against the (chunk, 6) float view G of the
-    weighted complex source w f; the cross product is assembled once per
-    block from those 3 x 6 partial sums.  Temporaries are (_POINT_BLOCK,
-    _SOURCE_CHUNK) whatever the number of points.
+    converted _SHELL_NODES nodes at a time, in whole radial shells, into
+    the live nodes' positions, weights, spacings and values, in arrays
+    allocated once for the nodes with a nonzero spherical sample; points
+    exactly on a dead node are found chunk by chunk.  The call then
+    drops the field, so unless the caller holds it the sums run without
+    it.  For a block of _POINT_BLOCK points and a chunk of _SOURCE_CHUNK
+    live nodes it forms the real differences d_a = x_a - y_a and
+    k = |x - y|^-3, and accumulates the three real products (d_a k) @ G
+    against the (chunk, 6) float view G of the weighted complex source
+    w f; the cross product is assembled once per block from those 3 x 6
+    partial sums.  Temporaries are (_POINT_BLOCK, _SOURCE_CHUNK) whatever
+    the number of points.
 
     Parameters
     ----------
@@ -185,23 +188,28 @@ def biot_savart_eval(field, pts, threads=1):
         raise ProximityError(
             f"evaluation point {bad} lies inside the sphere r0 = {r0:g}")
     n = pts.shape[0]
-    # only live nodes are kept; hit[i] is the first dead node point i is on
-    src, G, half, seen = [], [], [], 0
+    # only live nodes are kept, in room for every nonzero spherical sample
+    # (a zero one converts to zero); hit[i] is the first dead node point
+    # i is on
+    cap = np.count_nonzero((field.values != 0.0).any(axis=-1))
+    src, half, G = np.empty((3, cap)), np.empty(cap), np.empty((cap, 3), dtype=complex)
     hit = np.full(n, _NO_HIT)
+    k = seen = 0
     for y, fc, w, spacing in _source_chunks(field):
         live = (fc != 0.0).any(axis=1)
-        src.append(y[live].T)
-        G.append(w[live, None] * fc[live])
-        half.append(spacing[live])
+        s = slice(k, k + int(live.sum()))
+        src[:, s] = y[live].T
+        np.multiply(w[live, None], fc[live], out=G[s])
+        half[s] = spacing[live]
+        k = s.stop
         dead = y[~live].T.copy()
         _mark_dead_hits(pts, dead, seen, hit)
         seen += dead.shape[1]
-    del y, fc, w, spacing, dead
-    src = np.concatenate(src, axis=1)                   # (3, n_live)
-    G = np.concatenate(G).view(float)                   # (n_live, 6)
+    del field, y, fc, w, spacing, live, dead
+    src, G, half = src[:, :k], G[:k].view(float), half[:k]     # G: (n_live, 6)
     # clamped to the least positive double so that `|d| < half` also
     # catches a point exactly on a live node
-    half = np.maximum(0.5 * np.concatenate(half), np.nextafter(0.0, 1.0))
+    half = np.maximum(0.5 * half, np.nextafter(0.0, 1.0))
     chunk = max(1, min(_SOURCE_CHUNK, src.shape[1]))
     out = np.empty((n, 3), dtype=complex)
 

@@ -122,9 +122,10 @@ def cmd_verify(args):
 
 
 def cmd_biot(args):
-    field = read_vfld(args.input)
+    # the call takes the only reference, so the field goes once the sources are built
+    field = [read_vfld(args.input)]
     pts = read_points(args.points)
-    values = biot_savart_eval(field, pts, threads=args.threads)
+    values = biot_savart_eval(field.pop(), pts, threads=args.threads)
     write_eval_table(_out_or_stdout(args), pts, values)
 
 

@@ -63,6 +63,7 @@ _CHUNK fields per `%` operation and write each chunk as made.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 
@@ -147,20 +148,30 @@ def _grid_rows(axes, values):
     return block
 
 
-def _check_nodes(path, lineno, rows, axes, tol):
-    """Fail at the row farthest from its grid node, if more than tol off."""
-    shape, step = [len(a) for a in axes], _CHUNK // len(axes)
-    worst, bad = 0.0, 0
-    for lo in range(0, len(rows), step):
-        at = np.unravel_index(np.arange(lo, min(lo + step, len(rows))), shape)
-        err = np.max([np.abs(rows[lo:lo + i.size, d] - a[i])
-                      for d, (a, i) in enumerate(zip(axes, at))], axis=0)
-        k = int(np.argmax(err))
-        if err[k] > worst:
-            worst, bad = err[k], lo + k
-    if worst > tol:
-        _fail(path, lineno(bad), "node coordinates do not match the grid "
-              "declared by the header")
+def _farthest(worst, lo, coords, axes, at):
+    """
+    worst, updated by rows lo, lo + 1, ... whose coordinates (columns of
+    coords) have the nodes axes[d][at[d]]: (distance, -row) of the row
+    farthest from its node, the earliest of a tie.
+    """
+    err = np.max([np.abs(x - a[i]) for x, a, i in zip(coords.T, axes, at)], axis=0)
+    k = int(np.argmax(err))
+    return max(worst, (float(err[k]), -(lo + k)))
+
+
+def _check_nodes(path, lineno, r, nodes, worst, tol):
+    """
+    Fail at the row farthest from its grid node, if more than tol off:
+    worst is _farthest over the other coordinates (see grid_body), and r
+    holds each row's first coordinate, whose node is nodes[row // shell].
+    """
+    shell, step = len(r) // len(nodes), _CHUNK // 4
+    for lo in range(0, len(r), step):
+        i = np.arange(lo, min(lo + step, len(r)))
+        worst = _farthest(worst, lo, r[i, None], [nodes], [i // shell])
+    if worst[0] > tol:
+        _fail(path, lineno(-worst[1]), "node coordinates do not match the "
+              "grid declared by the header")
 
 
 class _Lines:
@@ -300,22 +311,36 @@ class _Lines:
             lo += len(rows)
             yield rows, at
 
-    def grid_body(self, n, n_axes, width, what):
+    def grid_body(self, shape, width, what, axes):
         """
-        The n rows of a grid file's body, n_axes node coordinates and width
-        complex values each: (nodes, values, row index -> line number).
+        The rows of a grid file's body, one per node of the tensor grid of
+        shape in lexicographic order: its len(shape) coordinates, then
+        width complex values.  Returns (r, values, row index -> line
+        number, worst): each row's first coordinate, the values, and
+        _farthest over the other coordinates, checked chunk by chunk
+        against the nodes axes() returns.  axes() waits for a whole shell
+        of rows, so a header alone cannot make it costly.
         """
-        with _sized(self.path, self.lineno, n, n_axes + 2 * width):
-            nodes, values = np.empty((n, n_axes)), np.empty((n, width), dtype=complex)
-        lo, chunks = 0, []
-        for rows, at in self.body(n_axes + 2 * width, what, n):
-            nodes[lo:lo + len(rows)] = rows[:, :n_axes]
-            values.view(float)[lo:lo + len(rows)] = rows[:, n_axes:]
+        n, d = math.prod(shape), len(shape)
+        with _sized(self.path, self.lineno, n, d + 2 * width):
+            r, values = np.empty(n), np.empty((n, width), dtype=complex)
+        lo, chunks, held, nodes, worst = 0, [], [], None, (0.0, 0)
+        for rows, at in self.body(d + 2 * width, what, n):
+            r[lo:lo + len(rows)] = rows[:, 0]
+            values.view(float)[lo:lo + len(rows)] = rows[:, d:]
+            held.append((lo, rows[:, 1:d].copy()))
             lo += len(rows)
             chunks.append(at)
+            if lo < n // shape[0]:
+                continue
+            nodes = axes() if nodes is None else nodes
+            for a, coords in held:
+                ix = np.unravel_index(np.arange(a, a + len(coords)), shape)[1:]
+                worst = _farthest(worst, a, coords, nodes, ix)
+            held = []
         self.done()
-        return nodes, values, lambda k: next(
-            itertools.islice(itertools.chain(*chunks), k, None))
+        return r, values, lambda k: next(
+            itertools.islice(itertools.chain(*chunks), k, None)), worst
 
 
 def _after(line, head):
@@ -408,7 +433,8 @@ def read_vfld(path):
     recorded nodes; the angular grid follows from (ntheta, nphi).  Node
     coordinates in the rows are checked against the rebuilt grids, so a
     file edited out of shape fails with a pointed diagnostic.  The read
-    holds the field, its node coordinates and one chunk of text.
+    holds the field, the radial coordinate of each row and one chunk of
+    text; theta and phi are checked chunk by chunk.
     """
     with _Lines(path) as lines:
         _magic(lines, "vfld")
@@ -419,14 +445,13 @@ def read_vfld(path):
         n_phi = lines.keyint("nphi")
         if n_r < 1 or n_theta < 1 or n_phi < 1:
             _fail(path, lines.lineno, "grid sizes must be positive")
-        nodes, v, lineno = lines.grid_body(n_r * n_theta * n_phi, 3, 3, "field")
-        radial = radial_from_nodes(r0, rmax, nodes[::n_theta * n_phi, 0],
-                                   path, lineno(0))
-        angular = AngularGrid(n_theta, n_phi)
-        _check_nodes(path, lineno, nodes,
-                     (radial.r, angular.theta, angular.phi),
-                     node_tolerance(r0, rmax))
-    return SampledField(radial, angular, v.reshape(n_r, n_theta, n_phi, 3))
+        angular = functools.cache(lambda: AngularGrid(n_theta, n_phi))
+        r, v, lineno, worst = lines.grid_body(
+            (n_r, n_theta, n_phi), 3, "field",
+            lambda: (angular().theta, angular().phi))
+        radial = radial_from_nodes(r0, rmax, r[::n_theta * n_phi], path, lineno(0))
+        _check_nodes(path, lineno, r, radial.r, worst, node_tolerance(r0, rmax))
+    return SampledField(radial, angular(), v.reshape(n_r, n_theta, n_phi, 3))
 
 
 ############################################
@@ -585,10 +610,11 @@ def read_polar(path):
         n_phi = lines.keyint("nphi")
         if n_rho < 1 or n_phi < 1:
             _fail(path, lines.lineno, "grid sizes must be positive")
-        nodes, samples, lineno = lines.grid_body(n_rho * n_phi, 2, 1, "sample")
+        r, samples, lineno, worst = lines.grid_body(
+            (n_rho, n_phi), 1, "sample",
+            lambda: (2.0 * np.pi * np.arange(n_phi) / n_phi,))   # PolarGrid.phi
         lo, hi = geom.domain()
-        radial = radial_from_nodes(lo, hi, nodes[::n_phi, 0], path, lineno(0))
+        radial = radial_from_nodes(lo, hi, r[::n_phi], path, lineno(0))
         grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=radial.breakpoints)
-        _check_nodes(path, lineno, nodes, (grid.rho, grid.phi),
-                     node_tolerance(lo, hi))
+        _check_nodes(path, lineno, r, grid.rho, worst, node_tolerance(lo, hi))
     return samples.reshape(n_rho, n_phi), grid, geom

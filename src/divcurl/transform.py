@@ -16,8 +16,8 @@ Both grid transforms are split by azimuthal order m, as in SHTns
 the l >= |m| Legendre rows with the (n_theta, n_r) slab of frequency bin
 m % n_phi.  No array indexed by every mode and every grid node is ever
 formed, so synthesize peaks at about the size of the field it returns.
-analyze takes its FFT a few radial nodes at a time, so it holds the
-coefficients it returns and one FFT chunk no larger than them.
+analyze takes its FFT a few radial nodes at a time: it holds the
+coefficients it returns and one FFT chunk of at most a quarter of them.
 synthesize_at sorts its points by radial panel and works through them in
 blocks of at most _POINT_BLOCK = 128: per block one real product
 interpolates every radial profile, and one batched real product of each
@@ -240,9 +240,9 @@ def analyze(field, L_max):
     l >= |m| Legendre rows with the (n_theta, 3 n) Fourier slab of that
     bin gives all coefficients of that order on n radial nodes.  The FFT
     goes into one buffer of n radial nodes at a time, n the largest
-    multiple of _RADIAL_STEP (at least one) that fits in the size of the
-    coefficients: working memory is that buffer plus the coefficients, and
-    per-order temporaries are O(L_max n_theta n).
+    multiple of _RADIAL_STEP (at least one) that fits in a quarter of the
+    size of the coefficients: working memory is that buffer plus the
+    coefficients, and per-order temporaries are O(L_max n_theta n).
 
     Parameters
     ----------
@@ -266,23 +266,23 @@ def analyze(field, L_max):
     ells, _ = mode_degrees(L_max)
     inv = np.zeros(ells.size)                        # 1 / l(l+1), 0 at l = 0
     inv[1:] = 1.0 / (ells[1:] * (ells[1:] + 1.0))
-    # per order m, for every radial chunk: its modes, Y rows, [d/dtheta; m/sin] rows
-    orders = _order_rows(L_max)
-    Y = [A[k] for _, k in orders]
-    BC = [np.concatenate([B[k], C[k]]) for _, k in orders]
+    # per order m, for every radial chunk: its frequency bin, its modes,
+    # Y rows and [d/dtheta; m/sin] rows
+    orders = [(m % ang.n_phi, k, A[k], np.concatenate([B[k], C[k]]))
+              for m, k in _order_rows(L_max)]
     del A, B, C
 
-    step = _RADIAL_STEP * max(1, n_r * ells.size // (ang.n_theta * ang.n_phi)
+    step = _RADIAL_STEP * max(1, n_r * ells.size // (4 * ang.n_theta * ang.n_phi)
                               // _RADIAL_STEP)
     F = np.empty((min(step, n_r), ang.n_theta, ang.n_phi, 3), dtype=complex)
     for a in range(0, n_r, step):
         n = min(step, n_r - a)
         np.fft.fft(field.values[a:a + n], axis=2, out=F[:n])
-        for (m, k), Y_m, BC_m in zip(orders, Y, BC):
-            # (n_t, 3, n) slab of order m, channels side by side along columns
-            X = F[:n, :, m % ang.n_phi, :].transpose(1, 2, 0).reshape(ang.n_theta, 3 * n)
-            c_r = _real_gemm(Y_m, X[:, :n])
-            pq = _real_gemm(BC_m, X[:, n:])
+        for b, k, Y_m, BC_m in orders:
+            X = F[:n, :, b]                          # (n, n_t, 3) slab of order m
+            c_r = _real_gemm(Y_m, X[..., 0].T)
+            # the Psi and Phi channels side by side along columns
+            pq = _real_gemm(BC_m, X[..., 1:].transpose(1, 2, 0).reshape(ang.n_theta, 2 * n))
             p, q = pq[:k.size], pq[k.size:]          # d/dtheta and m/sin rows
             out.coeffs[k, 0, a:a + n] = c_r
             out.coeffs[k, 1, a:a + n] = inv[k, None] * (p[:, :n] - 1j * q[:, n:])

@@ -530,6 +530,22 @@ def test_vfld_chunks_keep_every_bit_and_line(monkeypatch, tmp_path, rows):
             read_vfld(path)
 
 
+def test_vfld_angular_grid_waits_for_a_whole_shell(monkeypatch, tmp_path):
+    # theta and phi are checked chunk by chunk against an angular grid that
+    # is built only once a whole shell of rows is read: a short file whose
+    # header declares a huge shell fails at its end, without building it
+    path = tmp_path / "short.vfld"
+    path.write_text("vfld 1\nr0 1\nrmax 5\nnr 1\nntheta 50000\nnphi 1\n"
+                    + "3 0.5 0 0 0 0 0 0 0\n" * 2)
+
+    def refuse(*size):
+        raise AssertionError("angular grid built for %r" % (size,))
+
+    monkeypatch.setattr(fileio, "AngularGrid", refuse)
+    with pytest.raises(FileFormatError, match=r"line 9: unexpected end of file"):
+        read_vfld(path)
+
+
 def _vshc_mode_line(text, line, k, tok):
     # text with token k of the 1-based line replaced
     return text[:line - 1] + [_with_token(text[line - 1], k, tok)] + text[line:]
@@ -675,7 +691,8 @@ def test_header_too_large_to_allocate_names_its_line(tmp_path, ext, size):
 
 def test_vfld_io_memory_is_bounded_by_the_field(tmp_path):
     # streamed text parsed in chunks straight into the field: no whole-file
-    # string, token list or second table of the values
+    # string, token list or second table of the values, and of the node
+    # coordinates only r (a sixth of the field); the read peaks at 1.54
     ang, rad = make_grids(1.0, 5.0, 64, 16)
     field = synthesize(_random_spectral(rad, 16, 12), ang)
     path = tmp_path / "big.vfld"
@@ -693,7 +710,7 @@ def test_vfld_io_memory_is_bounded_by_the_field(tmp_path):
         tracemalloc.stop()
     size = field.values.nbytes
     assert write_peak <= 2.0 * size
-    assert read_peak <= 2.2 * size
+    assert read_peak <= 1.6 * size
     assert np.array_equal(back.values, field.values)
 
 

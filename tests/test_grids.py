@@ -288,6 +288,24 @@ def test_panel_view_and_wall_slope_match_full_passes(n, r0, widths, lead, comple
     assert rad.slope_at_r0(g).tobytes() == rad.at_r0(rad.differentiate(g)).tobytes()
 
 
+def test_running_integral_peaks_near_its_output():
+    # the panel offsets are added with 1,024-number ufunc buffers, small
+    # beside the output (numpy's default 8,192 made them 0.75 of it); what
+    # remains is matmul's complex copy of K, 0.2 of this (156, 128) block,
+    # the size of one solver block at (24, 128)
+    rad = RadialGrid(np.linspace(1.0, 5.0, 5), 32)
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal((156, 128)) + 1j * rng.standard_normal((156, 128))
+    tracemalloc.start()
+    try:
+        run = rad.running_integral(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * run.nbytes            # 1.21 measured, 1.78 before
+    assert run.tobytes() == _ref_running_integral(rad, rad._K, g).tobytes()
+
+
 def test_one_wide_panel_builds_in_bounded_memory():
     # make_grids falls back to one panel when n_r is prime; K's evaluation
     # rows are built in blocks, not as one (n, n, n) array (291 MB here)

@@ -285,7 +285,8 @@ def test_synthesize_at_poles_and_nodes_of_uniform_flows():
 
 def test_transform_peak_memory_stays_near_output_size():
     # synthesize writes into its output and transforms it in place; analyze
-    # holds the coefficients it returns and an FFT chunk no larger than them
+    # holds the coefficients it returns (0.52 of the field here) and one FFT
+    # chunk of 16 radial nodes (0.25); it peaks at 0.89 of the field
     ang, rad = make_grids(1.0, 5.0, 64, 16)
     S = _random_spectral(rad, 16, seed=17)
     F = synthesize(S, ang)
@@ -303,7 +304,7 @@ def test_transform_peak_memory_stays_near_output_size():
     finally:
         tracemalloc.stop()
     assert synth_peak <= 1.5 * F.values.nbytes
-    assert analyze_peak <= 1.45 * F.values.nbytes
+    assert analyze_peak <= 0.95 * F.values.nbytes
     assert np.abs(R.coeffs - S.coeffs).max() < 1e-12
 
 

@@ -14,9 +14,10 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
     cli_pipeline     per seed, the benchmark's CLI flow: its input and
                      output files and each command's stdout, stderr and
                      exit code
-    commands         check, verify, phf and selftest, and solve clean,
+    commands         check, verify, phf and selftest, solve clean,
                      refused, --vinf 1,2,0, --vinf 1,nan,0 and
-                     --partial-slip 3, on each seed's cli_pipeline inputs
+                     --partial-slip 3, and biot --threads 1 and 2, on each
+                     seed's cli_pipeline inputs
     solve_sweep      per seed and case: the decisions, the CompatReport
                      arrays, as_table(), worst(), the solutions W and W2
                      and the boundary trace
@@ -125,7 +126,11 @@ def cli_inputs(m, workloads, seed, groups):
             ("solve_refused", ["solve", "incompatible.vshc"]),
             ("solve_vinf", ["solve", "source.vshc", "--vinf", "1,2,0"]),
             ("solve_vinf_nan", ["solve", "source.vshc", "--vinf", "1,nan,0"]),
-            ("solve_partial_slip", ["solve", "incompatible.vshc", "--partial-slip", "3"])):
+            ("solve_partial_slip", ["solve", "incompatible.vshc", "--partial-slip", "3"]),
+            ("biot_threads_1", ["biot", "source.vfld", "--points", "points.txt",
+                                "--threads", "1"]),
+            ("biot_threads_2", ["biot", "source.vfld", "--points", "points.txt",
+                                "--threads", "2"])):
         m.cli("commands/%d/%s" % (seed, name), args, work)
 
 
