@@ -17,10 +17,7 @@ they contribute exactly zero; the proximity check still covers them.
 The source is converted a few radial shells at a time into arrays,
 allocated once, of its live (nonzero) nodes; the other nodes are checked
 and dropped.
-The points are summed in fixed blocks of _POINT_BLOCK, cut at the same
-offsets for every thread count, and with `threads` > 1 each worker sums
-whole blocks.  A GEMM row is thus always rounded inside a block of the
-same size, and the result is bitwise identical for any thread count.
+The points are summed in fixed blocks of _POINT_BLOCK.
 
 `circulation_diagnostic` evaluates the circulation pair
 
@@ -36,8 +33,6 @@ both sides vanish and no orthogonality-to-constants condition is ever
 needed.  The diagnostic returns the raw pair so a caller can watch the
 relation hold as R grows.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -119,9 +114,7 @@ def _mark_dead_hits(pts, dead, first, hit):
 ############################################
 # Direct sum
 
-# evaluation points per block.  A worker thread always sums whole blocks,
-# and blocks are cut at fixed offsets, so every GEMM row is rounded inside
-# a block of the same size whatever the thread count
+# evaluation points per block, cut at fixed offsets
 _POINT_BLOCK = 64
 # source nodes per block; temporaries are (_POINT_BLOCK, _SOURCE_CHUNK)
 _SOURCE_CHUNK = 512
@@ -131,7 +124,7 @@ _SHELL_NODES = 1 << 11
 _NO_HIT = np.iinfo(np.intp).max
 
 
-def biot_savart_eval(field, pts, threads=1):
+def biot_savart_eval(field, pts):
     """
     Evaluate the Biot-Savart-Laplace integral of a sampled source field.
 
@@ -161,10 +154,6 @@ def biot_savart_eval(field, pts, threads=1):
         carries a nonzero value (nodes where f vanishes contribute
         nothing, so only strict separation is required there), and lie
         strictly outside the inner sphere
-    threads: int
-        worker threads over fixed blocks of _POINT_BLOCK points; a block
-        is summed whole by one worker, so the result is bitwise identical
-        for every thread count
 
     Returns
     -------
@@ -218,7 +207,10 @@ def biot_savart_eval(field, pts, threads=1):
             f"evaluation point {x} is {dist:.3g} from a source node "
             f"(minimum {lim:.3g})")
 
-    def block_sum(lo):
+    # allocated once: a buffer per block would keep the last one alive
+    # while the next is allocated
+    buf = np.empty(5 * min(n, _POINT_BLOCK) * chunk)
+    for lo in range(0, n, _POINT_BLOCK):
         p = pts[lo:lo + _POINT_BLOCK]
         b = p.shape[0]
         # a point on a node where f vanishes fails first: in the block, the
@@ -227,7 +219,6 @@ def biot_savart_eval(field, pts, threads=1):
         if hit[lo + i] != _NO_HIT:
             raise too_close(p[i], 0.0, 0.0)
         px, py, pz = (p[:, a, None] for a in range(3))
-        buf = np.empty(5 * b * chunk)
         acc = np.zeros((3 * b, 6))
         for s in range(0, src.shape[1], chunk):
             sx, sy, sz = src[:, s:s + chunk]
@@ -259,15 +250,6 @@ def biot_savart_eval(field, pts, threads=1):
         v[:, 1] = P[2, :, 0] - P[0, :, 2]
         v[:, 2] = P[0, :, 1] - P[1, :, 0]
         v /= -4.0 * np.pi
-
-    starts = range(0, n, _POINT_BLOCK)
-    threads = max(1, int(threads))
-    if threads == 1 or len(starts) < 2:
-        for lo in starts:
-            block_sum(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(block_sum, starts))
     return out
 
 

@@ -8,7 +8,7 @@ Command-line front-end: scriptable subcommands over the text formats.
                                 [--partial-slip L] [--out OUT.vshc]
     divcurl phf        --l L --m M [--r0 --rmax --nr --lmax] [--out]
     divcurl verify     IN.vshc  [--out FILE]
-    divcurl biot       IN.vfld  --points FILE [--threads n] [--out FILE]
+    divcurl biot       IN.vfld  --points FILE [--out FILE]
     divcurl moments2d  IN.pfld  [--geometry KIND] [--kmax K] [--out FILE]
     divcurl selftest   [--out FILE]
 
@@ -21,10 +21,6 @@ phi), so repeated runs with the same inputs are byte-identical.
 
 Exit codes: 0 success, 1 operational failure (incompatible data, point
 too close to a source node, missing file), 2 malformed input file.
-`--threads` (default 1) fans the Biot-Savart sum out over worker
-threads.  The points are cut into fixed blocks of 64 at the same offsets
-for every thread count, and each block is summed whole by one worker, so
-the output is byte-identical for any `--threads`.
 """
 
 import argparse
@@ -125,7 +121,7 @@ def cmd_biot(args):
     # the call takes the only reference, so the field goes once the sources are built
     field = [read_vfld(args.input)]
     pts = read_points(args.points)
-    values = biot_savart_eval(field.pop(), pts, threads=args.threads)
+    values = biot_savart_eval(field.pop(), pts)
     write_eval_table(_out_or_stdout(args), pts, values)
 
 
@@ -304,8 +300,6 @@ def build_parser():
 
     q = add("biot", "direct Biot-Savart evaluation at listed points")
     q.add_argument("--points", required=True, help="text file of x y z rows")
-    q.add_argument("--threads", type=int, default=1,
-                   help="worker threads over blocks of points (default 1)")
     q.set_defaults(func=cmd_biot)
 
     q = add("moments2d", "planar moment table of a polar scalar file")

@@ -264,11 +264,6 @@ class SampledField:
         self.angular = angular
         self.values = values
 
-    @classmethod
-    def zeros(cls, radial, angular):
-        return cls(radial, angular,
-                   np.zeros((radial.n_r, angular.n_theta, angular.n_phi, 3), dtype=complex))
-
 
 ############################################
 # Construction and surface quadrature

@@ -259,6 +259,8 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
     vinf = _vinf(far)
+    if f.L_max < 1 and vinf.any():
+        raise ValueError("need L_max >= 1 to hold an l = 1 field")
     report = check_compatibility(f)
 
     cfar = _far_l1_coeffs(vinf)[:f.n_modes - 1]         # empty when L_max = 0

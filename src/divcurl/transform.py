@@ -258,8 +258,8 @@ def analyze(field, L_max):
         projections divided by the basis norm l(l+1), per radial node.
     """
     ang = field.angular
+    _require_band_limit(ang, L_max)                  # before any allocation
     out = SpectralField(field.radial, L_max)         # refuses L_max < 0
-    _require_band_limit(ang, L_max)
     w = ang.w_phi * ang.w_ct                         # fold quadrature weights in
     A, B, C = (w * T for T in _mode_tables(L_max, ang.ct))
     n_r = field.radial.n_r

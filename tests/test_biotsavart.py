@@ -101,7 +101,7 @@ def test_azimuthal_shell_is_exact_dipole_beyond_support():
 
 def test_zero_source_gives_zero_field():
     ang, rad = _shell_grids(n_r=12, L=2)
-    field = SampledField.zeros(rad, ang)
+    field = SampledField(rad, ang, np.zeros((rad.n_r, ang.n_theta, ang.n_phi, 3)))
     v = biot_savart_eval(field, np.array([[2.0, 1.0, 0.5]]))
     assert np.abs(v).max() == 0.0
 
@@ -276,18 +276,18 @@ def test_bad_point_shape_rejected():
 
 
 ############################################
-# Determinism across chunking and threads
+# Determinism across point blocks
 
 
-def test_threads_are_bitwise_identical():
-    # two whole point blocks and a partial third
+def test_each_block_sums_as_a_call_of_its_own():
+    # two whole point blocks and a partial third, against one call per block
     ang, rad = _shell_grids()
     field = _azimuthal_shell(ang, rad)
     rng = np.random.default_rng(2)
     pts = rng.uniform(4.0, 6.0, (2 * _POINT_BLOCK + 7, 3))
-    v1 = biot_savart_eval(field, pts, threads=1)
-    for threads in (2, 3):
-        assert np.array_equal(v1, biot_savart_eval(field, pts, threads=threads))
+    blocks = [biot_savart_eval(field, pts[lo:lo + _POINT_BLOCK])
+              for lo in range(0, len(pts), _POINT_BLOCK)]
+    assert np.array_equal(biot_savart_eval(field, pts), np.concatenate(blocks))
 
 
 def test_peak_memory_does_not_grow_with_points():
@@ -413,7 +413,7 @@ def test_circulation_of_zero_mean_source():
 
 def test_circulation_of_nothing():
     ang, rad = _shell_grids(n_r=12, L=2)
-    field = SampledField.zeros(rad, ang)
+    field = SampledField(rad, ang, np.zeros((rad.n_r, ang.n_theta, ang.n_phi, 3)))
     surface, volume = circulation_diagnostic(
         np.zeros((ang.n_theta, ang.n_phi, 3)), ang, 6.0, field)
     assert np.abs(surface).max() == 0.0

@@ -490,6 +490,15 @@ def test_far_spec_validation():
         far_field_coeffs((1.0, 0.0, 0.0), rad, L_max=0)
 
 
+def test_uniform_flow_needs_an_l1_mode():
+    # at L_max = 0 the far flow has no mode to live in: refused, not dropped
+    _, rad = _panel_grids(L=2)
+    f = SpectralField(rad, 0)
+    with pytest.raises(ValueError, match="need L_max >= 1 to hold an l = 1 field"):
+        solve_exterior(f, far=(1.0, 0.0, 0.0))
+    assert not solve_exterior(f, far=(0.0, 0.0, 0.0)).coeffs.any()
+
+
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
 def test_tol_must_be_a_nonnegative_number(tol):
     _, rad = _panel_grids()

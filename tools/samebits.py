@@ -16,8 +16,8 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
                      exit code
     commands         check, verify, phf and selftest, solve clean,
                      refused, --vinf 1,2,0, --vinf 1,nan,0 and
-                     --partial-slip 3, and biot --threads 1 and 2, on each
-                     seed's cli_pipeline inputs
+                     --partial-slip 3, and biot, on each seed's
+                     cli_pipeline inputs
     solve_sweep      per seed and case: the decisions, the CompatReport
                      arrays, as_table(), worst(), the solutions W and W2
                      and the boundary trace
@@ -127,10 +127,7 @@ def cli_inputs(m, workloads, seed, groups):
             ("solve_vinf", ["solve", "source.vshc", "--vinf", "1,2,0"]),
             ("solve_vinf_nan", ["solve", "source.vshc", "--vinf", "1,nan,0"]),
             ("solve_partial_slip", ["solve", "incompatible.vshc", "--partial-slip", "3"]),
-            ("biot_threads_1", ["biot", "source.vfld", "--points", "points.txt",
-                                "--threads", "1"]),
-            ("biot_threads_2", ["biot", "source.vfld", "--points", "points.txt",
-                                "--threads", "2"])):
+            ("biot", ["biot", "source.vfld", "--points", "points.txt"])):
         m.cli("commands/%d/%s" % (seed, name), args, work)
 
 
