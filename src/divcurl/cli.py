@@ -29,15 +29,15 @@ import sys
 import numpy as np
 
 from .biotsavart import ProximityError, biot_savart_eval
-from .fileio import (FileFormatError, _dump, read_points, read_polar,
-                     read_vfld, read_vshc, write_eval_table, write_vfld,
-                     write_vshc)
+from .fileio import (FileFormatError, _dump, open_vfld, read_points,
+                     read_polar, read_vfld, read_vshc, write_eval_table,
+                     write_vfld_blocks, write_vshc)
 from .grids import AngularGrid, make_grids
 from .planar import planar_moments
 from .pseudoharmonic import phf_field, verify_pseudoharmonic
 from .solver import (DEFAULT_TOL, IncompatibilityError, boundary_trace,
                      check_compatibility, partial_slip_project, solve_exterior)
-from .transform import analyze, synthesize
+from .transform import analyze, block_nodes, synthesize, synthesize_blocks
 
 __all__ = ["main", "build_parser"]
 
@@ -59,17 +59,20 @@ def _out_or_stdout(args):
 
 
 def cmd_analyze(args):
-    field = read_vfld(args.input)
-    ang = field.angular
-    L = (args.lmax if args.lmax is not None
-         else min(ang.n_theta - 1, (ang.n_phi - 1) // 2))
-    write_vshc(_out_or_stdout(args), analyze(field, L))
+    with open_vfld(args.input) as field:
+        _, n_theta, n_phi = field.shape
+        L = (args.lmax if args.lmax is not None
+             else min(n_theta - 1, (n_phi - 1) // 2))
+        S = analyze(field, L)
+    write_vshc(_out_or_stdout(args), S)
 
 
 def cmd_synthesize(args):
     S = read_vshc(args.input)
     angular = AngularGrid(S.L_max + 1, 2 * S.L_max + 1)
-    write_vfld(_out_or_stdout(args), synthesize(S, angular))
+    step = block_nodes(S.radial.n_r, S.L_max, angular.n_theta, angular.n_phi)
+    write_vfld_blocks(_out_or_stdout(args), S.radial, angular,
+                      synthesize_blocks(S, angular, step))
 
 
 def cmd_check(args):
@@ -259,57 +262,46 @@ def build_parser():
                     "and independent cross-checks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, with_input=True):
+    def add(name, help_text, func, with_input=True):
         q = sub.add_parser(name, help=help_text)
+        q.set_defaults(func=func)
         if with_input:
             q.add_argument("input", help="input file")
         q.add_argument("--out", default=None, help="output path (default: stdout)")
         return q
 
-    q = add("analyze", "vector field file to spectral coefficients")
+    q = add("analyze", "vector field file to spectral coefficients", cmd_analyze)
     q.add_argument("--lmax", type=int, default=None,
                    help="band limit (default: what the grid supports)")
-    q.set_defaults(func=cmd_analyze)
 
-    q = add("synthesize", "spectral coefficients to a sampled field")
-    q.set_defaults(func=cmd_synthesize)
+    add("synthesize", "spectral coefficients to a sampled field", cmd_synthesize)
+    add("check", "solvability residual table for a source field", cmd_check)
 
-    q = add("check", "solvability residual table for a source field")
-    q.set_defaults(func=cmd_check)
-
-    q = add("solve", "solve curl v = f, div v = 0 outside the sphere")
+    q = add("solve", "solve curl v = f, div v = 0 outside the sphere", cmd_solve)
     q.add_argument("--vinf", default=None, metavar="X,Y,Z",
                    help="uniform flow at infinity (default: decay to zero)")
     q.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="warning threshold for solvability residuals")
     q.add_argument("--partial-slip", type=int, default=None, metavar="L",
                    help="project the moment obstruction out of degrees <= L")
-    q.set_defaults(func=cmd_solve)
 
-    q = add("phf", "generate a pseudo-harmonic family member", with_input=False)
+    q = add("phf", "generate a pseudo-harmonic family member", cmd_phf, with_input=False)
     q.add_argument("--l", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--r0", type=float, default=1.0)
     q.add_argument("--rmax", type=float, default=5.0)
     q.add_argument("--nr", type=int, default=64)
     q.add_argument("--lmax", type=int, default=8)
-    q.set_defaults(func=cmd_phf)
 
-    q = add("verify", "pseudo-harmonicity report for a coefficient file")
-    q.set_defaults(func=cmd_verify)
-
-    q = add("biot", "direct Biot-Savart evaluation at listed points")
+    add("verify", "pseudo-harmonicity report for a coefficient file", cmd_verify)
+    q = add("biot", "direct Biot-Savart evaluation at listed points", cmd_biot)
     q.add_argument("--points", required=True, help="text file of x y z rows")
-    q.set_defaults(func=cmd_biot)
 
-    q = add("moments2d", "planar moment table of a polar scalar file")
+    q = add("moments2d", "planar moment table of a polar scalar file", cmd_moments2d)
     q.add_argument("--geometry", choices=("disk", "exterior", "annulus"),
                    default=None, help="required geometry kind (consistency check)")
     q.add_argument("--kmax", type=int, default=8)
-    q.set_defaults(func=cmd_moments2d)
-
-    q = add("selftest", "run the built-in invariant suite", with_input=False)
-    q.set_defaults(func=cmd_selftest)
+    add("selftest", "run the built-in invariant suite", cmd_selftest, with_input=False)
     return p
 
 

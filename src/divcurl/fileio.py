@@ -55,17 +55,16 @@ path and 1-based line number of the offending line.
 Files are streamed, and each line is read once, so a pipe reads like a
 file.  One chunk size, _CHUNK = 9,216 numbers, bounds the text that
 readers and writers hold.  Readers parse the header line by line, then
-every body by one method, _Lines.body: chunks of about _CHUNK numbers,
-each parsed by one numpy.loadtxt call and written straight into the
-returned arrays.  Only a chunk that fails is parsed again line by line,
-from its own text, to name the first bad line.  Writers format about
-_CHUNK fields per `%` operation and write each chunk as made.
+every body by _Lines.body: one numpy.loadtxt call per chunk, and a chunk
+that fails parsed again line by line to name the first bad line.  .vfld
+samples are read (open_vfld) and written (write_vfld_blocks) in blocks
+of radial nodes, so a field can be projected or made as it streams.
 """
 
 import contextlib
-import functools
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,9 +73,9 @@ from .grids import AngularGrid, RadialGrid, SampledField, node_tolerance
 from .planar import PlanarGeometry, PolarGrid
 from .transform import SpectralField
 
-__all__ = ["FileFormatError", "read_vfld", "write_vfld", "read_vshc",
-           "write_vshc", "read_points", "write_points",
-           "read_polar", "write_polar", "write_eval_table"]
+__all__ = ["FileFormatError", "open_vfld", "read_vfld", "write_vfld",
+           "write_vfld_blocks", "read_vshc", "write_vshc", "read_points",
+           "write_points", "read_polar", "write_polar", "write_eval_table"]
 
 CHANNELS = ("r", "psi", "phi")
 
@@ -148,30 +147,10 @@ def _grid_rows(axes, values):
     return block
 
 
-def _farthest(worst, lo, coords, axes, at):
-    """
-    worst, updated by rows lo, lo + 1, ... whose coordinates (columns of
-    coords) have the nodes axes[d][at[d]]: (distance, -row) of the row
-    farthest from its node, the earliest of a tie.
-    """
-    err = np.max([np.abs(x - a[i]) for x, a, i in zip(coords.T, axes, at)], axis=0)
+def _farthest(worst, err, lines):
+    """worst, or (err, -line) of the first row farthest from its node, if farther."""
     k = int(np.argmax(err))
-    return max(worst, (float(err[k]), -(lo + k)))
-
-
-def _check_nodes(path, lineno, r, nodes, worst, tol):
-    """
-    Fail at the row farthest from its grid node, if more than tol off:
-    worst is _farthest over the other coordinates (see grid_body), and r
-    holds each row's first coordinate, whose node is nodes[row // shell].
-    """
-    shell, step = len(r) // len(nodes), _CHUNK // 4
-    for lo in range(0, len(r), step):
-        i = np.arange(lo, min(lo + step, len(r)))
-        worst = _farthest(worst, lo, r[i, None], [nodes], [i // shell])
-    if worst[0] > tol:
-        _fail(path, lineno(-worst[1]), "node coordinates do not match the "
-              "grid declared by the header")
+    return max(worst, (float(err[k]), -int(lines[k])))
 
 
 class _Lines:
@@ -293,7 +272,7 @@ class _Lines:
             except ValueError:
                 ok = False
             if ok:
-                at = range(first[0], first[0] + len(text))
+                at = np.arange(first[0], first[0] + len(text))
                 self.lineno += len(text) - 1
                 self.count += len(text) - 1
             else:
@@ -305,42 +284,62 @@ class _Lines:
                         at.append(row[0])
                 except FileFormatError:
                     if rows:
-                        yield np.array(rows), at
+                        yield np.array(rows), np.array(at)
                     raise
-                rows = np.array(rows)
+                rows, at = np.array(rows), np.array(at)
             lo += len(rows)
             yield rows, at
+            del text, numbers               # before the next chunk's text is read
 
-    def grid_body(self, shape, width, what, axes):
+    def grid_blocks(self, shape, width, what, axes, step):
         """
-        The rows of a grid file's body, one per node of the tensor grid of
-        shape in lexicographic order: its len(shape) coordinates, then
-        width complex values.  Returns (r, values, row index -> line
-        number, worst): each row's first coordinate, the values, and
-        _farthest over the other coordinates, checked chunk by chunk
-        against the nodes axes() returns.  axes() waits for a whole shell
-        of rows, so a header alone cannot make it costly.
+        Yield the width complex values of the rows of a grid file's body, one
+        row per node of the tensor grid of shape in lexicographic order after
+        its len(shape) coordinates, step shells (first-axis nodes) at a time
+        in one buffer.  The other coordinates are checked chunk by chunk
+        against the nodes axes() returns once a whole shell is read, so a
+        header alone cannot make it costly; radial() checks the first.
         """
-        n, d = math.prod(shape), len(shape)
+        n, d, shell = math.prod(shape), len(shape), math.prod(shape[1:])
         with _sized(self.path, self.lineno, n, d + 2 * width):
-            r, values = np.empty(n), np.empty((n, width), dtype=complex)
-        lo, chunks, held, nodes, worst = 0, [], [], None, (0.0, 0)
-        for rows, at in self.body(d + 2 * width, what, n):
-            r[lo:lo + len(rows)] = rows[:, 0]
-            values.view(float)[lo:lo + len(rows)] = rows[:, d:]
-            held.append((lo, rows[:, 1:d].copy()))
-            lo += len(rows)
-            chunks.append(at)
-            if lo < n // shape[0]:
-                continue
-            nodes = axes() if nodes is None else nodes
-            for a, coords in held:
-                ix = np.unravel_index(np.arange(a, a + len(coords)), shape)[1:]
-                worst = _farthest(worst, a, coords, nodes, ix)
-            held = []
+            buf = np.empty((min(step, shape[0]) * shell, width), dtype=complex)
+        # each shell's first coordinate; (shell, r, line) of the rows that
+        # start a shell or sit off its first value
+        self.nodes, self.off, self.worst = np.empty(shape[0]), [], (0.0, 0)
+        held, nodes = [], None
+        for a in range(0, n, len(buf)):
+            lo = a
+            for rows, at in self.body(d + 2 * width, what, min(len(buf), n - a)):
+                i = np.arange(lo, lo + len(rows))
+                s, head = i // shell, i % shell == 0
+                self.nodes[s[head]] = rows[head, 0]
+                off = head | (rows[:, 0] != self.nodes[s])
+                self.off.append((s[off], rows[off, 0], at[off]))
+                held.append((i, at, rows[:, 1:d].copy()))
+                if i[-1] >= shell - 1:
+                    nodes = axes() if nodes is None else nodes
+                    for rows_i, lines, coords in held:
+                        ix = np.unravel_index(rows_i, shape)[1:]
+                        err = [np.abs(x - ax[j]) for x, ax, j in zip(coords.T, nodes, ix)]
+                        self.worst = _farthest(self.worst, np.max(err, axis=0), lines)
+                    held = []
+                buf.view(float)[lo - a:lo - a + len(rows)] = rows[:, d:]
+                lo += len(rows)
+            yield buf[:lo - a]
         self.done()
-        return r, values, lambda k: next(
-            itertools.islice(itertools.chain(*chunks), k, None)), worst
+
+    def radial(self, lo, hi):
+        """
+        After grid_blocks: the RadialGrid on [lo, hi] rebuilt from each shell's
+        first coordinate; fails at the row farthest off its node, if too far.
+        """
+        s, r, at = map(np.concatenate, zip(*self.off))
+        grid = radial_from_nodes(lo, hi, self.nodes, self.path, at[0])
+        worst = _farthest(self.worst, np.abs(r - grid.r[s]), at)
+        if worst[0] > node_tolerance(lo, hi):
+            _fail(self.path, -worst[1], "node coordinates do not match the "
+                  "grid declared by the header")
+        return grid
 
 
 def _after(line, head):
@@ -410,48 +409,66 @@ def radial_from_nodes(r0, rmax, nodes, path="<nodes>", lineno=0):
 
 
 def write_vfld(path, field):
-    """
-    Write a SampledField to a .vfld text file.
+    """Write a SampledField to a .vfld text file, as one block."""
+    write_vfld_blocks(path, field.radial, field.angular, [field.values])
 
-    Rows hold the spherical-frame components at every (r, theta, phi)
-    node in lexicographic order, real and imaginary parts separately.
+
+def write_vfld_blocks(path, radial, angular, blocks):
     """
-    rad, ang = field.radial, field.angular
-    rows = field.values.reshape(-1, 3).view(float)
+    Write a .vfld file from blocks (n, ntheta, nphi, 3) of consecutive radial
+    nodes as they come: rows (r, theta, phi, Re and Im of each component).
+    """
     with _output(path) as fh:
         fh.write("vfld 1\nr0 %.17g\nrmax %.17g\nnr %d\nntheta %d\nnphi %d\n"
-                 % (rad.r0, rad.rmax, rad.n_r, ang.n_theta, ang.n_phi))
-        _write_rows(fh, len(rows), 6,
-                    _grid_rows((rad.r, ang.theta, ang.phi), rows), "%s %s %s ")
+                 % (radial.r0, radial.rmax, radial.n_r, angular.n_theta, angular.n_phi))
+        a = 0
+        for values in blocks:
+            rows = values.reshape(-1, 3).view(float)
+            axes = (radial.r[a:a + len(values)], angular.theta, angular.phi)
+            _write_rows(fh, len(rows), 6, _grid_rows(axes, rows), "%s %s %s ")
+            a += len(values)
+
+
+class _Vfld:
+    """A .vfld file whose header is read; see open_vfld."""
+
+    def __init__(self, lines):
+        _magic(lines, "vfld")
+        r0, rmax = lines.keyfloat("r0"), lines.keyfloat("rmax")
+        self.shape = tuple(lines.keyint(key) for key in ("nr", "ntheta", "nphi"))
+        if min(self.shape) < 1:
+            _fail(lines.path, lines.lineno, "grid sizes must be positive")
+        self.lines, self.radial = lines, SimpleNamespace(r0=r0, rmax=rmax, n_r=self.shape[0])
+
+    def blocks(self, step):
+        def axes():
+            self.angular = AngularGrid(*self.shape[1:])
+            return self.angular.theta, self.angular.phi
+        body = self.lines.grid_blocks(self.shape, 3, "field", axes, step)
+        # from a generator expression, so no block is held past the last
+        yield from (rows.reshape((-1,) + self.shape[1:] + (3,)) for rows in body)
+        self.radial = self.lines.radial(self.radial.r0, self.radial.rmax)
+
+
+@contextlib.contextmanager
+def open_vfld(path):
+    """
+    Open a .vfld file and read its header: the object given has shape (nr,
+    ntheta, nphi) and radial, the header's (r0, rmax, n_r).  blocks(step)
+    yields the samples (n, ntheta, nphi, 3), step radial nodes at a time in
+    one buffer, and sets angular once a whole shell is read.  After the last
+    block, radial is the RadialGrid rebuilt from the recorded nodes (panel
+    layout included), and every row's node coordinates have been checked.
+    """
+    with _Lines(path) as lines:
+        yield _Vfld(lines)
 
 
 def read_vfld(path):
-    """
-    Read a .vfld file back into a SampledField.
-
-    The radial grid (panel layout included) is reconstructed from the
-    recorded nodes; the angular grid follows from (ntheta, nphi).  Node
-    coordinates in the rows are checked against the rebuilt grids, so a
-    file edited out of shape fails with a pointed diagnostic.  The read
-    holds the field, the radial coordinate of each row and one chunk of
-    text; theta and phi are checked chunk by chunk.
-    """
-    with _Lines(path) as lines:
-        _magic(lines, "vfld")
-        r0 = lines.keyfloat("r0")
-        rmax = lines.keyfloat("rmax")
-        n_r = lines.keyint("nr")
-        n_theta = lines.keyint("ntheta")
-        n_phi = lines.keyint("nphi")
-        if n_r < 1 or n_theta < 1 or n_phi < 1:
-            _fail(path, lines.lineno, "grid sizes must be positive")
-        angular = functools.cache(lambda: AngularGrid(n_theta, n_phi))
-        r, v, lineno, worst = lines.grid_body(
-            (n_r, n_theta, n_phi), 3, "field",
-            lambda: (angular().theta, angular().phi))
-        radial = radial_from_nodes(r0, rmax, r[::n_theta * n_phi], path, lineno(0))
-        _check_nodes(path, lineno, r, radial.r, worst, node_tolerance(r0, rmax))
-    return SampledField(radial, angular(), v.reshape(n_r, n_theta, n_phi, 3))
+    """Read a .vfld file into a SampledField: open_vfld's one-block case."""
+    with open_vfld(path) as f:
+        values, = f.blocks(f.shape[0])
+    return SampledField(f.radial, f.angular, values)
 
 
 ############################################
@@ -610,11 +627,9 @@ def read_polar(path):
         n_phi = lines.keyint("nphi")
         if n_rho < 1 or n_phi < 1:
             _fail(path, lines.lineno, "grid sizes must be positive")
-        r, samples, lineno, worst = lines.grid_body(
+        samples, = lines.grid_blocks(
             (n_rho, n_phi), 1, "sample",
-            lambda: (2.0 * np.pi * np.arange(n_phi) / n_phi,))   # PolarGrid.phi
+            lambda: (2.0 * np.pi * np.arange(n_phi) / n_phi,), n_rho)   # PolarGrid.phi
         lo, hi = geom.domain()
-        radial = radial_from_nodes(lo, hi, r[::n_phi], path, lineno(0))
-        grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=radial.breakpoints)
-        _check_nodes(path, lineno, r, grid.rho, worst, node_tolerance(lo, hi))
+        grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=lines.radial(lo, hi).breakpoints)
     return samples.reshape(n_rho, n_phi), grid, geom

@@ -73,12 +73,15 @@ class AngularGrid:
             raise ValueError("angular node counts must be positive")
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
-        ct, w_ct = leggauss(self.n_theta)
+        try:                             # leggauss's companion matrix is n_theta^2
+            ct, w_ct = leggauss(self.n_theta)
+            self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+        except MemoryError:
+            raise ValueError(f"angular grid ({n_theta} x {n_phi}) is too large") from None
         order = np.argsort(-ct)          # theta increasing from the north pole
         self.ct = ct[order]
         self.w_ct = w_ct[order]
         self.theta = np.arccos(self.ct)
-        self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self.w_phi = 2.0 * np.pi / self.n_phi
 
     def __repr__(self):
@@ -263,6 +266,11 @@ class SampledField:
         self.radial = radial
         self.angular = angular
         self.values = values
+        self.shape = expected[:3]
+
+    def blocks(self, step):
+        """The values as views of step radial nodes at a time (the last may be short)."""
+        return (self.values[a:a + step] for a in range(0, len(self.values), step))
 
 
 ############################################

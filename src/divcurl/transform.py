@@ -13,11 +13,11 @@ which is exact for band-limited fields on the grids from `make_grids`.
 
 Both grid transforms are split by azimuthal order m, as in SHTns
 (Schaeffer 2013): one FFT along phi, and per order one dense product of
-the l >= |m| Legendre rows with the (n_theta, n_r) slab of frequency bin
-m % n_phi.  No array indexed by every mode and every grid node is ever
-formed, so synthesize peaks at about the size of the field it returns.
-analyze takes its FFT a few radial nodes at a time: it holds the
-coefficients it returns and one FFT chunk of at most a quarter of them.
+the l >= |m| Legendre rows with the (n_theta, n) slab of frequency bin
+m % n_phi, on a block of n radial nodes (block_nodes: at most a quarter
+of the coefficients' size).  analyze projects each block as it comes,
+from a SampledField or a .vfld file; synthesize_blocks makes the samples
+block by block, and synthesize, its one-block case, peaks near its output.
 synthesize_at sorts its points by radial panel and works through them in
 blocks of at most _POINT_BLOCK = 128: per block one real product
 interpolates every radial profile, and one batched real product of each
@@ -45,8 +45,8 @@ import numpy as np
 from .harmonics import pbar_table, qbar_table, dpbar_table
 
 __all__ = ["SpectralField", "ScalarSpectral", "mode_index", "mode_degrees",
-           "analyze", "synthesize", "synthesize_at", "spectral_div",
-           "spectral_curl", "spectral_grad"]
+           "block_nodes", "analyze", "synthesize", "synthesize_blocks",
+           "synthesize_at", "spectral_div", "spectral_curl", "spectral_grad"]
 
 
 def mode_index(l, m):
@@ -199,16 +199,20 @@ def _mode_tables(L_max, ct):
             sign * ems[:, None] * Q[ells, mu])
 
 
-def _order_rows(L_max):
-    """Pairs (m, flat indices of the modes of order m, l ascending), m = -L..L."""
+def _orders(L_max, angular, w=1.0):
+    """Per order m: its bin m % n_phi, modes, Y rows and [d/dtheta; m/sin] rows, times w."""
+    A, B, C = _mode_tables(L_max, angular.ct)
+    for T in (A, B, C):
+        T *= w
     _, ems = mode_degrees(L_max)
-    return [(m, np.flatnonzero(ems == m)) for m in range(-L_max, L_max + 1)]
+    return [(m % angular.n_phi, k, A[k], np.concatenate([B[k], C[k]]))
+            for m in range(-L_max, L_max + 1) for k in [np.flatnonzero(ems == m)]]
 
 
-def _require_band_limit(angular, L_max):
-    if angular.n_theta < L_max + 1 or angular.n_phi < 2 * L_max + 1:
+def _require_band_limit(n_theta, n_phi, L_max):
+    if n_theta < L_max + 1 or n_phi < 2 * L_max + 1:
         raise ValueError(
-            f"angular grid ({angular.n_theta} x {angular.n_phi}) cannot resolve "
+            f"angular grid ({n_theta} x {n_phi}) cannot resolve "
             f"L_max = {L_max}; need at least {L_max + 1} x {2 * L_max + 1}")
 
 
@@ -225,29 +229,36 @@ def _real_gemm(M, Z):
 _POINT_BLOCK = 128
 # numbers per channel in a mode block of the spectral operators
 _MODE_BLOCK = 1 << 14
-# analyze transforms its input a multiple of this many radial nodes at a
-# time; cut there, every product column is rounded as in one whole call
+# the grid transforms take samples a multiple of this many radial nodes at
+# a time; cut there, every product column is rounded as in one whole call
 _RADIAL_STEP = 16
+
+
+def block_nodes(n_r, L_max, n_theta, n_phi):
+    """The largest multiple of _RADIAL_STEP nodes (one at least) in 1/4 of the coefficients."""
+    return _RADIAL_STEP * max(1, n_r * (L_max + 1) ** 2 // (4 * n_theta * n_phi)
+                              // _RADIAL_STEP)
 
 
 def analyze(field, L_max):
     """
     Project a sampled vector field onto the VSH basis.
 
-    One FFT along phi gives the phi integral of v e^{-i m phi} for every
-    azimuthal order m at once; bin m % n_phi holds order m, since the grid
-    resolves L_max.  Then for each m one dense product of the weighted
-    l >= |m| Legendre rows with the (n_theta, 3 n) Fourier slab of that
-    bin gives all coefficients of that order on n radial nodes.  The FFT
-    goes into one buffer of n radial nodes at a time, n the largest
-    multiple of _RADIAL_STEP (at least one) that fits in a quarter of the
-    size of the coefficients: working memory is that buffer plus the
-    coefficients, and per-order temporaries are O(L_max n_theta n).
+    The samples come in blocks of n = block_nodes(...) radial nodes.  One
+    FFT along phi of a block gives the phi integral of v e^{-i m phi}
+    for every azimuthal order m at once; bin m % n_phi holds order m,
+    since the grid resolves L_max.  Then for each m one dense product of
+    the weighted l >= |m| Legendre rows with the (n_theta, 3 n) Fourier
+    slab of that bin gives all coefficients of that order on the block's
+    nodes.  Working memory is the coefficients, one FFT buffer of a block
+    (and a file's buffer) and per-order temporaries of O(L_max n_theta n).
 
     Parameters
     ----------
-    field: SampledField
-        spherical-frame samples on a tensor grid
+    field: SampledField, or a .vfld file open with fileio.open_vfld
+        anything with shape (n_r, n_theta, n_phi) and blocks(step) of the
+        samples; its angular grid is read after the first block and its
+        radial grid after the last, so a file is projected as it is read
     L_max: int
         band limit of the output
 
@@ -257,48 +268,67 @@ def analyze(field, L_max):
         c_r = surface integral of v . conj(Y_lm), and c_1, c_2 the Psi / Phi
         projections divided by the basis norm l(l+1), per radial node.
     """
-    ang = field.angular
-    _require_band_limit(ang, L_max)                  # before any allocation
-    out = SpectralField(field.radial, L_max)         # refuses L_max < 0
-    w = ang.w_phi * ang.w_ct                         # fold quadrature weights in
-    A, B, C = (w * T for T in _mode_tables(L_max, ang.ct))
-    n_r = field.radial.n_r
-    ells, _ = mode_degrees(L_max)
-    inv = np.zeros(ells.size)                        # 1 / l(l+1), 0 at l = 0
-    inv[1:] = 1.0 / (ells[1:] * (ells[1:] + 1.0))
-    # per order m, for every radial chunk: its frequency bin, its modes,
-    # Y rows and [d/dtheta; m/sin] rows
-    orders = [(m % ang.n_phi, k, A[k], np.concatenate([B[k], C[k]]))
-              for m, k in _order_rows(L_max)]
-    del A, B, C
-
-    step = _RADIAL_STEP * max(1, n_r * ells.size // (4 * ang.n_theta * ang.n_phi)
-                              // _RADIAL_STEP)
-    F = np.empty((min(step, n_r), ang.n_theta, ang.n_phi, 3), dtype=complex)
-    for a in range(0, n_r, step):
-        n = min(step, n_r - a)
-        np.fft.fft(field.values[a:a + n], axis=2, out=F[:n])
+    n_r, n_t, n_p = field.shape
+    _require_band_limit(n_t, n_p, L_max)             # before any allocation
+    step = block_nodes(n_r, L_max, n_t, n_p)
+    a, F = 0, None
+    for V in field.blocks(step):
+        if F is None:            # a file has sized its buffer and read a shell
+            out = SpectralField(field.radial, L_max)     # refuses L_max < 0
+            inv = (out.ells > 0) / np.maximum(out.ells * (out.ells + 1.0), 1.0)  # 0 at l = 0
+            ang = field.angular                          # fold quadrature weights in
+            orders = _orders(L_max, ang, ang.w_phi * ang.w_ct)
+            F = np.empty((min(step, n_r), n_t, n_p, 3), dtype=complex)
+        n = len(V)
+        np.fft.fft(V, axis=2, out=F[:n])
+        del V                  # none held while a file rebuilds its radial grid
         for b, k, Y_m, BC_m in orders:
             X = F[:n, :, b]                          # (n, n_t, 3) slab of order m
             c_r = _real_gemm(Y_m, X[..., 0].T)
             # the Psi and Phi channels side by side along columns
-            pq = _real_gemm(BC_m, X[..., 1:].transpose(1, 2, 0).reshape(ang.n_theta, 2 * n))
+            pq = _real_gemm(BC_m, X[..., 1:].transpose(1, 2, 0).reshape(n_t, 2 * n))
             p, q = pq[:k.size], pq[k.size:]          # d/dtheta and m/sin rows
             out.coeffs[k, 0, a:a + n] = c_r
             out.coeffs[k, 1, a:a + n] = inv[k, None] * (p[:, :n] - 1j * q[:, n:])
             out.coeffs[k, 2, a:a + n] = inv[k, None] * (1j * q[:, :n] + p[:, n:])
+        a += n
+    out.radial = field.radial                        # a file's, rebuilt at its end
     return out
+
+
+def synthesize_blocks(S, angular, step):
+    """
+    Evaluate a SpectralField on the tensor grid, yielding the samples
+    (n, n_theta, n_phi, 3) of step radial nodes at a time in one buffer.
+    Per order m, products of the l >= |m| Legendre rows with that order's
+    coefficients give the theta profiles in frequency bin m % n_phi; one
+    in-place inverse FFT along phi then yields the samples.
+    """
+    _require_band_limit(angular.n_theta, angular.n_phi, S.L_max)
+    orders, n_r = _orders(S.L_max, angular), S.radial.n_r
+    buf = np.empty((min(step, n_r), angular.n_theta, angular.n_phi, 3), dtype=complex)
+    for a in range(0, n_r, step):
+        values = buf[:min(step, n_r - a)]
+        n = len(values)
+        values.fill(0.0)                             # bins of no order stay zero
+        for b, k, A_m, BC_m in orders:
+            c = S.coeffs[k, :, a:a + n]              # (n_lm, 3, n)
+            T_r = _real_gemm(A_m.T, c[:, 0])
+            # [T_t | T_p] = [B^T C^T] [[c_1, c_2], [-i c_2, i c_1]]
+            coef = np.block([[c[:, 1], c[:, 2]], [-1j * c[:, 2], 1j * c[:, 1]]])
+            T_tp = _real_gemm(BC_m.T, coef)
+            slab = values[:, :, b]                   # (n, n_t, 3) view
+            slab[..., 0] = T_r.T
+            slab[..., 1] = T_tp[:, :n].T
+            slab[..., 2] = T_tp[:, n:].T
+        np.fft.ifft(values, axis=2, norm="forward", out=values)   # in place
+        yield values
 
 
 def synthesize(S, angular):
     """
-    Evaluate a SpectralField on the tensor grid (inverse of analyze).
-
-    For each azimuthal order m, dense products of the l >= |m| Legendre
-    rows with that order's coefficients give the (n_theta, n_r) theta
-    profiles, written into frequency bin m % n_phi of the output buffer;
-    one in-place inverse FFT along phi then yields the samples.  Peak
-    memory is the output array plus O(L_max n_theta n_r) per order.
+    Evaluate a SpectralField on the tensor grid (inverse of analyze), as
+    one block of synthesize_blocks: it peaks near the size of its output.
 
     Parameters
     ----------
@@ -313,22 +343,7 @@ def synthesize(S, angular):
     """
     from .grids import SampledField
 
-    _require_band_limit(angular, S.L_max)
-    A, B, C = _mode_tables(S.L_max, angular.ct)
-    n_r, n_t, n_p = S.radial.n_r, angular.n_theta, angular.n_phi
-
-    values = np.zeros((n_r, n_t, n_p, 3), dtype=complex)
-    for m, k in _order_rows(S.L_max):
-        c = S.coeffs[k]                              # (n_lm, 3, n_r)
-        T_r = _real_gemm(A[k].T, c[:, 0])
-        # [T_t | T_p] = [B^T C^T] [[c_1, c_2], [-i c_2, i c_1]]
-        coef = np.block([[c[:, 1], c[:, 2]], [-1j * c[:, 2], 1j * c[:, 1]]])
-        T_tp = _real_gemm(np.concatenate([B[k], C[k]]).T, coef)
-        slab = values[:, :, m % n_p]                 # (n_r, n_t, 3) view
-        slab[..., 0] = T_r.T
-        slab[..., 1] = T_tp[:, :n_r].T
-        slab[..., 2] = T_tp[:, n_r:].T
-    np.fft.ifft(values, axis=2, norm="forward", out=values)   # in place
+    values, = synthesize_blocks(S, angular, S.radial.n_r)
     return SampledField(S.radial, angular, values)
 
 

@@ -17,7 +17,10 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
     commands         check, verify, phf and selftest, solve clean,
                      refused, --vinf 1,2,0, --vinf 1,nan,0 and
                      --partial-slip 3, and biot, on each seed's
-                     cli_pipeline inputs
+                     cli_pipeline inputs; per seed, analyze and
+                     synthesize across block boundaries: 40 radial nodes
+                     (blocks of 16 + 16 + 8) at L = 4, on the (5, 9) grid
+                     and on a wider (7, 13) one
     solve_sweep      per seed and case: the decisions, the CompatReport
                      arrays, as_table(), worst(), the solutions W and W2
                      and the boundary trace
@@ -131,6 +134,28 @@ def cli_inputs(m, workloads, seed, groups):
         m.cli("commands/%d/%s" % (seed, name), args, work)
 
 
+def block_commands(m, seed):
+    """analyze and synthesize of random samples whose radial blocks end in a short one."""
+    import numpy as np
+    from divcurl import fileio, grids
+
+    work = m.work / ("blocks_%d" % seed)
+    work.mkdir()
+    _, rad = grids.make_grids(1.0, 5.0, 40, 4, breakpoints=np.linspace(1.0, 5.0, 6))
+    rng = np.random.default_rng([seed, 6])
+    for name, ang in (("tail", grids.AngularGrid(5, 9)), ("wide", grids.AngularGrid(7, 13))):
+        shape = (rad.n_r, ang.n_theta, ang.n_phi, 3)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fileio.write_vfld(work / (name + ".vfld"), grids.SampledField(rad, ang, values))
+        key = "commands/%d/%s/" % (seed, name)
+        m.cli(key + "analyze", ["analyze", name + ".vfld", "--lmax", "4",
+                                "--out", name + ".vshc"], work)
+        m.cli(key + "synthesize", ["synthesize", name + ".vshc",
+                                   "--out", name + "_back.vfld"], work)
+        for f in (name + ".vfld", name + ".vshc", name + "_back.vfld"):
+            m.add(key + f, (work / f).read_bytes())
+
+
 def seedless_commands(m):
     """selftest, phf to stdout and to a file, and verify of that member."""
     work = m.work / "commands"
@@ -228,6 +253,8 @@ def manifest(root, groups, seeds):
         for seed in seeds:
             if {"cli_pipeline", "commands"} & groups:
                 cli_inputs(m, workloads, seed, groups)
+            if "commands" in groups:
+                block_commands(m, seed)
             if "solve_sweep" in groups:
                 solve_sweep(m, workloads, seed)
             if "transform_large" in groups:
