@@ -6,11 +6,12 @@ The angular grid is Gauss-Legendre in cos(theta) crossed with a uniform
 trapezoid rule in phi, which integrates products of spherical harmonics
 exactly up to the declared band limit.  The radial grid is a composite
 Gauss-Legendre rule on [r0, rmax] split into P panels of n nodes, with
-barycentric operators stacked over the panels: weights (P, n), the
-differentiation matrix D and the cumulative matrix K (P, n, n).  One
-matrix product over a (P, ..., n) view of the samples applies them to
-every panel; per-panel rows evaluate off the nodes, and a cached row of
-panel 0 gives the value at the wall r0, and the wall slope from D on panel 0.
+operators stacked over the panels: barycentric weights (P, n),
+differentiation matrices D (P, n, n) and cumulative matrices K
+(P, n, n), K built from one reference panel.  One matrix product over a
+(P, ..., n) view of the samples applies them to every panel; per-panel
+rows evaluate off the nodes, and a cached row of panel 0 gives the value
+at the wall r0, and the wall slope from D on panel 0.
 
 The infinite domain [r0, inf) is truncated at rmax under the convention
 that source fields are compactly supported in [r0, rmax]; tail integrals
@@ -18,7 +19,7 @@ then terminate at rmax exactly.
 """
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 __all__ = ["AngularGrid", "RadialGrid", "SampledField", "make_grids",
            "surface_integral"]
@@ -26,8 +27,6 @@ __all__ = ["AngularGrid", "RadialGrid", "SampledField", "make_grids",
 
 ############################################
 # Barycentric helper
-
-_EVAL_BLOCK = 1 << 17    # entries of the (nodes, n, n) temporary K is built from
 
 
 def node_tolerance(lo, hi):
@@ -131,24 +130,23 @@ class RadialGrid:
         i = np.arange(n)
         off = lambda A: np.ascontiguousarray(A[:, i[:, None] != i]).reshape(P, n, n - 1)
         dx = x[:, :, None] - x[:, None, :]
-        # K[p, i, j] = integral from the panel start to x_i of Lagrange_j, by the same
-        # Gauss rule on [a, x_i]; its evaluation rows go in blocks of ~_EVAL_BLOCK entries
-        s = (x - a)[..., None]
-        t, wt = (0.5 * (xg + 1.0) * s + a[..., None]).reshape(-1, n), wg * 0.5 * s
-        blocks = np.array_split(np.arange(P * n), min(P * n, -(-P * n ** 3 // _EVAL_BLOCK)))
         bad = f"{n} nodes per panel overflow the weights; use more panels"
         with np.errstate(all="ignore"):         # out-of-range weights are refused
             self._bary = bw = 1.0 / np.prod(off(dx), axis=-1)
             dx[:, i, i] = 1.0
             self._D = (bw[:, None, :] / bw[:, :, None]) / dx
             self._D[:, i, i] = -off(self._D).sum(axis=-1)
-            if not np.isfinite(self._D).all():  # a weight of 0 or inf: skip K's O(n^4)
+            if not np.isfinite(self._D).all():  # a weight of 0 or inf: build no rows
                 raise ValueError(bad)
-            self._K = np.concatenate([np.matmul(wt.reshape(-1, 1, n)[i], _bary_eval_matrix(
-                x[i // n], bw[i // n], t[i])) for i in blocks]).reshape(P, n, n)
-        if not np.isfinite(self._K).all():      # from ~505 nodes on [1, 2], D from ~520
+            self._wall_row = self.eval_matrix(0, [self.r0])
+        if not np.isfinite(self._wall_row).all():   # D finite, as on [1, 1.001] x 86
             raise ValueError(bad)
-        self._wall_row = self.eval_matrix(0, [self.r0])
+        # K[p] = (h_p / 2) Kr integrates the interpolant from the panel start to each
+        # node.  On the reference panel, (2k + 1) P_k = P'_{k+1} - P'_{k-1} with
+        # P_-1 = -1 gives Kr[i, j] = w_j / 2 sum_k (P_{k+1} - P_{k-1})(xg_i) P_k(xg_j)
+        V = legvander(xg, n)                            # P_0 .. P_n at the nodes
+        dP = V[:, 1:] - np.column_stack([-np.ones(n), V[:, :-2]])
+        self._K = 0.5 * h[:, :, None] * (0.5 * wg * (dP @ V[:, :-1].T))
 
     # -------------------------------------------------- calculus on samples
 
@@ -217,7 +215,8 @@ class RadialGrid:
         NaN included, raise ValueError.
         """
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        if not np.all((pts >= self.r0 - 1e-12) & (pts <= self.rmax + 1e-12)):
+        tol = 1e-12 * self.rmax                 # relative to the grid's scale
+        if not np.all((pts >= self.r0 - tol) & (pts <= self.rmax + tol)):
             raise ValueError("interpolation points must lie in [r0, rmax]")
         idx = np.clip(np.searchsorted(self.breakpoints, pts, side="right") - 1,
                       0, self.n_panels - 1)
@@ -312,7 +311,7 @@ def make_grids(r0, rmax, n_r, L_max, breakpoints=None):
         breakpoints = np.geomspace(r0, rmax, n_panels + 1)
     else:
         breakpoints = np.asarray(breakpoints, dtype=float)
-        if abs(breakpoints[0] - r0) > 1e-12 or abs(breakpoints[-1] - rmax) > 1e-12:
+        if max(abs(breakpoints[0] - r0), abs(breakpoints[-1] - rmax)) > 1e-12 * rmax:
             raise ValueError("breakpoints must span [r0, rmax]")
         n_panels = breakpoints.size - 1
         if n_r % n_panels:

@@ -44,8 +44,8 @@ class PolarGrid:
         else:
             breakpoints = np.asarray(breakpoints, dtype=float)
             n_panels = len(breakpoints) - 1
-            if abs(breakpoints[0] - rho_min) > 1e-12 * max(1.0, rho_max) \
-                    or abs(breakpoints[-1] - rho_max) > 1e-12 * max(1.0, rho_max):
+            if max(abs(breakpoints[0] - rho_min),
+                   abs(breakpoints[-1] - rho_max)) > 1e-12 * rho_max:
                 raise ValueError("breakpoints must span [rho_min, rho_max]")
             if n_rho % n_panels != 0:
                 raise ValueError(f"n_rho = {n_rho} is not divisible by "

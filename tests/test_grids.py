@@ -3,6 +3,7 @@ Quadrature, differentiation, and interpolation on the shell grids.
 """
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from scipy.special import sph_harm_y
 
+from divcurl import fileio
 from divcurl.grids import (AngularGrid, RadialGrid, SampledField,
                            _bary_eval_matrix, make_grids, surface_integral)
 
@@ -240,8 +242,11 @@ def test_stacked_operators_match_per_panel_loops(n, r0, widths, lead, complex_da
                                                  fortran, seed):
     rad = RadialGrid(r0 + np.concatenate([[0.0], np.cumsum(widths)]), n)
     bws, Ds, Ks = _ref_operators(rad)
-    for got, want in ((rad._bary, bws), (rad._D, Ds), (rad._K, Ks)):
+    for got, want in ((rad._bary, bws), (rad._D, Ds)):
         assert got.tobytes() == want.tobytes()
+    # K comes from the reference panel, not from a Gauss rule on each [a, x_i]
+    h = np.diff(rad.breakpoints)[:, None, None]
+    assert np.all(np.abs(rad._K - Ks) <= 1e-11 * h)
     rng = np.random.default_rng(seed)
     shape = tuple(lead) + (rad.n_r,)
     g = rng.standard_normal(shape)
@@ -253,7 +258,7 @@ def test_stacked_operators_match_per_panel_loops(n, r0, widths, lead, complex_da
         g = np.asfortranarray(g)
     assert rad.differentiate(g).tobytes() == _ref_differentiate(rad, Ds, g).tobytes()
     run = rad.running_integral(g)
-    assert run.tobytes() == _ref_running_integral(rad, Ks, g).tobytes()
+    assert run.tobytes() == _ref_running_integral(rad, rad._K, g).tobytes()
     assert rad.at_r0(g).tobytes() == rad.interp(g, [rad.r0])[..., 0].tobytes()
     total = rad.integrate(g)[..., None]
     scale = np.abs(g) @ rad.w
@@ -306,31 +311,110 @@ def test_running_integral_peaks_near_its_output():
     assert run.tobytes() == _ref_running_integral(rad, rad._K, g).tobytes()
 
 
-def test_one_wide_panel_builds_in_bounded_memory():
-    # make_grids falls back to one panel when n_r is prime; K's evaluation
-    # rows are built in blocks, not as one (n, n, n) array (291 MB here)
+def _traced_peak(build):
     tracemalloc.start()
     try:
-        rad = RadialGrid([1.0, 2.0], 257)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6                   # 5.0 MB measured
+
+
+def test_one_wide_panel_builds_in_bounded_memory():
+    # make_grids falls back to one panel when n_r is prime
+    rad, peak = _traced_peak(lambda: RadialGrid([1.0, 2.0], 257))
+    assert peak < 6e6                    # 3.3 MB measured
     assert abs(rad.running_integral(rad.r)[-1] - (rad.r[-1] ** 2 - 1.0) / 2) < 1e-12
 
 
-@pytest.mark.parametrize("build, builds_K", [(lambda: RadialGrid([1.0, 2.0], 600), False),
-                                             (lambda: make_grids(1.0, 2.0, 601, 4), False),
-                                             (lambda: RadialGrid([1.0, 1.001], 86), True)])
-def test_panel_whose_weights_overflow_is_refused(build, builds_K):
+def test_grid_construction_peaks_near_its_operators():
+    # the CLI files' 8 x 16 grid, built directly and rebuilt from its nodes
+    # as the readers do; its operators are 16 KB each
+    bp = np.linspace(1.0, 5.0, 9)
+    nodes = RadialGrid(bp, 16).r
+    for build in (lambda: RadialGrid(bp, 16),
+                  lambda: fileio.radial_from_nodes(1.0, 5.0, nodes)):
+        assert _traced_peak(build)[1] < 0.25e6     # 0.10 and 0.14 MB measured
+
+
+@pytest.mark.parametrize("build, builds_wall_row",
+                         [(lambda: RadialGrid([1.0, 2.0], 600), False),
+                          (lambda: make_grids(1.0, 2.0, 601, 4), False),
+                          (lambda: RadialGrid([1.0, 1.001], 86), True)])
+def test_panel_whose_weights_overflow_is_refused(build, builds_wall_row):
     # 1/prod(x_j - x_k) underflows past ~520 nodes on [1, 2]: D would be NaN,
-    # and the refusal comes before K's O(n^4) rows; 601 is prime, so make_grids
-    # puts all nodes on one panel.  On [1, 1.001] 86 nodes leave D finite, but
-    # the weights overflow K's rows to NaN
+    # and the refusal comes before any evaluation row; 601 is prime, so
+    # make_grids puts all nodes on one panel.  On [1, 1.001] 86 nodes leave D
+    # finite, but the weights overflow the wall row to NaN
     with mock.patch("divcurl.grids._bary_eval_matrix", wraps=_bary_eval_matrix) as rows, \
             pytest.raises(ValueError, match="more panels"):
         build()
-    assert rows.called == builds_K
+    assert rows.called == builds_wall_row
+
+
+@pytest.mark.parametrize("n, bp", [(16, [1.0, 2.0, 5.0]), (9, [0.0, 0.01, 3.0, 10.0]),
+                                   (24, [10.0, 10.5]), (5, [0.1, 0.3, 0.5])])
+def test_cumulative_matrix_integrates_panel_polynomials_exactly(n, bp):
+    # q(t) = sum_k c_k t^k with t = (s - a) / h, of degree < n, sampled at the
+    # float nodes; its integral from a to each node is taken in exact rationals
+    rad = RadialGrid(bp, n)
+    rng = np.random.default_rng(n)
+    for p in range(rad.n_panels):
+        c = [Fraction(v) for v in rng.standard_normal(n)]
+        a = Fraction(bp[p])
+        h = Fraction(bp[p + 1]) - a
+        t = [(Fraction(x) - a) / h for x in rad.r[p * n:(p + 1) * n]]
+        g = np.array([float(sum(ck * tk ** k for k, ck in enumerate(c))) for tk in t])
+        want = [float(h * sum(ck * tk ** (k + 1) / (k + 1) for k, ck in enumerate(c)))
+                for tk in t]
+        gap = np.abs(rad._K[p] @ g - want).max()
+        assert gap <= 1e-12 * float(h) * np.abs(g).max()
+
+
+@settings(derandomize=True, deadline=None)
+@given(k=st.integers(-40, 40))
+@example(k=-30)
+@example(k=-40)
+def test_radial_operators_follow_the_length_unit(k):
+    # on 2^k [1, 5] every breakpoint and panel width, and so every K entry,
+    # is an exact multiple of its unit-scale value
+    lam = 2.0 ** k
+    rad = RadialGrid(lam * np.linspace(1.0, 5.0, 5), 16)
+    unit = RadialGrid(np.linspace(1.0, 5.0, 5), 16)
+    assert rad._K.tobytes() == (lam * unit._K).tobytes()
+    for p in range(16):
+        want = (rad.r ** (p + 1) - rad.r0 ** (p + 1)) / (p + 1)
+        gap = np.abs(rad.running_integral(rad.r ** p) - want).max()
+        assert gap <= 1e-14 * np.abs(want).max()
+
+
+############################################
+# Grid ends, relative to the grid's scale
+
+
+def test_locate_refuses_points_off_a_small_grid():
+    # the tolerance scales with the grid: 7 lambda and 0 lie off [lambda, 5 lambda]
+    lam = 1e-13
+    rad = RadialGrid(lam * np.linspace(1.0, 5.0, 5), 16)
+    for bad in ([7.0 * lam], [0.0]):
+        with pytest.raises(ValueError, match=r"\[r0, rmax\]"):
+            rad.locate(bad)
+    assert rad.locate([lam, 5.0 * lam])[1] == [(0, 0, 1), (3, 1, 2)]
+
+
+def test_make_grids_refuses_breakpoints_off_a_small_grid():
+    lam = 1e-13            # breakpoints from 3 lambda do not span [lambda, 5 lambda]
+    with pytest.raises(ValueError, match="span"):
+        make_grids(lam, 5.0 * lam, 64, 4, breakpoints=lam * np.array([3, 4, 4.5, 4.8, 5]))
+
+
+def test_make_grids_takes_breakpoints_rounded_on_a_large_grid():
+    # three ulps off rmax at rmax = 5e6 is rounding, not another grid
+    bp = 1e6 * np.linspace(1.0, 5.0, 5)
+    for _ in range(3):
+        bp[-1] = np.nextafter(bp[-1], np.inf)
+    _, rad = make_grids(1e6, 5e6, 64, 4, breakpoints=bp)
+    assert rad.rmax == bp[-1] and rad.n_panels == 4
 
 
 ############################################

@@ -58,6 +58,12 @@ def test_polar_grid_validation():
                          "n_phi": 8, **kw})
 
 
+def test_polar_grid_refuses_breakpoints_off_a_small_grid():
+    # the tolerance scales with rho_max: these would integrate from 3e-13
+    with pytest.raises(ValueError, match="breakpoints must span"):
+        PolarGrid(1e-13, 5e-13, 16, 9, breakpoints=[3e-13, 4e-13, 5e-13])
+
+
 def test_polar_grid_refuses_no_radial_nodes():
     # no radial nodes: refused before any panel layout is worked out
     for bp in (None, [0.0, 0.5, 1.0]):

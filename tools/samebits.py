@@ -34,6 +34,13 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
     demo08           demos/08_cli_pipeline.py: its files, its stdout without
                      the line naming its temporary directory, its stderr
                      and exit code
+    grids            per seed and radial layout (cli_pipeline's, each
+                     solve_sweep case's, and solve_sweep's at r0 = 2^-30
+                     and 2^30): integrate, differentiate, running_integral,
+                     at_r0 and slope_at_r0 of a seeded complex stack, and
+                     eval_matrix of each panel at its ends and four random
+                     points, so that a changed digest names the operator;
+                     a layout RadialGrid refuses records its message
 
 `--compare REV` extracts `git archive REV` to a temporary directory, writes
 the manifest of that tree and of this checkout, each in a fresh process,
@@ -58,7 +65,7 @@ THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                             "MKL_NUM_THREADS")}
 HERE = Path(__file__).resolve().parent.parent
 GROUPS = ("cli_pipeline", "commands", "solve_sweep", "transform_large", "solver",
-          "demo08")
+          "demo08", "grids")
 
 # run a demo with its temporary directory kept, so its files can be read
 KEEP_TMP = """\
@@ -231,6 +238,36 @@ def solver_passes(m, seed):
             m.add(key + name + ".trace.aggregate", repr(trace.aggregate))
 
 
+def grid_operators(m, workloads, seed):
+    import numpy as np
+    from divcurl import grids
+
+    cli, sweep = workloads.CliPipeline, workloads.SolveSweep
+    radii = [("%g" % r0, r0) for r0 in sweep.RADII] + [("2^-30", 2.0 ** -30),
+                                                        ("2^30", 2.0 ** 30)]
+    layouts = [("cli_pipeline", cli.BREAKS, cli.N_R // (len(cli.BREAKS) - 1))] + [
+        ("solve_sweep_r0=" + name, np.linspace(r0, 5.0 * r0, 5), sweep.N_R // 4)
+        for name, r0 in radii]
+    rng = np.random.default_rng([seed, 8])
+    for name, bp, n in layouts:
+        key = "grids/%d/%s/" % (seed, name)
+        shape = (3, n * (len(bp) - 1))
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t = np.concatenate([[0.0, 1.0], rng.random(4)])
+        try:
+            rad = grids.RadialGrid(bp, n)
+        except ValueError as e:             # weights out of range: the refusal is the output
+            m.add(key + "refused", str(e))
+            continue
+        for op in ("integrate", "differentiate", "running_integral", "at_r0",
+                   "slope_at_r0"):
+            m.add(key + op, getattr(rad, op)(g))
+        with np.errstate(all="ignore"):     # at 2^-30 the weights overflow some rows
+            rows = [rad.eval_matrix(p, bp[p] + t * (bp[p + 1] - bp[p]))
+                    for p in range(rad.n_panels)]
+        m.add(key + "eval_matrix", np.stack(rows))
+
+
 def demo08(m):
     tmp = m.work / "demo08"
     tmp.mkdir()
@@ -261,6 +298,8 @@ def manifest(root, groups, seeds):
                 transform_large(m, workloads, seed)
             if "solver" in groups:
                 solver_passes(m, seed)
+            if "grids" in groups:
+                grid_operators(m, workloads, seed)
         if "commands" in groups:
             seedless_commands(m)
         if "demo08" in groups:
