@@ -13,10 +13,10 @@ the two must produce the same field.
 
 The sum is direct and exact: no multipole expansion, no truncation.
 Only source nodes where f is exactly zero are left out of it, since
-they contribute exactly zero; the proximity check still covers them.
-The source is converted a few radial shells at a time into arrays,
-allocated once, of its live (nonzero) nodes; the other nodes are checked
-and dropped.
+they contribute exactly zero; the sum and the proximity check see the
+same live (nonzero) nodes.  The source is converted a few radial shells
+at a time into arrays, allocated once, of its live nodes; the other
+nodes are dropped.
 The points are summed in fixed blocks of _POINT_BLOCK.
 
 `circulation_diagnostic` evaluates the circulation pair
@@ -92,25 +92,6 @@ def _source_chunks(field):
                np.broadcast_to(spacing[s, :, None], values.shape[:3]).reshape(-1))
 
 
-def _mark_dead_hits(pts, dead, first, hit):
-    """Lower hit[i] to first + j where pts[i] is exactly on dead[:, j] (|d|^2 == 0)."""
-    buf = np.empty(_POINT_BLOCK * min(_SOURCE_CHUNK, dead.shape[1]))
-    for lo in range(0, len(pts), _POINT_BLOCK):
-        px, py, pz = (pts[lo:lo + _POINT_BLOCK, a, None] for a in range(3))
-        for s in range(0, dead.shape[1], _SOURCE_CHUNK):
-            sx, sy, sz = dead[:, s:s + _SOURCE_CHUNK]
-            t = buf[:px.size * sx.size].reshape(px.size, sx.size)
-            # |d|^2 == 0 needs every squared difference to underflow, so
-            # test x first
-            np.subtract(px, sx, out=t)
-            np.multiply(t, t, out=t)
-            if (t == 0.0).any():
-                t += (py - sy) ** 2
-                t += (pz - sz) ** 2
-                i, j = np.nonzero(t == 0.0)
-                np.minimum.at(hit, lo + i, first + s + j)
-
-
 ############################################
 # Direct sum
 
@@ -120,8 +101,6 @@ _POINT_BLOCK = 64
 _SOURCE_CHUNK = 512
 # source nodes converted to Cartesian at a time, in whole radial shells
 _SHELL_NODES = 1 << 11
-# hit of a point on no node where f vanishes
-_NO_HIT = np.iinfo(np.intp).max
 
 
 def biot_savart_eval(field, pts):
@@ -132,11 +111,10 @@ def biot_savart_eval(field, pts):
     (the others contribute exactly zero and are skipped).  The source is
     converted _SHELL_NODES nodes at a time, in whole radial shells, into
     the live nodes' positions, weights, spacings and values, in arrays
-    allocated once for the nodes with a nonzero spherical sample; points
-    exactly on a dead node are found chunk by chunk.  The call then
-    drops the field, so unless the caller holds it the sums run without
-    it.  For a block of _POINT_BLOCK points and a chunk of _SOURCE_CHUNK
-    live nodes it forms the real differences d_a = x_a - y_a and
+    allocated once for the nodes with a nonzero spherical sample.  The
+    call then drops the field, so unless the caller holds it the sums run
+    without it.  For a block of _POINT_BLOCK points and a chunk of
+    _SOURCE_CHUNK live nodes it forms the real differences d_a = x_a - y_a and
     k = |x - y|^-3, and accumulates the three real products (d_a k) @ G
     against the (chunk, 6) float view G of the weighted complex source
     w f; the cross product is assembled once per block from those 3 x 6
@@ -152,7 +130,7 @@ def biot_savart_eval(field, pts):
         finite Cartesian evaluation points; each must keep a distance of
         at least half the local grid spacing from every source node that
         carries a nonzero value (nodes where f vanishes contribute
-        nothing, so only strict separation is required there), and lie
+        nothing and impose nothing, a point on one included), and lie
         strictly outside the inner sphere
 
     Returns
@@ -178,12 +156,10 @@ def biot_savart_eval(field, pts):
             f"evaluation point {bad} lies inside the sphere r0 = {r0:g}")
     n = pts.shape[0]
     # only live nodes are kept, in room for every nonzero spherical sample
-    # (a zero one converts to zero); hit[i] is the first dead node point
-    # i is on
+    # (a zero one converts to zero)
     cap = np.count_nonzero((field.values != 0.0).any(axis=-1))
     src, half, G = np.empty((3, cap)), np.empty(cap), np.empty((cap, 3), dtype=complex)
-    hit = np.full(n, _NO_HIT)
-    k = seen = 0
+    k = 0
     for y, fc, w, spacing in _source_chunks(field):
         live = (fc != 0.0).any(axis=1)
         s = slice(k, k + int(live.sum()))
@@ -191,33 +167,19 @@ def biot_savart_eval(field, pts):
         np.multiply(w[live, None], fc[live], out=G[s])
         half[s] = spacing[live]
         k = s.stop
-        dead = y[~live].T.copy()
-        _mark_dead_hits(pts, dead, seen, hit)
-        seen += dead.shape[1]
-    del field, y, fc, w, spacing, live, dead
+    del field, y, fc, w, spacing, live
     src, G, half = src[:, :k], G[:k].view(float), half[:k]     # G: (n_live, 6)
     # clamped to the least positive double so that `|d| < half` also
     # catches a point exactly on a live node
     half = np.maximum(0.5 * half, np.nextafter(0.0, 1.0))
     chunk = max(1, min(_SOURCE_CHUNK, src.shape[1]))
     out = np.empty((n, 3), dtype=complex)
-
-    def too_close(x, dist, lim):
-        return ProximityError(
-            f"evaluation point {x} is {dist:.3g} from a source node "
-            f"(minimum {lim:.3g})")
-
     # allocated once: a buffer per block would keep the last one alive
     # while the next is allocated
     buf = np.empty(5 * min(n, _POINT_BLOCK) * chunk)
     for lo in range(0, n, _POINT_BLOCK):
         p = pts[lo:lo + _POINT_BLOCK]
         b = p.shape[0]
-        # a point on a node where f vanishes fails first: in the block, the
-        # one whose first such node lies in the earliest chunk of nodes
-        i = int(np.argmin(hit[lo:lo + b] // _SOURCE_CHUNK))
-        if hit[lo + i] != _NO_HIT:
-            raise too_close(p[i], 0.0, 0.0)
         px, py, pz = (p[:, a, None] for a in range(3))
         acc = np.zeros((3 * b, 6))
         for s in range(0, src.shape[1], chunk):
@@ -239,7 +201,9 @@ def biot_savart_eval(field, pts):
             near = t < half[s:s + c]
             if near.any():
                 i, j = np.argwhere(near)[0]
-                raise too_close(p[i], t[i, j], half[s + j])
+                raise ProximityError(
+                    f"evaluation point {p[i]} is {t[i, j]:.3g} from a source node "
+                    f"(minimum {half[s + j]:.3g})")
             np.multiply(d2, t, out=t)
             np.divide(1.0, t, out=t)                    # |d|^-3
             d *= t

@@ -31,19 +31,19 @@ __all__ = ["AngularGrid", "RadialGrid", "SampledField", "make_grids",
 
 def node_tolerance(lo, hi):
     """Tolerance for matching nodes or grid ends on [lo, hi] to the grid they claim."""
-    return 1e-9 * max(abs(lo), abs(hi), 1.0)
+    return 1e-9 * max(abs(lo), abs(hi))
 
 
 def _bary_eval_matrix(x, w, pts):
     """
     Rows map samples at nodes x to interpolant values at pts.  A point
-    within 1e-14 (relative) of a node gets the unit row of that node.
+    within 1e-14 |pt| of a node gets the unit row of that node.
     Leading axes of x and w broadcast against those of pts, so one call
     serves a stack of panels.
     """
     pts = np.atleast_1d(pts)
     d = pts[..., :, None] - x[..., None, :]
-    hit = np.abs(d) < 1e-14 * np.maximum(1.0, np.abs(pts))[..., None]
+    hit = np.abs(d) < 1e-14 * np.abs(pts)[..., None]
     d[hit.any(axis=-1)] = np.inf       # a hit row keeps only w_j / w_j = 1
     d[hit] = 1.0
     c = np.divide(w[..., None, :], d, out=d)
@@ -131,15 +131,19 @@ class RadialGrid:
         off = lambda A: np.ascontiguousarray(A[:, i[:, None] != i]).reshape(P, n, n - 1)
         dx = x[:, :, None] - x[:, None, :]
         bad = f"{n} nodes per panel overflow the weights; use more panels"
+        # each panel's gaps times the power of two 2^e nearest 4 / h: D and
+        # every row use ratios of weights, which cancel this exact scale, and
+        # the product stays in range up to about 1,100 nodes in any unit
         with np.errstate(all="ignore"):         # out-of-range weights are refused
-            self._bary = bw = 1.0 / np.prod(off(dx), axis=-1)
+            e = np.round(np.log2(4.0 / h)).astype(int)[:, :, None]
+            self._bary = bw = 1.0 / np.prod(np.ldexp(off(dx), e), axis=-1)
             dx[:, i, i] = 1.0
             self._D = (bw[:, None, :] / bw[:, :, None]) / dx
             self._D[:, i, i] = -off(self._D).sum(axis=-1)
             if not np.isfinite(self._D).all():  # a weight of 0 or inf: build no rows
                 raise ValueError(bad)
             self._wall_row = self.eval_matrix(0, [self.r0])
-        if not np.isfinite(self._wall_row).all():   # D finite, as on [1, 1.001] x 86
+        if not np.isfinite(self._wall_row).all():   # w_j / (r0 - x_j) can still overflow
             raise ValueError(bad)
         # K[p] = (h_p / 2) Kr integrates the interpolant from the panel start to each
         # node.  On the reference panel, (2k + 1) P_k = P'_{k+1} - P'_{k-1} with

@@ -121,7 +121,10 @@ def _random_shell(ang, rad, seed):
 
 
 def _per_pair_reference(field, pts):
-    """The quadrature sum term by term: one source node at a time."""
+    """
+    The quadrature sum term by term: one source node at a time.  Nodes
+    where f = 0 add no term, so the sum is defined at a point on one.
+    """
     rad, ang = field.radial, field.angular
     out = np.zeros((len(pts), 3), dtype=complex)
     for i, r in enumerate(rad.r):
@@ -130,6 +133,8 @@ def _per_pair_reference(field, pts):
             for k, p in enumerate(ang.phi):
                 cp, sp = np.cos(p), np.sin(p)
                 vr, vt, vp = field.values[i, j, k]
+                if vr == vt == vp == 0.0:
+                    continue
                 f = (vr * np.array([st * cp, st * sp, ct])
                      + vt * np.array([ct * cp, ct * sp, -st])
                      + vp * np.array([-sp, cp, 0.0]))
@@ -231,8 +236,9 @@ def test_point_near_dead_node_is_fine():
     assert np.all(np.isfinite(v))
 
 
-def test_point_on_dead_node_rejected(monkeypatch):
-    # a point exactly on a node where f = 0 still meets 0 / 0 there
+def test_point_on_dead_node_is_summed(monkeypatch):
+    # a node where f = 0 adds no term to the sum, so a point exactly on it
+    # gets the finite sum over the live nodes
     ang, rad = _shell_grids()
     field = _axial_shell(ang, rad)
     dead = np.argmin(np.abs(rad.r - 4.5))
@@ -242,11 +248,12 @@ def test_point_on_dead_node_rejected(monkeypatch):
                                    np.cos(theta)])
     assert np.all(field.values[dead, 3, 5] == 0.0)
     pts = np.array([[0.0, 4.2, 1.0], node])
-    with pytest.raises(ProximityError):
-        biot_savart_eval(field, pts)
-    monkeypatch.setattr(biotsavart, "_SOURCE_CHUNK", 13)
-    with pytest.raises(ProximityError):
-        biot_savart_eval(field, pts)
+    ref = _per_pair_reference(field, pts)
+    for chunk in (512, 13):
+        monkeypatch.setattr(biotsavart, "_SOURCE_CHUNK", chunk)
+        v = biot_savart_eval(field, pts)
+        assert np.all(np.isfinite(v))
+        assert np.abs(v - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -347,15 +354,17 @@ def test_source_shell_chunks_keep_every_bit(monkeypatch, nodes):
     field = _random_shell(ang, rad, seed=12)
     pts = np.random.default_rng(13).uniform(4.0, 6.0, (2 * _POINT_BLOCK + 5, 3))
     ref = biot_savart_eval(field, pts)
-    # two points of the second block on nodes where f vanishes: the first
-    # on the last node, the second on the first node, which is the one named
-    dead = np.argwhere((field.values == 0.0).all(axis=-1))
+    # two points of the second block near nodes where f is nonzero: the
+    # first near the last such node, the second near the first, whose source
+    # chunk comes first, so the second point is the one named
+    live = np.argwhere((field.values != 0.0).any(axis=-1))
+    assert len(live) > biotsavart._SOURCE_CHUNK     # the two lie in different chunks
     on = []
-    for i, t, p in (dead[-1], dead[0]):
+    for i, t, p in (live[-1], live[0]):
         st = np.sin(ang.theta[t])
         on.append(rad.r[i] * np.array([st * np.cos(ang.phi[p]),
                                        st * np.sin(ang.phi[p]),
-                                       np.cos(ang.theta[t])]))
+                                       np.cos(ang.theta[t])]) + 1e-9)
     hits = pts.copy()
     hits[_POINT_BLOCK + 1], hits[_POINT_BLOCK + 3] = on
     with pytest.raises(ProximityError) as default:

@@ -73,6 +73,28 @@ def test_vshc_round_trip_exact(tmp_path):
     assert np.allclose(back.radial.r, rad.r, rtol=0.0, atol=1e-12)
 
 
+def test_round_trips_keep_the_panels_at_any_unit(tmp_path):
+    # node tolerances follow the grid's scale, so at a small unit the nodes
+    # of a coarser layout no longer pass for the file's (2 panels of 32, or
+    # a refused panel of 64, from 2^-28 down with a tolerance of 1e-9)
+    rng = np.random.default_rng(5)
+    for k in range(-40, 1):
+        lam = 2.0 ** k
+        for bp in (None, lam * np.linspace(1.0, 5.0, 5)):
+            ang, rad = make_grids(lam, 5.0 * lam, 64, 2, breakpoints=bp)
+            S = SpectralField(rad, 2)
+            S.coeffs[1:] = rng.standard_normal(S.coeffs[1:].shape)
+            S.coeffs[0, 0] = rng.standard_normal(rad.n_r)
+            values = rng.standard_normal((rad.n_r, ang.n_theta, ang.n_phi, 3))
+            write_vshc(tmp_path / "f.vshc", S)
+            write_vfld(tmp_path / "f.vfld", SampledField(rad, ang, values))
+            for back in (read_vshc(tmp_path / "f.vshc").radial,
+                         read_vfld(tmp_path / "f.vfld").radial):
+                assert back.n_panels == rad.n_panels == 4, k
+                gap = np.abs(back.breakpoints - rad.breakpoints) / rad.breakpoints
+                assert gap.max() <= 1e-14, k
+
+
 def test_points_round_trip(tmp_path):
     pts = np.array([[1.5, -0.25, 3.0], [0.1, 0.2, 0.3], [-4.0, 0.0, 1e-7]])
     path = tmp_path / "pts.txt"

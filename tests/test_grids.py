@@ -97,7 +97,7 @@ def _pointwise_eval_rows(x, w, pts):
     ref = np.zeros((pts.size, x.size))
     for i, p in enumerate(pts):
         d = p - x
-        hit = np.nonzero(np.abs(d) < 1e-14 * max(1.0, abs(p)))[0]
+        hit = np.nonzero(np.abs(d) < 1e-14 * abs(p))[0]
         if hit.size:
             ref[i, hit[0]] = 1.0
         else:
@@ -108,7 +108,7 @@ def _pointwise_eval_rows(x, w, pts):
 def _ref_bary_eval_rows(x, w, pts):
     """The 2-D evaluation the per-panel code used, one panel at a time."""
     d = pts[:, None] - x[None, :]
-    i, j = np.nonzero(np.abs(d) < 1e-14 * np.maximum(1.0, np.abs(pts))[:, None])
+    i, j = np.nonzero(np.abs(d) < 1e-14 * np.abs(pts)[:, None])
     d[i] = np.inf
     d[i, j] = 1.0
     c = w / d
@@ -242,8 +242,10 @@ def test_stacked_operators_match_per_panel_loops(n, r0, widths, lead, complex_da
                                                  fortran, seed):
     rad = RadialGrid(r0 + np.concatenate([[0.0], np.cumsum(widths)]), n)
     bws, Ds, Ks = _ref_operators(rad)
-    for got, want in ((rad._bary, bws), (rad._D, Ds)):
-        assert got.tobytes() == want.tobytes()
+    # the weights of the gaps scaled by 2^e: the reference's over 2^(e (n - 1))
+    e = np.round(np.log2(4.0 / np.diff(rad.breakpoints))).astype(int)
+    assert rad._bary.tobytes() == np.ldexp(bws, -e[:, None] * (n - 1)).tobytes()
+    assert rad._D.tobytes() == Ds.tobytes()
     # K comes from the reference panel, not from a Gauss rule on each [a, x_i]
     h = np.diff(rad.breakpoints)[:, None, None]
     assert np.all(np.abs(rad._K - Ks) <= 1e-11 * h)
@@ -337,19 +339,29 @@ def test_grid_construction_peaks_near_its_operators():
         assert _traced_peak(build)[1] < 0.25e6     # 0.10 and 0.14 MB measured
 
 
-@pytest.mark.parametrize("build, builds_wall_row",
-                         [(lambda: RadialGrid([1.0, 2.0], 600), False),
-                          (lambda: make_grids(1.0, 2.0, 601, 4), False),
-                          (lambda: RadialGrid([1.0, 1.001], 86), True)])
-def test_panel_whose_weights_overflow_is_refused(build, builds_wall_row):
-    # 1/prod(x_j - x_k) underflows past ~520 nodes on [1, 2]: D would be NaN,
-    # and the refusal comes before any evaluation row; 601 is prime, so
-    # make_grids puts all nodes on one panel.  On [1, 1.001] 86 nodes leave D
-    # finite, but the weights overflow the wall row to NaN
+@pytest.mark.parametrize("bp", [[1.0, 2.0], [2.0 ** -30, 2.0 ** -29]])
+def test_panel_whose_weights_overflow_is_refused(bp):
+    # the weights come from gaps scaled to a panel about 4 wide, whatever the
+    # unit, and leave the float range from 1,099 nodes: D would be NaN, and
+    # the refusal comes before any evaluation row
     with mock.patch("divcurl.grids._bary_eval_matrix", wraps=_bary_eval_matrix) as rows, \
             pytest.raises(ValueError, match="more panels"):
-        build()
-    assert rows.called == builds_wall_row
+        RadialGrid(bp, 1099)
+    assert not rows.called
+
+
+@pytest.mark.parametrize("bp, n", [([1.0, 2.0], 512), ([1.0, 2.0], 513), ([1.0, 2.0], 600),
+                                   ([1.0, 2.0], 601), ([1.0, 1.001], 84),
+                                   ([1.0, 1.001], 86), (2.0 ** -30 * np.linspace(1, 5, 5), 32)])
+def test_wide_panels_interpolate_without_overflow(bp, n):
+    # unscaled, these weights reach 1e297-1e306 (or overflow the wall row),
+    # and w_j / (x - x_j) overflowed to NaN rows at interior points and near
+    # nodes; an overflow warning is an error here
+    rad = RadialGrid(bp, n)
+    pts = rad.r0 + (rad.rmax - rad.r0) * np.random.default_rng(n).random(200)
+    pts = np.concatenate([pts, rad.r[n // 2] * (1.0 + np.array([1e-13, -1e-13]))])
+    got = rad.interp(rad.r ** 3, pts)
+    assert np.abs(got - pts ** 3).max() <= 1e-14 * rad.rmax ** 3
 
 
 @pytest.mark.parametrize("n, bp", [(16, [1.0, 2.0, 5.0]), (9, [0.0, 0.01, 3.0, 10.0]),
@@ -400,6 +412,15 @@ def test_locate_refuses_points_off_a_small_grid():
         with pytest.raises(ValueError, match=r"\[r0, rmax\]"):
             rad.locate(bad)
     assert rad.locate([lam, 5.0 * lam])[1] == [(0, 0, 1), (3, 1, 2)]
+
+
+def test_points_near_a_node_snap_relative_to_the_grid():
+    # 9e-15 is 9e-6 of this grid's scale: the point is interpolated, not
+    # taken for the node (the parent's absolute 1e-14 erred by 2.7e-6)
+    lam = 1e-9
+    rad = RadialGrid(lam * np.linspace(1.0, 5.0, 5), 16)
+    x = rad.r[5] + 9e-15
+    assert abs(rad.interp(np.sin(rad.r / lam), [x])[0] - np.sin(x / lam)) < 1e-14
 
 
 def test_make_grids_refuses_breakpoints_off_a_small_grid():

@@ -17,7 +17,10 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
     commands         check, verify, phf and selftest, solve clean,
                      refused, --vinf 1,2,0, --vinf 1,nan,0 and
                      --partial-slip 3, and biot, on each seed's
-                     cli_pipeline inputs; per seed, analyze and
+                     cli_pipeline inputs; biot at one point exactly on
+                     the last node of source.vfld where f vanishes (a
+                     node of its last shell, beyond the support), which
+                     adds no term to the sum; per seed, analyze and
                      synthesize across block boundaries: 40 radial nodes
                      (blocks of 16 + 16 + 8) at L = 4, on the (5, 9) grid
                      and on a wider (7, 13) one
@@ -129,6 +132,8 @@ def cli_inputs(m, workloads, seed, groups):
         return
     if not (work / "source.vshc").exists():
         m.cli("commands/%d/analyze" % seed, pipeline.commands()[0][1], work)
+    dead_node(work)
+    m.add("commands/%d/dead_node.txt" % seed, (work / "dead_node.txt").read_bytes())
     for name, args in (
             ("check", ["check", "source.vshc"]),
             ("verify", ["verify", "source.vshc"]),
@@ -137,8 +142,21 @@ def cli_inputs(m, workloads, seed, groups):
             ("solve_vinf", ["solve", "source.vshc", "--vinf", "1,2,0"]),
             ("solve_vinf_nan", ["solve", "source.vshc", "--vinf", "1,nan,0"]),
             ("solve_partial_slip", ["solve", "incompatible.vshc", "--partial-slip", "3"]),
-            ("biot", ["biot", "source.vfld", "--points", "points.txt"])):
+            ("biot", ["biot", "source.vfld", "--points", "points.txt"]),
+            ("biot_dead_node", ["biot", "source.vfld", "--points", "dead_node.txt"])):
         m.cli("commands/%d/%s" % (seed, name), args, work)
+
+
+def dead_node(work):
+    """Write dead_node.txt: the last node of source.vfld where f is zero, as biot places it."""
+    import numpy as np
+    from divcurl import fileio, frames
+
+    field = fileio.read_vfld(work / "source.vfld")
+    i, t, p = np.argwhere((field.values == 0.0).all(axis=-1))[-1]
+    T, P = np.meshgrid(field.angular.theta, field.angular.phi, indexing="ij")
+    frame = np.stack(frames.spherical_frame(T, P), axis=-2)
+    fileio.write_points(work / "dead_node.txt", field.radial.r[i] * frame[t, p, 0])
 
 
 def block_commands(m, seed):
@@ -262,7 +280,7 @@ def grid_operators(m, workloads, seed):
         for op in ("integrate", "differentiate", "running_integral", "at_r0",
                    "slope_at_r0"):
             m.add(key + op, getattr(rad, op)(g))
-        with np.errstate(all="ignore"):     # at 2^-30 the weights overflow some rows
+        with np.errstate(all="ignore"):     # unscaled weights overflow rows at 2^-30
             rows = [rad.eval_matrix(p, bp[p] + t * (bp[p + 1] - bp[p]))
                     for p in range(rad.n_panels)]
         m.add(key + "eval_matrix", np.stack(rows))
