@@ -9,7 +9,7 @@ Command-line front-end: scriptable subcommands over the text formats.
     divcurl phf        --l L --m M [--r0 --rmax --nr --lmax] [--out]
     divcurl verify     IN.vshc  [--out FILE]
     divcurl biot       IN.vfld  --points FILE [--out FILE]
-    divcurl moments2d  IN.pfld  [--geometry KIND] [--kmax K] [--out FILE]
+    divcurl moments2d  IN.pfld  [--kmax K] [--out FILE]
     divcurl selftest   [--out FILE]
 
 Data goes to --out when given, else to stdout; `check` and `verify`
@@ -84,15 +84,20 @@ def cmd_check(args):
 
 def cmd_solve(args):
     f = read_vshc(args.input)
-    if args.partial_slip is not None:
-        f = partial_slip_project(f, args.partial_slip)
     far = None if args.vinf is None else _parse_vinf(args.vinf)
+    if args.partial_slip is not None:
+        f = partial_slip_project(f, args.partial_slip, far)
     try:
         V = solve_exterior(f, far, tol=args.tol)
     except IncompatibilityError as e:
-        print("incompatible data: %s residual %.17g at mode (l=%d, m=%d); "
-              "rerun with --partial-slip to project it out"
-              % (e.residual_name, e.scaled_residual, *e.mode),
+        if e.residual_name != "moment":
+            advice = "--partial-slip projects only moments and cannot remove it"
+        elif args.partial_slip is None:
+            advice = "rerun with --partial-slip to project it out"
+        else:
+            advice = "rerun with --partial-slip %d to project it out" % e.mode[0]
+        print("incompatible data: %s residual %.17g at mode (l=%d, m=%d); %s"
+              % (e.residual_name, e.scaled_residual, *e.mode, advice),
               file=sys.stderr)
         return 1
     trace = boundary_trace(V)
@@ -130,9 +135,6 @@ def cmd_biot(args):
 
 def cmd_moments2d(args):
     samples, grid, geom = read_polar(args.input)
-    if args.geometry is not None and args.geometry != geom.kind:
-        raise ValueError("geometry mismatch: file holds %r data, --geometry "
-                         "says %r" % (geom.kind, args.geometry))
     table = planar_moments(samples, grid, geom, args.kmax)
     lines = ["k\tre\tim"]
     lines += ["%d\t%.17g\t%.17g" % (k, table[k].real, table[k].imag)
@@ -298,8 +300,6 @@ def build_parser():
     q.add_argument("--points", required=True, help="text file of x y z rows")
 
     q = add("moments2d", "planar moment table of a polar scalar file", cmd_moments2d)
-    q.add_argument("--geometry", choices=("disk", "exterior", "annulus"),
-                   default=None, help="required geometry kind (consistency check)")
     q.add_argument("--kmax", type=int, default=8)
     add("selftest", "run the built-in invariant suite", cmd_selftest, with_input=False)
     return p

@@ -313,15 +313,17 @@ def make_grids(r0, rmax, n_r, L_max, breakpoints=None):
         while n_r % n_panels:
             n_panels -= 1
         breakpoints = np.geomspace(r0, rmax, n_panels + 1)
-    else:
-        breakpoints = np.asarray(breakpoints, dtype=float)
-        if max(abs(breakpoints[0] - r0), abs(breakpoints[-1] - rmax)) > 1e-12 * rmax:
-            raise ValueError("breakpoints must span [r0, rmax]")
-        n_panels = breakpoints.size - 1
-        if n_r % n_panels:
-            raise ValueError(f"n_r={n_r} not divisible by {n_panels} panels")
-    radial = RadialGrid(breakpoints, n_r // (len(breakpoints) - 1))
-    return angular, radial
+    return angular, _panel_grid(r0, rmax, n_r, breakpoints)
+
+
+def _panel_grid(lo, hi, n, breakpoints):
+    """The RadialGrid of n nodes, shared evenly, on breakpoints spanning [lo, hi] to 1e-12 hi."""
+    bp = np.asarray(breakpoints, dtype=float)
+    if max(abs(bp[0] - lo), abs(bp[-1] - hi)) > 1e-12 * hi:
+        raise ValueError(f"breakpoints must span [{lo:g}, {hi:g}]")
+    if n % (bp.size - 1):
+        raise ValueError(f"{n} radial nodes do not split evenly into {bp.size - 1} panels")
+    return RadialGrid(bp, n // (bp.size - 1))
 
 
 def surface_integral(grid, g):

@@ -17,7 +17,7 @@ band-limited integrands.
 
 import numpy as np
 
-from .grids import RadialGrid, node_tolerance
+from .grids import _panel_grid, node_tolerance
 
 __all__ = ["PolarGrid", "PlanarGeometry", "planar_moments"]
 
@@ -38,20 +38,9 @@ class PolarGrid:
         if n_rho < 1 or n_phi < 1:
             raise ValueError("n_rho and n_phi must be positive")
         if breakpoints is None:
-            nodes_per_panel = next((c for c in (16, 8) if n_rho % c == 0 and n_rho >= c),
-                                   n_rho)
-            breakpoints = np.linspace(rho_min, rho_max, n_rho // nodes_per_panel + 1)
-        else:
-            breakpoints = np.asarray(breakpoints, dtype=float)
-            n_panels = len(breakpoints) - 1
-            if max(abs(breakpoints[0] - rho_min),
-                   abs(breakpoints[-1] - rho_max)) > 1e-12 * rho_max:
-                raise ValueError("breakpoints must span [rho_min, rho_max]")
-            if n_rho % n_panels != 0:
-                raise ValueError(f"n_rho = {n_rho} is not divisible by "
-                                 f"{n_panels} panels")
-            nodes_per_panel = n_rho // n_panels
-        self.radial = RadialGrid(breakpoints, nodes_per_panel)
+            n = next((c for c in (16, 8) if n_rho % c == 0), n_rho)
+            breakpoints = np.linspace(rho_min, rho_max, n_rho // n + 1)
+        self.radial = _panel_grid(rho_min, rho_max, n_rho, breakpoints)
         self.rho = self.radial.r
         self.w_rho = self.radial.w
         self.n_rho = int(n_rho)
@@ -169,9 +158,5 @@ def planar_moments(samples, grid, geom, k_max):
     out = {}
     for k in geom.powers(k_max):
         expo = -k if geom.kind == "exterior" else k
-        if expo >= 0:
-            zk = z ** expo
-        else:
-            zk = (1.0 / z) ** (-expo)
-        out[k] = grid.integrate(samples * zk)
+        out[k] = grid.integrate(samples * (z if expo >= 0 else 1.0 / z) ** abs(expo))
     return out

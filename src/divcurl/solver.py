@@ -93,6 +93,17 @@ def _far_l1_coeffs(vinf):
                      -np.sqrt(2.0 * np.pi / 3.0) * (vx - 1j * vy)])
 
 
+def _moment_targets(n_modes, vinf):
+    """
+    The moment each mode must have for no slip at r0: 0, except at l = 1
+    under a uniform flow, where it is (2l+1)/(l(l+1)) a_m, i.e. 3/2 of the
+    flow's coefficient.
+    """
+    required = np.zeros(n_modes, dtype=complex)
+    required[_L1] = 1.5 * _far_l1_coeffs(vinf)[:n_modes - 1]    # empty when L_max = 0
+    return required
+
+
 ############################################
 # Diagnostics
 
@@ -255,6 +266,9 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     IncompatibilityError
         when a residual exceeds REFUSE_TOL, carrying the offending mode,
         or when a coefficient is NaN or Inf (the data norm is not finite).
+    ValueError
+        when a power r^(a +- l) of the radial nodes overflows, naming the
+        lowest such degree and the grid.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
@@ -262,12 +276,7 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     if f.L_max < 1 and vinf.any():
         raise ValueError("need L_max >= 1 to hold an l = 1 field")
     report = check_compatibility(f)
-
-    cfar = _far_l1_coeffs(vinf)[:f.n_modes - 1]         # empty when L_max = 0
-    required = np.zeros(f.n_modes, dtype=complex)
-    # no slip on top of the uniform flow trades the zero moment for
-    # M = (2l+1)/(l(l+1)) a_m at l = 1, i.e. 3/2 of the coefficient
-    required[_L1] = 1.5 * cfar
+    required = _moment_targets(f.n_modes, vinf)
 
     denom = report.field_norm + float(np.linalg.norm(vinf)) or 1.0
     l_bad, m_bad, name, value = report.worst(required)
@@ -287,8 +296,13 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     ll1 = ell * (ell + 1.0)
     coef = -ll1 / (2.0 * ell + 1.0)
     safe = np.where(ll1 > 0, ll1, 1.0)
-    row, (up, down, grow, decay) = _powers(r, f.ells, (2.0, 1), (1.0, -1),
-                                           (-2.0, -1), (-1.0, 1))
+    with np.errstate(over="ignore"):        # a table that overflows is refused
+        row, tables = _powers(r, f.ells, (2.0, 1), (1.0, -1), (-2.0, -1), (-1.0, 1))
+    finite = np.all([np.isfinite(t).all(axis=1) for t in tables], axis=0)[row]
+    if not finite.all():
+        raise ValueError(f"powers of r overflow from degree l = {f.ells[finite.argmin()]} "
+                         f"on {rad!r}; the solution cannot be represented")
+    up, down, grow, decay = tables
     V = SpectralField(rad, f.L_max)
     for b in _mode_blocks(f.n_modes, rad.n_r):
         k, f2, v = row[b], f.coeffs[b, 2], V.coeffs[b]
@@ -310,7 +324,7 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     V.coeffs[0] = 0.0                       # no l = 0 content in the solution
 
     if vinf.any():                          # adding +0.0 would flip a -0.0
-        V.coeffs[_L1, :2] += cfar[:, None, None]
+        V.coeffs[_L1, :2] += _far_l1_coeffs(vinf)[:, None, None]
     return V
 
 
@@ -343,15 +357,17 @@ def boundary_trace(V):
     return BoundaryTrace(V.ells.copy(), V.ems.copy(), vals, agg)
 
 
-def partial_slip_project(f, L):
+def partial_slip_project(f, L, far=None):
     """
     Remove the moment obstruction from the Phi channels with l <= L.
 
     Each targeted mode gets f2 <- f2 - mu w with a fixed radial bump w and
-    mu chosen so the mode's moment vanishes; all other channels and all
-    modes with l > L are untouched.  Solving the projected data then
-    satisfies no slip exactly on the first L degrees and leaves a small
-    tangential wall velocity in the higher ones (a partial-slip wall).
+    mu chosen so the mode's moment meets the target `solve_exterior` checks
+    for the same `far`: 0, or 3/2 of the uniform flow's coefficient at
+    l = 1.  All other channels and all modes with l > L are untouched.
+    Solving the projected data then satisfies no slip exactly on the first
+    L degrees and leaves a small tangential wall velocity in the higher
+    ones (a partial-slip wall).
 
     The bump of degree l is s^(l-1) (s - r0)^2 (rmax - s)^2, normalized to
     unit L2 on [r0, rmax].  The s^(l-1) factor makes the moment integrand
@@ -363,6 +379,8 @@ def partial_slip_project(f, L):
     f: SpectralField
     L: int
         highest degree to project, 0 <= L <= L_max; L = 0 is a no-op
+    far: 3-vector or None
+        uniform flow at infinity, as for `solve_exterior`
 
     Returns
     -------
@@ -370,6 +388,7 @@ def partial_slip_project(f, L):
     """
     if not 0 <= L <= f.L_max:
         raise ValueError(f"L = {L} is outside [0, L_max = {f.L_max}]")
+    target = _moment_targets(f.n_modes, _vinf(far))
     rad = f.radial
     r = rad.r
     ell = np.arange(1, L + 1)                       # row l - 1 of w holds degree l
@@ -383,7 +402,7 @@ def partial_slip_project(f, L):
     out = f.copy()
     n = (L + 1) ** 2                                # modes 1 <= l <= L: flat 1 .. n - 1
     j = f.ells[1:n] - 1
-    M = radial_moments(rad, f.coeffs[1:n, 2], f.ells[1:n])
+    M = radial_moments(rad, f.coeffs[1:n, 2], f.ells[1:n]) - target[1:n]
     for b in _mode_blocks(n - 1, rad.n_r):
         out.coeffs[1:n, 2][b] -= (M[b] / W[j[b]])[:, None] * w[j[b]]
     return out

@@ -13,7 +13,7 @@ from divcurl.biotsavart import (_POINT_BLOCK, ProximityError, biot_savart_eval,
 from divcurl.cli import main
 from divcurl.fileio import write_points, write_vfld
 from divcurl.grids import AngularGrid, RadialGrid, SampledField, make_grids
-from divcurl.solver import solve_exterior
+from divcurl.solver import radial_moments, solve_exterior
 from divcurl.transform import (SpectralField, analyze, spectral_curl,
                                synthesize, synthesize_at)
 
@@ -478,3 +478,67 @@ def test_matches_spectral_solution_for_compatible_source():
     scale = np.abs(spectral).max()
     assert np.abs(direct - spectral).max() < 1e-3 * scale
     assert np.abs(direct.imag).max() < 1e-10 * scale
+
+
+############################################
+# The solvability criterion from the Biot-Savart side.  Extended by zero,
+# f has a Biot-Savart field that is harmonic in the cavity r < r0, and
+# its (l, m) part there is proportional to the moment M_lm, so the paper's
+# criterion reads: compatible data leaves the cavity field-free.
+
+
+def _cavity_field(field, pts):
+    """The direct sum at points inside r0, which biot_savart_eval refuses."""
+    out = np.zeros((len(pts), 3), dtype=complex)
+    for y, fc, w, _ in biotsavart._source_chunks(field):
+        live = fc.any(axis=1)
+        d = pts[:, None, :] - y[live]
+        k = w[live] / np.linalg.norm(d, axis=-1) ** 3
+        out -= np.einsum("pk,pkc->pc", k, np.cross(d, fc[live]))
+    return out / (4.0 * np.pi)
+
+
+def _shell_points(seed, n, lo, hi):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True) * rng.uniform(lo, hi, (n, 1))
+
+
+def _cavity_grids():
+    # 8 panels of 16 nodes on [1, 5]; the bumps' edges sit on breakpoints
+    return make_grids(1.0, 5.0, 128, 6, breakpoints=np.linspace(1.0, 5.0, 9))
+
+
+def test_compatible_source_leaves_the_cavity_field_free():
+    _, rad = _cavity_grids()
+    sampled = synthesize(_two_bump_source(rad, 6, 1.5, 2.0, 2.5, seed=3), AngularGrid(40, 81))
+    inside = _cavity_field(sampled, _shell_points(5, 8, 0.2, 0.9))
+    beyond = biot_savart_eval(sampled, _shell_points(6, 8, 3.5, 4.9))
+    assert np.abs(inside).max() <= 1e-12 * np.abs(beyond).max()
+
+
+def test_cavity_field_of_a_mode_follows_its_moment():
+    # per unit M_lm the cavity field does not depend on the radial profile
+    _, rad = _cavity_grids()
+    r, ang, pts = rad.r, AngularGrid(30, 61), _shell_points(5, 8, 0.2, 0.9)
+    profiles = (np.clip((r - 1.5) * (2.0 - r), 0.0, None) ** 3,
+                np.clip((r - 2.0) * (3.0 - r), 0.0, None) ** 2 * (1.0 + r))
+    for l in (1, 2, 3):
+        per_moment = []
+        for g in profiles:
+            S = SpectralField(rad, 3)
+            S.set_mode(l, l - 1, 2, g)
+            M = radial_moments(rad, g[None], np.array([l]))[0]
+            per_moment.append(_cavity_field(synthesize(S, ang), pts) / M)
+        assert np.abs(per_moment[0] - per_moment[1]).max() <= 1e-12 * np.abs(per_moment[0]).max()
+
+
+def test_upsampled_direct_sum_matches_the_solution_to_rounding():
+    # the solve's own angular grid agrees only to 1e-3 (above); on (60, 121)
+    # the quadrature of the source has converged a radius unit beyond it
+    _, rad = _cavity_grids()
+    f = _two_bump_source(rad, 6, 1.5, 2.0, 2.5, seed=3)
+    pts = _shell_points(6, 8, 3.5, 4.9)
+    direct = biot_savart_eval(synthesize(f, AngularGrid(60, 121)), pts)
+    spectral = synthesize_at(solve_exterior(f), pts)
+    assert np.abs(direct - spectral).max() <= 1e-12 * np.abs(spectral).max()

@@ -282,8 +282,8 @@ def test_solve_incompatible_exits_1_with_mode(tmp_path, capsys):
     assert main(["solve", str(src)]) == 1
     err = capsys.readouterr().err
     assert "incompatible data" in err
-    assert "moment" in err and "(l=2, m=1)" in err
-    assert "--partial-slip" in err
+    assert err.startswith("incompatible data: moment residual ")
+    assert err.endswith(" at mode (l=2, m=1); rerun with --partial-slip to project it out\n")
 
 
 def test_solve_non_finite_source_exits_1(tmp_path, capsys, monkeypatch):
@@ -361,6 +361,62 @@ def test_partial_slip_recovers_solvability(tmp_path, capsys):
                  "--out", str(sol)]) == 0
     capsys.readouterr()
     assert read_vshc(sol).coeffs.shape == (25, 3, 48)
+
+
+def _solve_stderr(tmp_path, capsys, F, *options):
+    """Exit code and stderr of `divcurl solve` on F with options."""
+    src = tmp_path / "f.vshc"
+    write_vshc(src, F)
+    code = main(["solve", str(src), *options, "--out", str(tmp_path / "V.vshc")])
+    return code, capsys.readouterr().err
+
+
+def test_refusal_above_the_projected_degree_names_it(tmp_path, capsys):
+    _, rad = make_grids(1.0, 5.0, 48, 4, breakpoints=[1, 2, 3, 4, 5])
+    F = SpectralField(rad, 4)
+    F.set_mode(3, 1, 2, np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3)
+    code, err = _solve_stderr(tmp_path, capsys, F, "--partial-slip", "2")
+    assert code == 1
+    assert err.endswith(" at mode (l=3, m=1); rerun with --partial-slip 3 to project it out\n")
+    assert _solve_stderr(tmp_path, capsys, F, "--partial-slip", "3")[0] == 0
+
+
+@pytest.mark.parametrize("options", [(), ("--partial-slip", "4")])
+def test_refusal_the_projection_cannot_mend_says_so(tmp_path, capsys, options):
+    # f_r at the wall: the projection touches only the Phi-channel moments
+    _, rad = make_grids(1.0, 5.0, 48, 4, breakpoints=[1, 2, 3, 4, 5])
+    F = SpectralField(rad, 4)
+    F.set_mode(2, 0, 0, np.clip(4.0 - rad.r, 0.0, None) ** 3)
+    code, err = _solve_stderr(tmp_path, capsys, F, *options)
+    assert code == 1
+    assert err.startswith("incompatible data: ") and "moment residual" not in err
+    assert err.endswith(" at mode (l=2, m=0); --partial-slip projects only moments "
+                        "and cannot remove it\n")
+
+
+def test_partial_slip_under_a_uniform_flow(tmp_path, capsys):
+    # the projection meets the moments the uniform flow needs, so the
+    # solution sticks to the wall (the benchmark's 8 panels of 16 nodes)
+    _, rad = make_grids(1.0, 5.0, 128, 3, breakpoints=np.linspace(1.0, 5.0, 9))
+    F = SpectralField(rad, 3)
+    F.set_mode(2, 1, 2, np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3)
+    code, err = _solve_stderr(tmp_path, capsys, F, "--vinf", "1,2,0", "--partial-slip", "3")
+    assert code == 0, err
+    trace = float(err.split("boundary trace at r0: ")[1])
+    assert trace <= 1e-12 * np.sqrt(5.0)
+
+
+def test_solution_whose_powers_overflow_exits_1(tmp_path, capsys):
+    # at 1e40 length units r^(l+2) leaves the float range at l = 6
+    lam = 1e40
+    _, rad = make_grids(lam, 5.0 * lam, 64, 6, breakpoints=lam * np.linspace(1, 5, 5))
+    F = SpectralField(rad, 6)
+    F.set_mode(6, 0, 2, np.clip((rad.r / lam - 2.0) * (4.0 - rad.r / lam), 0.0, None) ** 3)
+    code, err = _solve_stderr(tmp_path, capsys, F)
+    assert code == 1
+    assert err == ("error: powers of r overflow from degree l = 6 on RadialGrid([1e+40, "
+                   "5e+40], 4 panels x 16 nodes); the solution cannot be represented\n")
+    assert not (tmp_path / "V.vshc").exists()
 
 
 def test_negative_partial_slip_exits_1(tmp_path, capsys):
@@ -582,8 +638,7 @@ def test_moments2d_table(tmp_path, capsys):
     samples = (g.rho[:, None] ** 2 * np.exp(2j * g.phi[None, :]))
     src = tmp_path / "f.pfld"
     write_polar(src, samples, g, geom)
-    assert main(["moments2d", str(src), "--kmax", "3",
-                 "--geometry", "disk"]) == 0
+    assert main(["moments2d", str(src), "--kmax", "3"]) == 0
     stdout = capsys.readouterr().out
     lines = stdout.strip().split("\n")
     assert lines[0] == "k\tre\tim"
@@ -596,14 +651,16 @@ def test_moments2d_table(tmp_path, capsys):
         assert got[k] == table[k]
 
 
-def test_moments2d_geometry_mismatch_exits_1(tmp_path, capsys):
-    geom = PlanarGeometry("disk", 2.0)
+def test_moments2d_takes_its_geometry_from_the_file(tmp_path, capsys):
+    # the .pfld header names the kind; there is no option to repeat it
+    geom = PlanarGeometry("annulus", 1.0, r1=2.0)
     g = geom.grid(16, 9)
     src = tmp_path / "f.pfld"
     write_polar(src, np.ones((16, 9)), g, geom)
-    assert main(["moments2d", str(src), "--kmax", "2",
-                 "--geometry", "annulus"]) == 1
-    assert "geometry mismatch" in capsys.readouterr().err
+    assert main(["moments2d", str(src), "--kmax", "1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4     # k = -1, 0, 1
+    with pytest.raises(SystemExit):
+        main(["moments2d", str(src), "--geometry", "annulus"])
 
 
 ############################################

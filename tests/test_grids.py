@@ -15,6 +15,7 @@ from scipy.special import sph_harm_y
 from divcurl import fileio
 from divcurl.grids import (AngularGrid, RadialGrid, SampledField,
                            _bary_eval_matrix, make_grids, surface_integral)
+from divcurl.planar import PolarGrid
 
 
 ############################################
@@ -436,6 +437,25 @@ def test_make_grids_takes_breakpoints_rounded_on_a_large_grid():
         bp[-1] = np.nextafter(bp[-1], np.inf)
     _, rad = make_grids(1e6, 5e6, 64, 4, breakpoints=bp)
     assert rad.rmax == bp[-1] and rad.n_panels == 4
+
+
+def test_make_grids_default_layout_shares_the_nodes_evenly():
+    # 50 nodes: not 3 panels of about 16, so 2 geometric panels of 25
+    _, rad = make_grids(1.0, 5.0, 50, 4)
+    assert (rad.n_panels, rad.nodes_per_panel) == (2, 25)
+    assert np.array_equal(rad.breakpoints, np.geomspace(1.0, 5.0, 3))
+
+
+@pytest.mark.parametrize("n, bp, message", [
+    (64, [1.0, 2.0, 4.5], r"breakpoints must span \[1, 5\]$"),
+    (64, [3.0, 4.0, 5.0], r"breakpoints must span \[1, 5\]$"),
+    (63, [1.0, 2.0, 5.0], r"63 radial nodes do not split evenly into 2 panels$")])
+def test_sphere_and_plane_refuse_breakpoints_alike(n, bp, message):
+    # one rule for explicit breakpoints, whichever grid asks for them
+    for build in (lambda: make_grids(1.0, 5.0, n, 4, breakpoints=bp),
+                  lambda: PolarGrid(1.0, 5.0, n, 9, breakpoints=bp)):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 ############################################

@@ -413,6 +413,31 @@ def test_projection_refuses_at_the_same_degree_as_per_mode_reference():
     assert partial_slip_project(f, 10).coeffs.shape == f.coeffs.shape
 
 
+def test_projection_meets_the_uniform_flow_targets():
+    # no slip under a uniform flow needs M_1m = 3/2 a_m and M = 0 above l = 1
+    _, rad = _panel_grids()
+    f, _ = _manufactured(rad, seed=15)
+    f.coeffs[1:, 2] += 1e-3 * np.random.default_rng(16).standard_normal((f.n_modes - 1, rad.n_r))
+    vinf = np.array([1.0, 2.0, 0.0])
+    target = np.zeros(f.n_modes, dtype=complex)
+    target[1:4] = 1.5 * far_field_coeffs(vinf, rad).coeffs[1:4, 0, 0]
+    for L in (1, 4, 6):
+        g = partial_slip_project(f, L, vinf)
+        low = (g.ells >= 1) & (g.ells <= L)
+        gap = np.abs(check_compatibility(g).moment - target)[low]
+        assert gap.max() <= 1e-12 * np.abs(target).max()
+        assert np.array_equal(g.coeffs[~low], f.coeffs[~low])
+        assert np.array_equal(g.coeffs[:, :2], f.coeffs[:, :2])
+
+
+def test_projection_without_a_flow_keeps_its_bits():
+    _, rad = _panel_grids()
+    f = _random_field(rad, 6, np.random.default_rng(17))
+    want = _ref_project(f, 4).coeffs.tobytes()
+    for far in ((), (None,), ((0.0, 0.0, 0.0),)):
+        assert partial_slip_project(f, 4, *far).coeffs.tobytes() == want
+
+
 def test_projection_validates_band():
     _, rad = _panel_grids(L=3)
     f = SpectralField(rad, 3)
@@ -497,6 +522,22 @@ def test_uniform_flow_needs_an_l1_mode():
     with pytest.raises(ValueError, match="need L_max >= 1 to hold an l = 1 field"):
         solve_exterior(f, far=(1.0, 0.0, 0.0))
     assert not solve_exterior(f, far=(0.0, 0.0, 0.0)).coeffs.any()
+
+
+def test_solution_whose_powers_overflow_is_refused():
+    # one (l, 0) bump on [1, 5] lam x 16 nodes: at lam = 1e3 r^(l+2) leaves the
+    # float range from l = 82; refused with no warning (RuntimeWarning is an error)
+    rad = RadialGrid(1e3 * np.linspace(1.0, 5.0, 5), 16)
+    bump = np.clip((rad.r / 1e3 - 2.0) * (4.0 - rad.r / 1e3), 0.0, None) ** 3
+    for L in (81, 90):
+        f = SpectralField(rad, L)
+        f.set_mode(L, 0, 2, bump)
+        if L == 81:
+            assert np.isfinite(solve_exterior(f).coeffs).all()
+            continue
+        with pytest.raises(ValueError, match=r"powers of r overflow from degree l = 82 "
+                           r"on RadialGrid\(\[1000, 5000\], 4 panels x 16 nodes\)"):
+            solve_exterior(f)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
@@ -654,7 +695,8 @@ def _assert_same_bits(f, L_proj, vinf, rng):
             rep = check_compatibility(g)
             assert _bits(rep.normal_trace, rep.solenoid, rep.boundary_deriv,
                          rep.moment, rep.field_norm) == _bits(*_ref_check_compatibility(g))
-            for far in {None, vinf}:
+            # a far flow needs an l = 1 mode; at L_max = 0 it is refused
+            for far in {None, vinf} if g.L_max else {None}:
                 V, V_ref = solve_exterior(g, far, tol=np.inf), _ref_solve_body(g, far)
                 assert V.coeffs.tobytes() == V_ref.coeffs.tobytes()
                 trace, trace_ref = boundary_trace(V), boundary_trace(V_ref)

@@ -15,8 +15,9 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
                      output files and each command's stdout, stderr and
                      exit code
     commands         check, verify, phf and selftest, solve clean,
-                     refused, --vinf 1,2,0, --vinf 1,nan,0 and
-                     --partial-slip 3, and biot, on each seed's
+                     refused, --vinf 1,2,0, --vinf 1,nan,0,
+                     --partial-slip 3 and --vinf 1,2,0 --partial-slip 3,
+                     and biot, on each seed's
                      cli_pipeline inputs; biot at one point exactly on
                      the last node of source.vfld where f vanishes (a
                      node of its last shell, beyond the support), which
@@ -142,6 +143,8 @@ def cli_inputs(m, workloads, seed, groups):
             ("solve_vinf", ["solve", "source.vshc", "--vinf", "1,2,0"]),
             ("solve_vinf_nan", ["solve", "source.vshc", "--vinf", "1,nan,0"]),
             ("solve_partial_slip", ["solve", "incompatible.vshc", "--partial-slip", "3"]),
+            ("solve_vinf_partial_slip", ["solve", "source.vshc", "--vinf", "1,2,0",
+                                         "--partial-slip", "3"]),
             ("biot", ["biot", "source.vfld", "--points", "points.txt"]),
             ("biot_dead_node", ["biot", "source.vfld", "--points", "dead_node.txt"])):
         m.cli("commands/%d/%s" % (seed, name), args, work)
