@@ -319,11 +319,12 @@ def make_grids(r0, rmax, n_r, L_max, breakpoints=None):
 def _panel_grid(lo, hi, n, breakpoints):
     """The RadialGrid of n nodes, shared evenly, on breakpoints spanning [lo, hi] to 1e-12 hi."""
     bp = np.asarray(breakpoints, dtype=float)
-    if max(abs(bp[0] - lo), abs(bp[-1] - hi)) > 1e-12 * hi:
-        raise ValueError(f"breakpoints must span [{lo:g}, {hi:g}]")
-    if n % (bp.size - 1):
-        raise ValueError(f"{n} radial nodes do not split evenly into {bp.size - 1} panels")
-    return RadialGrid(bp, n // (bp.size - 1))
+    if bp.ndim == 1 and bp.size > 1:             # RadialGrid refuses any other first
+        if max(abs(bp[0] - lo), abs(bp[-1] - hi)) > 1e-12 * hi:
+            raise ValueError(f"breakpoints must span [{lo:g}, {hi:g}]")
+        if n % (bp.size - 1):
+            raise ValueError(f"{n} radial nodes do not split evenly into {bp.size - 1} panels")
+    return RadialGrid(bp, n // max(bp.size - 1, 1))
 
 
 def surface_integral(grid, g):

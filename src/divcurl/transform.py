@@ -16,12 +16,10 @@ Both grid transforms are split by azimuthal order m, as in SHTns
 the l >= |m| Legendre rows with the (n_theta, n) slab of frequency bin
 m % n_phi, on a block of n radial nodes (block_nodes: at most a quarter
 of the coefficients' size).  analyze projects each block as it comes,
-from a SampledField or a .vfld file; synthesize_blocks makes the samples
-block by block, and synthesize, its one-block case, peaks near its output.
-synthesize_at sorts its points by radial panel and works through them in
-blocks of at most _POINT_BLOCK = 128: per block one real product
-interpolates every radial profile, and one batched real product of each
-point's Legendre rows with its coefficients does the sum over modes.
+from a SampledField or a .vfld file, through a bin-major copy in which
+every slab is contiguous; synthesize_blocks makes the samples block by
+block; synthesize, its one-block case, peaks near its output; synthesize_at
+takes the theta rows from their exact Fourier series (_fourier).
 
 In this basis divergence and curl act mode by mode on the radial profiles:
 
@@ -181,16 +179,12 @@ class ScalarSpectral(_Profiles):
 
 def _mode_tables(L_max, ct):
     """
-    Per-mode theta rows on the cos(theta) nodes.
-
-    Returns (A, B, C) of shape (n_modes, n_theta): A is the Y row, B the
-    d/dtheta row shared by Psi_theta and Phi_phi, and C = m * Pbar/sin(theta)
-    so that Psi_phi = i C and Phi_theta = -i C.  Negative m carries the
-    (-1)^m conjugation sign baked into the rows (the azimuthal factor
-    e^{i m phi} is handled separately by the FFT).
+    Per-mode theta rows (A, B, C), each (n_modes, len(ct)), at the cos(theta)
+    nodes ct: A is the Y row, B the d/dtheta row of Psi_theta and Phi_phi,
+    and C = m Pbar / sin(theta), so that Psi_phi = i C and Phi_theta = -i C.
+    Negative m carries its (-1)^m conjugation sign; e^{i m phi} is not in.
     """
-    P = pbar_table(L_max, ct)
-    Q = qbar_table(L_max, ct)
+    P, Q = pbar_table(L_max, ct), qbar_table(L_max, ct)
     S = dpbar_table(L_max, ct, P, Q)
     ells, ems = mode_degrees(L_max)
     mu = np.abs(ems)
@@ -201,9 +195,7 @@ def _mode_tables(L_max, ct):
 
 def _orders(L_max, angular, w=1.0):
     """Per order m: its bin m % n_phi, modes, Y rows and [d/dtheta; m/sin] rows, times w."""
-    A, B, C = _mode_tables(L_max, angular.ct)
-    for T in (A, B, C):
-        T *= w
+    A, B, C = (T * w for T in _mode_tables(L_max, angular.ct))
     _, ems = mode_degrees(L_max)
     return [(m % angular.n_phi, k, A[k], np.concatenate([B[k], C[k]]))
             for m in range(-L_max, L_max + 1) for k in [np.flatnonzero(ems == m)]]
@@ -211,14 +203,12 @@ def _orders(L_max, angular, w=1.0):
 
 def _require_band_limit(n_theta, n_phi, L_max):
     if n_theta < L_max + 1 or n_phi < 2 * L_max + 1:
-        raise ValueError(
-            f"angular grid ({n_theta} x {n_phi}) cannot resolve "
-            f"L_max = {L_max}; need at least {L_max + 1} x {2 * L_max + 1}")
+        raise ValueError(f"angular grid ({n_theta} x {n_phi}) cannot resolve L_max = "
+                         f"{L_max}; need at least {L_max + 1} x {2 * L_max + 1}")
 
 
 def _real_gemm(M, Z):
-    """Real matrix M times complex matrix Z as one real product on Z's float view."""
-    Z = np.ascontiguousarray(Z)
+    """Real M times complex Z (unit-stride rows) as one real product on Z's float view."""
     return (M @ Z.view(float)).view(complex)
 
 
@@ -226,7 +216,7 @@ def _real_gemm(M, Z):
 # Transforms
 
 # points per block in synthesize_at; bounds its (block, n_modes) buffers
-_POINT_BLOCK = 128
+_POINT_BLOCK = 96
 # numbers per channel in a mode block of the spectral operators
 _MODE_BLOCK = 1 << 14
 # the grid transforms take samples a multiple of this many radial nodes at
@@ -244,51 +234,41 @@ def analyze(field, L_max):
     """
     Project a sampled vector field onto the VSH basis.
 
-    The samples come in blocks of n = block_nodes(...) radial nodes.  One
-    FFT along phi of a block gives the phi integral of v e^{-i m phi}
-    for every azimuthal order m at once; bin m % n_phi holds order m,
-    since the grid resolves L_max.  Then for each m one dense product of
-    the weighted l >= |m| Legendre rows with the (n_theta, 3 n) Fourier
-    slab of that bin gives all coefficients of that order on the block's
-    nodes.  Working memory is the coefficients, one FFT buffer of a block
-    (and a file's buffer) and per-order temporaries of O(L_max n_theta n).
-
-    Parameters
-    ----------
-    field: SampledField, or a .vfld file open with fileio.open_vfld
-        anything with shape (n_r, n_theta, n_phi) and blocks(step) of the
-        samples; its angular grid is read after the first block and its
-        radial grid after the last, so a file is projected as it is read
-    L_max: int
-        band limit of the output
-
-    Returns
-    -------
-    SpectralField
-        c_r = surface integral of v . conj(Y_lm), and c_1, c_2 the Psi / Phi
-        projections divided by the basis norm l(l+1), per radial node.
+    field is a SampledField, or a .vfld file open with fileio.open_vfld:
+    anything with shape (n_r, n_theta, n_phi) and blocks(step) of the
+    samples, its angular grid read after the first block and its radial
+    grid after the last.  Each block of n = block_nodes(...) radial nodes
+    is copied bin-major, (n_phi, n_theta, 3, n), and one in-place FFT
+    along phi gives the integral of v e^{-i m phi} for every order m (bin
+    m % n_phi); per m one product of the weighted l >= |m| Legendre rows
+    with the contiguous (n_theta, 3 n) slab of its bin gives that order's
+    coefficients.  Working memory is the coefficients, one FFT buffer of a
+    block (and a file's buffer) and per-order temporaries of O(L_max n_theta n).
+    Returns the SpectralField of band limit L_max: c_r = surface integral of
+    v . conj(Y_lm), and c_1, c_2 the Psi / Phi projections over l(l+1).
     """
     n_r, n_t, n_p = field.shape
     _require_band_limit(n_t, n_p, L_max)             # before any allocation
     step = block_nodes(n_r, L_max, n_t, n_p)
-    a, F = 0, None
+    a, buf = 0, None
     for V in field.blocks(step):
-        if F is None:            # a file has sized its buffer and read a shell
+        if buf is None:          # a file has sized its buffer and read a shell
             out = SpectralField(field.radial, L_max)     # refuses L_max < 0
             inv = (out.ells > 0) / np.maximum(out.ells * (out.ells + 1.0), 1.0)  # 0 at l = 0
             ang = field.angular                          # fold quadrature weights in
             orders = _orders(L_max, ang, ang.w_phi * ang.w_ct)
-            F = np.empty((min(step, n_r), n_t, n_p, 3), dtype=complex)
+            buf = np.empty(n_p * n_t * 3 * min(step, n_r), dtype=complex)
         n = len(V)
-        np.fft.fft(V, axis=2, out=F[:n])
+        # bin-major (n_phi, n_theta, 3, n): every order's slab is contiguous
+        F = buf[:n_p * n_t * 3 * n].reshape(n_p, n_t, 3, n)
+        F[...] = V.transpose(2, 1, 3, 0)
         del V                  # none held while a file rebuilds its radial grid
+        np.fft.fft(F, axis=0, out=F)
         for b, k, Y_m, BC_m in orders:
-            X = F[:n, :, b]                          # (n, n_t, 3) slab of order m
-            c_r = _real_gemm(Y_m, X[..., 0].T)
+            out.coeffs[k, 0, a:a + n] = _real_gemm(Y_m, F[b, :, 0])
             # the Psi and Phi channels side by side along columns
-            pq = _real_gemm(BC_m, X[..., 1:].transpose(1, 2, 0).reshape(n_t, 2 * n))
+            pq = _real_gemm(BC_m, F[b, :, 1:].reshape(n_t, 2 * n))
             p, q = pq[:k.size], pq[k.size:]          # d/dtheta and m/sin rows
-            out.coeffs[k, 0, a:a + n] = c_r
             out.coeffs[k, 1, a:a + n] = inv[k, None] * (p[:, :n] - 1j * q[:, n:])
             out.coeffs[k, 2, a:a + n] = inv[k, None] * (1j * q[:, :n] + p[:, n:])
         a += n
@@ -327,19 +307,10 @@ def synthesize_blocks(S, angular, step):
 
 def synthesize(S, angular):
     """
-    Evaluate a SpectralField on the tensor grid (inverse of analyze), as
-    one block of synthesize_blocks: it peaks near the size of its output.
-
-    Parameters
-    ----------
-    S: SpectralField
-    angular: AngularGrid
-        must resolve the band limit of S
-
-    Returns
-    -------
-    SampledField
-        pointwise sum of c_r Y_lm + c_1 Psi_lm + c_2 Phi_lm.
+    Evaluate a SpectralField on the tensor grid of angular (which must
+    resolve its band limit), the inverse of analyze, as one block of
+    synthesize_blocks: it peaks near the size of its output.  Returns the
+    SampledField of the pointwise sum of c_r Y_lm + c_1 Psi_lm + c_2 Phi_lm.
     """
     from .grids import SampledField
 
@@ -349,46 +320,35 @@ def synthesize(S, angular):
 
 def synthesize_at(S, pts):
     """
-    Evaluate a SpectralField at arbitrary Cartesian points.
+    Evaluate a SpectralField at Cartesian points pts, (N, 3) or one (3,),
+    as an (N, 3) complex array of Cartesian field values.  Points outside
+    [r0, rmax] radially, or pts of another shape, raise ValueError.
 
     The points are sorted by radial panel and taken in blocks of at most
-    _POINT_BLOCK, so every temporary is bounded by the block, whatever the
-    point count.  Per block, one real product of the barycentric rows with
-    each panel's node-major coefficient slab interpolates every (mode,
-    channel) profile, e^{i m phi} multiplies the interpolated coefficients,
-    and the sum over modes is one batched real product of the point's
-    Legendre rows with the float view of its coefficients.  The result is
-    rotated to the Cartesian frame.  Points outside [r0, rmax] radially, or
-    pts of another shape than (N, 3) or (3,), raise ValueError.
-
-    A point off the radial nodes may change its last bits (~1e-16 relative)
-    with the other points of the call, as BLAS rounds its row of the panel
-    product by the rows around it; a point on a radial node keeps its bits.
-
-    Parameters
-    ----------
-    S: SpectralField
-    pts: (N, 3) array of Cartesian positions, or one (3,) position
-
-    Returns
-    -------
-    (N, 3) complex array of Cartesian field values
+    _POINT_BLOCK, so every temporary is bounded by the block.  Per block,
+    one real product of the barycentric rows with each panel's node-major
+    coefficient slab interpolates every (mode, channel) profile, and
+    e^{i m phi} multiplies the result.  The theta rows, exact Fourier series
+    fitted once per call (_fourier), are as accurate by a pole as anywhere,
+    with the same bits in any call; one batched real product per parity of
+    m sums the modes.  A point off the radial nodes may change its last bits
+    (~1e-16 relative) with the other points of the call, as BLAS rounds its
+    row of the panel product by the rows around it; on a node it does not.
     """
+    from ._fourier import theta_rows, theta_series
     from .frames import as_points, cart_to_sph_points, sph_to_cart_vector
 
     r, theta, phi = cart_to_sph_points(as_points(pts))
     order, runs = S.radial.locate(r)
-    n, K = S.radial.nodes_per_panel, S.n_modes
-    orders = np.arange(-S.L_max, S.L_max + 1)
+    n, K, L = S.radial.nodes_per_panel, S.n_modes, S.L_max
+    series, orders = theta_series(L), np.arange(-L, L + 1)
     slab = (None, None)                  # (panel, its node-major float view)
     out = np.empty((r.size, 3), dtype=complex)
+    # (block, 6 K): (Re, Im) of (c_r, c_1, c_2) for every mode, per point
+    buf = np.empty((min(r.size, _POINT_BLOCK), 6 * K))
     for lo in range(0, r.size, _POINT_BLOCK):
         hi = min(lo + _POINT_BLOCK, r.size)
-        at = order[lo:hi]
-        # per point the (K, 3) columns A, B, C; laid out (K, block, 3)
-        T = np.stack(_mode_tables(S.L_max, np.cos(theta[at])), axis=-1)
-        # (block, 6 K): (Re, Im) of (c_r, c_1, c_2) for every mode, per point
-        c = np.empty((hi - lo, 6 * K))
+        at, c = order[lo:hi], buf[:hi - lo]
         for p, a, b in runs:
             a, b = max(a, lo), min(b, hi)
             if a >= b:
@@ -403,11 +363,13 @@ def synthesize_at(S, pts):
         # at a time, so the spread table stays small beside c
         e = np.exp(1j * phi[at, None] * orders)
         for i in range(0, hi - lo, 16):
-            c[i:i + 16] *= e[i:i + 16, S.ems + S.L_max, None]
-        # V[n, j, t] = sum over modes of column j of c and row t of T, with
-        # j = (Re, Im) of (c_r, c_1, c_2) and t = (A, B, C)
-        V = np.matmul(c.view(float).transpose(0, 2, 1), T.transpose(1, 0, 2))
-        del c, T                         # before the next block's tables
+            c[i:i + 16] *= e[i:i + 16, S.ems + L, None]
+        # V[n, j, t] = sum over modes of column j of c and row t, with j =
+        # (Re, Im) of (c_r, c_1, c_2) and t = (A, B, C); m is odd at odd indices
+        odd, even = theta_rows(series, theta[at])
+        cf = c.view(float).transpose(0, 2, 1)
+        V = cf[..., 1::2] @ odd.transpose(0, 2, 1) + cf[..., ::2] @ even.transpose(0, 2, 1)
+        del odd, even                    # before the next block's rows
         v_r = V[:, 0, 0] + 1j * V[:, 1, 0]
         v_t = (V[:, 2, 1] + V[:, 5, 2]) + 1j * (V[:, 3, 1] - V[:, 4, 2])
         v_p = (V[:, 4, 1] - V[:, 3, 2]) + 1j * (V[:, 2, 2] + V[:, 5, 1])
@@ -449,12 +411,7 @@ def spectral_div(S):
 
 
 def spectral_grad(s):
-    """
-    Gradient of a ScalarSpectral, as a SpectralField.
-
-    For a scalar g(r) Y_lm the gradient is g' Y_lm + (g/r) Psi_lm, so per
-    mode the output channels are (s', s/r, 0).
-    """
+    """Gradient of a ScalarSpectral, as a SpectralField: g(r) Y_lm gives (g', g/r, 0)."""
     r = s.radial.r
     out = SpectralField(s.radial, s.L_max)
     for b in _mode_blocks(len(s.coeffs), s.radial.n_r):
@@ -466,13 +423,9 @@ def spectral_grad(s):
 
 def spectral_curl(S):
     """
-    Curl of a SpectralField, as a SpectralField.
-
-    Per mode the output channels are
-        Y:   -l(l+1)/r c_2
-        Psi: -(c_2' + c_2/r)  = -(r c_2)'/r
-        Phi: -c_r/r + c_1' + c_1/r  = -c_r/r + (r c_1)'/r
-    and the l = 0 row is identically zero (a radial monopole has no curl).
+    Curl of a SpectralField, as a SpectralField: per mode -l(l+1)/r c_2,
+    -(r c_2)'/r and -c_r/r + (r c_1)'/r, and zero at l = 0 (a radial
+    monopole has no curl).
     """
     r = S.radial.r
     ll1 = (S.ells * (S.ells + 1.0))[:, None]

@@ -449,7 +449,11 @@ def test_make_grids_default_layout_shares_the_nodes_evenly():
 @pytest.mark.parametrize("n, bp, message", [
     (64, [1.0, 2.0, 4.5], r"breakpoints must span \[1, 5\]$"),
     (64, [3.0, 4.0, 5.0], r"breakpoints must span \[1, 5\]$"),
-    (63, [1.0, 2.0, 5.0], r"63 radial nodes do not split evenly into 2 panels$")])
+    (63, [1.0, 2.0, 5.0], r"63 radial nodes do not split evenly into 2 panels$"),
+    # checked before the span: an empty list raised IndexError, a 2-D one
+    # numpy's "truth value of an array is ambiguous"
+    (64, [], "breakpoints must be finite and strictly increasing with at least 2"),
+    (64, [[1.0, 5.0]], "breakpoints must be finite and strictly increasing")])
 def test_sphere_and_plane_refuse_breakpoints_alike(n, bp, message):
     # one rule for explicit breakpoints, whichever grid asks for them
     for build in (lambda: make_grids(1.0, 5.0, n, 4, breakpoints=bp),

@@ -9,12 +9,14 @@ import pytest
 
 import sph_oracle
 from divcurl import transform
+from divcurl._fourier import THETA_ROWS, theta_rows, theta_series
 from divcurl.frames import sph_to_cart_points
 from divcurl.grids import AngularGrid, SampledField, make_grids
+from divcurl.solver import far_field_coeffs
 from divcurl.transform import (_POINT_BLOCK, ScalarSpectral, SpectralField,
-                               analyze, mode_degrees, mode_index,
-                               spectral_curl, spectral_div, spectral_grad,
-                               synthesize, synthesize_at)
+                               _mode_tables, analyze, mode_degrees,
+                               mode_index, spectral_curl, spectral_div,
+                               spectral_grad, synthesize, synthesize_at)
 
 SQRT_4PI_3 = 2.046653415892977     # coefficient of z_hat on the (1, 0) mode
 
@@ -423,6 +425,66 @@ def test_synthesize_at_rejects_points_outside_shell():
     for bad in ([np.nan, 0.0, 0.0], [2.0, np.nan, 0.0]):
         with pytest.raises(ValueError, match=r"\[r0, rmax\]"):
             synthesize_at(S, np.array([[3.0, 0.0, 0.0], bad]))
+
+
+def test_synthesize_at_is_exact_near_the_poles():
+    # the theta rows are Fourier series in theta itself: nothing recovers
+    # sin(theta) as sqrt(1 - cos^2), which put the Legendre recurrence
+    # 7.6e-10 off this uniform flow at theta = 1e-9 and pi - 1e-9
+    _, rad = _grids(L=8)
+    flow = far_field_coeffs([1.0, 0.0, 0.0], rad, 8)
+    theta = np.array([1e-12, 1e-9, 1e-6, 1e-3, np.pi - 1e-9])
+    got = synthesize_at(flow, sph_to_cart_points(3.0, theta, 0.7))
+    assert np.abs(got - [1.0, 0.0, 0.0]).max() < 1e-12
+
+
+def _rows(series, theta):
+    """(n, n_modes, 3) rows (A, B, C) of theta_rows, in flat mode order."""
+    odd, even = theta_rows(series, theta)
+    rows = np.empty((theta.size, odd.shape[2] + even.shape[2], 3))
+    rows[:, 1::2], rows[:, ::2] = odd.transpose(0, 2, 1), even.transpose(0, 2, 1)
+    return rows
+
+
+@pytest.mark.parametrize("L", [8, 32, 64])
+def test_theta_rows_match_sph_harm_y_near_the_poles(L):
+    # A e^{im phi} = Y, B e^{im phi} = dY/dtheta and i C e^{im phi} =
+    # dY/dphi / sin(theta), relative to the largest value of each (Y up to
+    # 3.2, the others up to 103 at L = 64); the recurrence missed Y by
+    # 3.7e-8 at theta = 1e-9 and L = 32
+    theta = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.4, 1.3, 2.9,
+                      np.pi - 1e-6, np.pi - 1e-9])
+    phi = np.random.default_rng(L).uniform(0.0, 2.0 * np.pi, theta.size)
+    ells, ems = mode_degrees(L)
+    rows = _rows(theta_series(L), theta)
+    e = np.exp(1j * ems * phi[:, None])
+    y = sph_oracle.vector("Y", ells, ems, theta[:, None], phi[:, None])[0]
+    _, psi_t, psi_p = sph_oracle.vector("Psi", ells, ems, theta[:, None],
+                                        phi[:, None])
+    for j, want in enumerate((y, psi_t, psi_p)):
+        got = (1j if j == 2 else 1.0) * rows[..., j] * e
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("L", [1, 8, 32, 64])
+def test_theta_rows_keep_their_bits_at_any_row_of_the_product(L):
+    # OpenBLAS rounds a row by the tile it sits in, so the theta rows come
+    # from products of one fixed shape, THETA_ROWS rows, padded: at 96
+    # rows a point gets the same bits at every row and alone, with one
+    # BLAS thread or two (at 16, 32 or 64 rows it would not, nor at 48 with
+    # two).  Off the poles, where the Legendre recurrence is accurate, the
+    # rows are its tables
+    theta = np.random.default_rng(L).uniform(0.25, np.pi - 0.25, THETA_ROWS)
+    series = theta_series(L)
+    group = _rows(series, theta)
+    assert _rows(series, theta[::-1]).tobytes() == group[::-1].tobytes()
+    for i in range(0, THETA_ROWS, 7):
+        # the point at every row of one product, and alone
+        every = _rows(series, np.full(THETA_ROWS, theta[i]))
+        assert (every.view(np.int64) == group[i].view(np.int64)).all()
+        assert _rows(series, theta[i:i + 1]).tobytes() == group[i].tobytes()
+    tables = np.stack(_mode_tables(L, np.cos(theta)), axis=-1).transpose(1, 0, 2)
+    assert np.abs(group - tables).max() <= 1e-13 * np.abs(tables).max()
 
 
 ############################################

@@ -28,7 +28,10 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
     solve_sweep      per seed and case: the decisions, the CompatReport
                      arrays, as_table(), worst(), the solutions W and W2
                      and the boundary trace
-    transform_large  per seed, F, R, D and P of each pooled field
+    transform_large  per seed, F, R, D and P of each pooled field, and
+                     synthesize_at of R at 30 points near the poles
+                     (colatitude 10^-k and pi - 10^-k, k = 1 ... 15) and
+                     at 200 random shell points off the radial nodes
     solver           per seed, at (L, n_r) = (48, 256), many mode blocks,
                      and (2, 32), one block: a compatible source f = curl
                      curl A, its CompatReport arrays, the solution V
@@ -215,11 +218,25 @@ def solve_sweep(m, workloads, seed):
 
 
 def transform_large(m, workloads, seed):
+    import numpy as np
+    from divcurl import frames, transform
+
     wl = workloads.TransformLarge(m.root)
     wl.setup(seed, None)
+    rng = np.random.default_rng([seed, 9])
+    # colatitudes 10^-k and pi - 10^-k, k = 1 ... 15, and points off the nodes
+    polar = np.concatenate([10.0 ** -np.arange(1, 16), np.pi - 10.0 ** -np.arange(1, 16)])
+    n = 200
+    near_pole = frames.sph_to_cart_points(rng.uniform(1.0, 5.0, polar.size), polar,
+                                          rng.uniform(0.0, 2.0 * np.pi, polar.size))
+    off_node = frames.sph_to_cart_points(rng.uniform(1.0, 5.0, n),
+                                         np.arccos(rng.uniform(-1.0, 1.0, n)),
+                                         rng.uniform(0.0, 2.0 * np.pi, n))
     for k in range(wl.POOL):
         F, R, D, P = wl.job(k)
-        for name, a in (("F", F.values), ("R", R.coeffs), ("D", D.coeffs), ("P", P)):
+        for name, a in (("F", F.values), ("R", R.coeffs), ("D", D.coeffs), ("P", P),
+                        ("P_near_pole", transform.synthesize_at(R, near_pole)),
+                        ("P_off_node", transform.synthesize_at(R, off_node))):
             m.add("transform_large/%d/%d/%s" % (seed, k, name), a)
         del F, R, D, P              # hold one job's arrays at a time
 
