@@ -35,10 +35,11 @@ keeps the bits of one whole-array pass.
 """
 
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
-from .transform import SpectralField, _divergence, _mode_blocks, mode_index
+from .transform import SpectralField, _divergence, _mode_blocks
 
 __all__ = ["CompatReport", "IncompatibilityError", "CompatibilityWarning",
            "check_compatibility", "solve_exterior", "boundary_trace",
@@ -170,12 +171,6 @@ class CompatReport:
         self.boundary_deriv = boundary_deriv
         self.moment = moment
         self.field_norm = float(field_norm)
-
-    def mode(self, l, m):
-        """Residual 4-tuple (normal_trace, solenoid, boundary_deriv, moment)."""
-        k = mode_index(l, m)
-        return (self.normal_trace[k], self.solenoid[k],
-                self.boundary_deriv[k], self.moment[k])
 
     def worst(self, required_moment=None):
         """
@@ -328,17 +323,8 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     return V
 
 
-class BoundaryTrace:
-    """Per-mode channel values of a field at r = r0, plus an aggregate norm."""
-
-    def __init__(self, ells, ems, values, aggregate):
-        self.ells = ells
-        self.ems = ems
-        self.values = values                # (n_modes, 3) complex
-        self.aggregate = float(aggregate)
-
-    def mode(self, l, m):
-        return self.values[mode_index(l, m)]
+# per-mode channel values of a field at r = r0, plus an aggregate norm
+BoundaryTrace = namedtuple("BoundaryTrace", ["ells", "ems", "values", "aggregate"])
 
 
 def boundary_trace(V):
@@ -354,7 +340,7 @@ def boundary_trace(V):
     vals = V.radial.at_r0(V.coeffs)                     # (n_modes, 3)
     dens = V._density(vals[..., None], V.ells, np.empty((V.n_modes, 1)))
     agg = np.sqrt(dens.sum(axis=0)[0])
-    return BoundaryTrace(V.ells.copy(), V.ems.copy(), vals, agg)
+    return BoundaryTrace(V.ells.copy(), V.ems.copy(), vals, float(agg))
 
 
 def partial_slip_project(f, L, far=None):

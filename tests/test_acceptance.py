@@ -15,37 +15,20 @@ from divcurl.pseudoharmonic import phf_field, verify_pseudoharmonic
 from divcurl.solver import (boundary_trace, check_compatibility,
                             partial_slip_project, radial_moments,
                             solve_exterior)
-from divcurl.transform import (SpectralField, mode_index, spectral_curl,
-                               spectral_div, synthesize, synthesize_at)
+from divcurl.transform import (SpectralField, mode_index, spectral_div,
+                               synthesize, synthesize_at)
+from fixtures import manufactured, support_grids, two_bump_source
 
 R0, RMAX, N_R, L_MAX = 1.0, 5.0, 64, 8
 SQRT_4PI_3 = 2.046653415892977
 SQRT_3PI = 3.0699801238394655
 
 
-def _support_grids(n_r=N_R, L=L_MAX):
-    """Panels aligned with the [2, 4] support shell of the fixtures."""
-    return make_grids(R0, RMAX, n_r, L, breakpoints=[1, 2, 3, 4, 5])
-
-
-def _manufactured(rad, seed):
-    """Source f = curl(curl A) with known exact solution V = curl A."""
-    rng = np.random.default_rng(seed)
-    bump = np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3
-    A = SpectralField(rad, L_MAX)
-    amp = (1.0 / 3.0) ** A.ells
-    scal = amp[:, None] * (rng.standard_normal((A.n_modes, 3))
-                           + 1j * rng.standard_normal((A.n_modes, 3)))
-    A.coeffs[:] = scal[:, :, None] * bump[None, None, :]
-    A.coeffs[0, 1:] = 0.0
-    V = spectral_curl(A)
-    return spectral_curl(V), V
-
-
 @pytest.fixture(scope="module")
 def suite():
-    _, rad = _support_grids()
-    return rad, [_manufactured(rad, seed) for seed in range(5)]
+    _, rad = support_grids(L_MAX)
+    return rad, [manufactured(rad, L_MAX, np.random.default_rng(seed))
+                 for seed in range(5)]
 
 
 ############################################
@@ -122,10 +105,11 @@ def test_moment_perturbation_scales_the_wall_trace(suite):
     eps = 1e-6
     for l, m in [(1, 0), (2, 1), (3, -2), (5, 3)]:
         unit = g / rad.integrate(rad.r ** (1.0 - l) * g)
+        k = mode_index(l, m)
         f = f0.copy()
-        f.coeffs[mode_index(l, m), 2] += eps * unit
-        tr = boundary_trace(solve_exterior(f, tol=1.0)).mode(l, m)
-        b = base.mode(l, m)
+        f.coeffs[k, 2] += eps * unit
+        tr = boundary_trace(solve_exterior(f, tol=1.0)).values[k]
+        b = base.values[k]
         slope_r = abs(tr[0] - b[0]) / eps
         slope_1 = abs(tr[1] - b[1]) / eps
         want_r = l * (l + 1.0) / (2.0 * l + 1.0) * R0 ** (l - 1)
@@ -139,7 +123,7 @@ def test_moment_perturbation_scales_the_wall_trace(suite):
 
 
 def test_orthogonality_forms_agree():
-    ang, rad = _support_grids()
+    ang, rad = support_grids(L_MAX)
     modes = [(1, 0), (2, -1), (3, 2), (4, -3), (5, 1),
              (6, 4), (7, -5), (8, 0), (2, 2), (6, -6)]
     bump = np.exp(-((rad.r - 3.0) / 0.8) ** 2)
@@ -166,29 +150,10 @@ def test_orthogonality_forms_agree():
 # 7. Direct volume-integral cross-check of the solver
 
 
-def _two_bump_source(rad, L, seed):
-    """Compatible Phi-channel source with a visible exterior field."""
-    rng = np.random.default_rng(seed)
-    r = rad.r
-    g1 = np.clip((r - 1.4) * (1.8 - r), 0.0, None) ** 3
-    g2 = np.clip((r - 1.8) * (2.2 - r), 0.0, None) ** 3
-    f = SpectralField(rad, L)
-    for l in range(1, L + 1):
-        beta = (-rad.integrate(r ** (1.0 - l) * g1)
-                / rad.integrate(r ** (1.0 - l) * g2))
-        prof = g1 + beta * g2
-        for m in range(l + 1):
-            c = rng.standard_normal() + (1j * rng.standard_normal() if m else 0.0)
-            c = c * (1.0 / 3.0) ** l
-            f.coeffs[mode_index(l, m), 2] = c * prof
-            f.coeffs[mode_index(l, -m), 2] = (-1) ** m * np.conj(c) * prof
-    return f
-
-
 def _cross_check_error(nodes_per_panel, L_ang):
     ang, rad = make_grids(R0, RMAX, 4 * nodes_per_panel, L_ang,
                           breakpoints=[1.0, 1.4, 1.8, 2.2, 5.0])
-    f = _two_bump_source(rad, L_MAX, seed=11)
+    f = two_bump_source(rad, L_MAX, 1.4, 1.8, 2.2, seed=11)
     V = solve_exterior(f)
     sampled = synthesize(f, ang)
     rng = np.random.default_rng(2)
@@ -329,12 +294,12 @@ def test_planar_laplacian_has_no_moments():
 
 def test_norm_ratio_stable_under_refinement():
     def ratios(n_r, n_theta, n_phi):
-        _, rad = _support_grids(n_r)
+        _, rad = support_grids(L_MAX, n_r)
         ang = AngularGrid(n_theta, n_phi)
         w = ang.w_ct[:, None] * ang.w_phi
         out = []
         for seed in range(5):
-            f, _ = _manufactured(rad, seed)
+            f, _ = manufactured(rad, L_MAX, np.random.default_rng(seed))
             W = solve_exterior(f)
             vals = synthesize(W, ang).values
             dens = (np.abs(vals) ** 2).sum(axis=-1) ** 3

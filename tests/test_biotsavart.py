@@ -2,8 +2,6 @@
 The direct volume-integral evaluator and the circulation diagnostic.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,8 @@ from divcurl.cli import main
 from divcurl.fileio import write_points, write_vfld
 from divcurl.grids import AngularGrid, RadialGrid, SampledField, make_grids
 from divcurl.solver import radial_moments, solve_exterior
-from divcurl.transform import (SpectralField, analyze, spectral_curl,
-                               synthesize, synthesize_at)
+from divcurl.transform import SpectralField, synthesize, synthesize_at
+from fixtures import traced_peak, two_bump_source
 
 A_IN, B_OUT = 1.5, 3.5      # shell support radii shared by the fixtures
 
@@ -308,13 +306,7 @@ def test_peak_memory_does_not_grow_with_points():
     def peak(n):
         pts = rng.standard_normal((n, 3))
         pts *= 5.5 / np.linalg.norm(pts, axis=1, keepdims=True)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            biot_savart_eval(field, pts)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: biot_savart_eval(field, pts))[1]
 
     small, large = peak(_POINT_BLOCK), peak(1000)
     out_bytes = 1000 * 3 * 16
@@ -335,13 +327,7 @@ def test_source_memory_follows_the_live_nodes():
 
     def peak(values):
         field = SampledField(rad, ang, values)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            biot_savart_eval(field, pts)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: biot_savart_eval(field, pts))[1]
 
     assert peak(quarter) < 0.5 * peak(full)
 
@@ -433,38 +419,11 @@ def test_circulation_of_nothing():
 # Cross-check against the spectral solver
 
 
-def _two_bump_source(rad, L, a, mid, b, seed):
-    """
-    Real compatible source living in the Phi channels only.
-
-    Each mode carries f2 = c (g1 + beta_l g2) with two adjacent radial
-    bumps mixed so the solvability moment of s^(1-l) f2 vanishes, while
-    the exterior multipole integral of s^(2+l) f2 stays generically
-    nonzero -- so the solution is visible beyond the support.
-    """
-    from divcurl.transform import mode_index
-
-    rng = np.random.default_rng(seed)
-    r = rad.r
-    g1 = np.clip((r - a) * (mid - r), 0.0, None) ** 3
-    g2 = np.clip((r - mid) * (b - r), 0.0, None) ** 3
-    f = SpectralField(rad, L)
-    for l in range(1, L + 1):
-        beta = -rad.integrate(r ** (1.0 - l) * g1) / rad.integrate(r ** (1.0 - l) * g2)
-        prof = g1 + beta * g2
-        for m in range(l + 1):
-            c = rng.standard_normal() + (1j * rng.standard_normal() if m else 0.0)
-            c = c * (1.0 / 3.0) ** l
-            f.coeffs[mode_index(l, m), 2] = c * prof
-            f.coeffs[mode_index(l, -m), 2] = (-1) ** m * np.conj(c) * prof
-    return f
-
-
 def test_matches_spectral_solution_for_compatible_source():
     # evaluation beyond the source support, where the direct quadrature
     # converges; the two routes share no code past the sampled field
     ang, rad = make_grids(1.0, 5.0, 48, 8, breakpoints=[1.0, 1.4, 1.8, 2.2, 5.0])
-    f = _two_bump_source(rad, 6, 1.4, 1.8, 2.2, seed=3)
+    f = two_bump_source(rad, 6, 1.4, 1.8, 2.2, seed=3)
     V = solve_exterior(f)
     sampled = synthesize(f, ang)
     assert np.abs(sampled.values.imag).max() < 1e-12 * np.abs(sampled.values).max()
@@ -511,7 +470,7 @@ def _cavity_grids():
 
 def test_compatible_source_leaves_the_cavity_field_free():
     _, rad = _cavity_grids()
-    sampled = synthesize(_two_bump_source(rad, 6, 1.5, 2.0, 2.5, seed=3), AngularGrid(40, 81))
+    sampled = synthesize(two_bump_source(rad, 6, 1.5, 2.0, 2.5, seed=3), AngularGrid(40, 81))
     inside = _cavity_field(sampled, _shell_points(5, 8, 0.2, 0.9))
     beyond = biot_savart_eval(sampled, _shell_points(6, 8, 3.5, 4.9))
     assert np.abs(inside).max() <= 1e-12 * np.abs(beyond).max()
@@ -537,7 +496,7 @@ def test_upsampled_direct_sum_matches_the_solution_to_rounding():
     # the solve's own angular grid agrees only to 1e-3 (above); on (60, 121)
     # the quadrature of the source has converged a radius unit beyond it
     _, rad = _cavity_grids()
-    f = _two_bump_source(rad, 6, 1.5, 2.0, 2.5, seed=3)
+    f = two_bump_source(rad, 6, 1.5, 2.0, 2.5, seed=3)
     pts = _shell_points(6, 8, 3.5, 4.9)
     direct = biot_savart_eval(synthesize(f, AngularGrid(60, 121)), pts)
     spectral = synthesize_at(solve_exterior(f), pts)

@@ -5,7 +5,6 @@ Command-line drive of the full pipeline through in-process main() calls.
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,8 @@ from divcurl.fileio import (FileFormatError, read_vfld, read_vshc, write_polar,
 from divcurl.grids import AngularGrid, SampledField, make_grids
 from divcurl.planar import PlanarGeometry, planar_moments
 from divcurl.transform import (SpectralField, analyze, block_nodes, mode_index,
-                               spectral_curl, synthesize, synthesize_blocks)
+                               synthesize, synthesize_blocks)
+from fixtures import manufactured, support_grids, traced_peak
 
 SQRT_4PI_3 = 2.046653415892977
 
@@ -32,21 +32,6 @@ def _zhat_field(n_r=16, L=4):
     v[:, :, :, 0] = np.cos(ang.theta)[None, :, None]
     v[:, :, :, 1] = -np.sin(ang.theta)[None, :, None]
     return SampledField(rad, ang, v)
-
-
-def _manufactured_source(L=4):
-    """Compatible source f = curl(curl A) plus its exact solution curl A."""
-    _, rad = make_grids(1.0, 5.0, 64, L, breakpoints=[1, 2, 3, 4, 5])
-    bump = np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3
-    rng = np.random.default_rng(7)
-    A = SpectralField(rad, L)
-    amp = (1.0 / 3.0) ** A.ells
-    scal = amp[:, None] * (rng.standard_normal((A.n_modes, 3))
-                           + 1j * rng.standard_normal((A.n_modes, 3)))
-    A.coeffs[:] = scal[:, :, None] * bump[None, None, :]
-    A.coeffs[0, 1:] = 0.0
-    V = spectral_curl(A)
-    return spectral_curl(V), V
 
 
 ############################################
@@ -238,7 +223,7 @@ def test_phf_lmax_beyond_memory_exits_1_naming_the_grid():
 
 
 def test_check_table_on_stdout_and_file(tmp_path, capsys):
-    f, _ = _manufactured_source()
+    f, _ = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     write_vshc(src, f)
     out = tmp_path / "report.tsv"
@@ -250,7 +235,7 @@ def test_check_table_on_stdout_and_file(tmp_path, capsys):
 
 
 def test_solve_compatible_source(tmp_path, capsys):
-    f, V = _manufactured_source()
+    f, V = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     sol = tmp_path / "sol.vshc"
     write_vshc(src, f)
@@ -263,7 +248,7 @@ def test_solve_compatible_source(tmp_path, capsys):
 
 
 def test_solve_is_byte_identical_across_runs(tmp_path):
-    f, _ = _manufactured_source()
+    f, _ = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     write_vshc(src, f)
     a, b = tmp_path / "a.vshc", tmp_path / "b.vshc"
@@ -273,7 +258,7 @@ def test_solve_is_byte_identical_across_runs(tmp_path):
 
 
 def test_solve_incompatible_exits_1_with_mode(tmp_path, capsys):
-    _, rad = make_grids(1.0, 5.0, 48, 4, breakpoints=[1, 2, 3, 4, 5])
+    _, rad = support_grids(4, 48)
     g1 = np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3
     F = SpectralField(rad, 4)
     F.set_mode(2, 1, 2, g1)                 # lone bump: nonzero moment
@@ -288,7 +273,7 @@ def test_solve_incompatible_exits_1_with_mode(tmp_path, capsys):
 
 def test_solve_non_finite_source_exits_1(tmp_path, capsys, monkeypatch):
     # the readers reject NaN, so hand the solver one through the reader
-    f, _ = _manufactured_source()
+    f, _ = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
     f.coeffs[mode_index(2, 1), 2, 30] = np.nan
     monkeypatch.setattr("divcurl.cli.read_vshc", lambda path: f)
     out = tmp_path / "never.vshc"
@@ -299,7 +284,7 @@ def test_solve_non_finite_source_exits_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_solve_with_invalid_tol_exits_1(tmp_path, capsys, tol):
-    f, _ = _manufactured_source()
+    f, _ = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
     src, out = tmp_path / "f.vshc", tmp_path / "never.vshc"
     write_vshc(src, f)
     assert main(["solve", str(src), "--tol", tol, "--out", str(out)]) == 1
@@ -332,7 +317,7 @@ def test_malformed_input_on_a_pipe_exits_2(tmp_path):
 
     # a .vshc reads through the same chunked body
     src = tmp_path / "f.vshc"
-    write_vshc(src, _manufactured_source(2)[0])
+    write_vshc(src, manufactured(support_grids(2)[1], 2, np.random.default_rng(7))[0])
     text = src.read_bytes()
     cli[-2] = "check"
     lines = text.splitlines(keepends=True)
@@ -350,7 +335,7 @@ def test_malformed_input_on_a_pipe_exits_2(tmp_path):
 
 
 def test_partial_slip_recovers_solvability(tmp_path, capsys):
-    _, rad = make_grids(1.0, 5.0, 48, 4, breakpoints=[1, 2, 3, 4, 5])
+    _, rad = support_grids(4, 48)
     g1 = np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3
     F = SpectralField(rad, 4)
     F.set_mode(2, 1, 2, g1)
@@ -372,7 +357,7 @@ def _solve_stderr(tmp_path, capsys, F, *options):
 
 
 def test_refusal_above_the_projected_degree_names_it(tmp_path, capsys):
-    _, rad = make_grids(1.0, 5.0, 48, 4, breakpoints=[1, 2, 3, 4, 5])
+    _, rad = support_grids(4, 48)
     F = SpectralField(rad, 4)
     F.set_mode(3, 1, 2, np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3)
     code, err = _solve_stderr(tmp_path, capsys, F, "--partial-slip", "2")
@@ -384,7 +369,7 @@ def test_refusal_above_the_projected_degree_names_it(tmp_path, capsys):
 @pytest.mark.parametrize("options", [(), ("--partial-slip", "4")])
 def test_refusal_the_projection_cannot_mend_says_so(tmp_path, capsys, options):
     # f_r at the wall: the projection touches only the Phi-channel moments
-    _, rad = make_grids(1.0, 5.0, 48, 4, breakpoints=[1, 2, 3, 4, 5])
+    _, rad = support_grids(4, 48)
     F = SpectralField(rad, 4)
     F.set_mode(2, 0, 0, np.clip(4.0 - rad.r, 0.0, None) ** 3)
     code, err = _solve_stderr(tmp_path, capsys, F, *options)
@@ -420,7 +405,7 @@ def test_solution_whose_powers_overflow_exits_1(tmp_path, capsys):
 
 
 def test_negative_partial_slip_exits_1(tmp_path, capsys):
-    f, _ = _manufactured_source(2)
+    f, _ = manufactured(support_grids(2)[1], 2, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     sol = tmp_path / "sol.vshc"
     write_vshc(src, f)
@@ -431,7 +416,7 @@ def test_negative_partial_slip_exits_1(tmp_path, capsys):
 
 
 def test_solve_with_uniform_far_flow(tmp_path, capsys):
-    _, rad = make_grids(1.0, 5.0, 48, 2, breakpoints=[1, 2, 3, 4, 5])
+    _, rad = support_grids(2, 48)
     r = rad.r
     g1 = np.clip((r - 2.0) * (3.0 - r), 0.0, None) ** 3
     g2 = np.clip((r - 3.0) * (4.0 - r), 0.0, None) ** 3
@@ -464,7 +449,7 @@ def test_solve_vinf_at_lmax_0_exits_1(tmp_path, capsys):
 
 
 def test_bad_vinf_exits_1(tmp_path, capsys):
-    f, _ = _manufactured_source(2)
+    f, _ = manufactured(support_grids(2)[1], 2, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     write_vshc(src, f)
     assert main(["solve", str(src), "--vinf", "1,2"]) == 1
@@ -589,16 +574,8 @@ def test_analyze_and_biot_hold_the_field_and_one_chunk(tmp_path):
                 ["biot", f, "--points", p, "--out", str(tmp_path / "b.txt")])
     for args in commands:                   # lazy imports and caches first
         assert main(args) == 0
-    peaks = []
-    tracemalloc.start()
-    try:
-        for args in commands:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            assert main(args) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1] - held)
-    finally:
-        tracemalloc.stop()
+    codes, peaks = zip(*(traced_peak(lambda: main(args)) for args in commands))
+    assert codes == (0, 0)
     assert peaks[0] <= field + coeffs + 1e6
     assert peaks[1] <= field + 80 * live + 1e6
 
@@ -617,13 +594,9 @@ def test_analyze_and_synthesize_hold_the_coefficients_and_a_block(tmp_path):
     peaks = []
     for args in commands:
         assert main(args) == 0              # lazy imports and caches first
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            assert main(args) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1] - held)
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(args))
+        assert code == 0
+        peaks.append(peak)
     assert peaks[0] <= coeffs + 2 * block + 1e6
     assert peaks[1] <= coeffs + block + 1e6
 

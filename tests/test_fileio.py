@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from divcurl.fileio import (FileFormatError, radial_from_nodes, read_points,
 from divcurl.grids import AngularGrid, SampledField, make_grids
 from divcurl.planar import PlanarGeometry
 from divcurl.transform import SpectralField, synthesize
+from fixtures import traced_peak
 
 # doubles whose %.17g text is easy to get wrong
 SPECIAL = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
@@ -718,18 +718,8 @@ def test_vfld_io_memory_is_bounded_by_the_field(tmp_path):
     ang, rad = make_grids(1.0, 5.0, 64, 16)
     field = synthesize(_random_spectral(rad, 16, 12), ang)
     path = tmp_path / "big.vfld"
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        write_vfld(path, field)
-        write_peak = tracemalloc.get_traced_memory()[1] - held
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        back = read_vfld(path)
-        read_peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    write_peak = traced_peak(lambda: write_vfld(path, field))[1]
+    back, read_peak = traced_peak(lambda: read_vfld(path))
     size = field.values.nbytes
     assert write_peak <= 2.0 * size
     assert read_peak <= 1.6 * size

@@ -2,7 +2,6 @@
 Quadrature, differentiation, and interpolation on the shell grids.
 """
 
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -16,6 +15,7 @@ from divcurl import fileio
 from divcurl.grids import (AngularGrid, RadialGrid, SampledField,
                            _bary_eval_matrix, make_grids, surface_integral)
 from divcurl.planar import PolarGrid
+from fixtures import traced_peak
 
 
 ############################################
@@ -304,28 +304,14 @@ def test_running_integral_peaks_near_its_output():
     rad = RadialGrid(np.linspace(1.0, 5.0, 5), 32)
     rng = np.random.default_rng(23)
     g = rng.standard_normal((156, 128)) + 1j * rng.standard_normal((156, 128))
-    tracemalloc.start()
-    try:
-        run = rad.running_integral(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    run, peak = traced_peak(lambda: rad.running_integral(g))
     assert peak <= 1.25 * run.nbytes            # 1.21 measured, 1.78 before
     assert run.tobytes() == _ref_running_integral(rad, rad._K, g).tobytes()
 
 
-def _traced_peak(build):
-    tracemalloc.start()
-    try:
-        out = build()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_one_wide_panel_builds_in_bounded_memory():
     # make_grids falls back to one panel when n_r is prime
-    rad, peak = _traced_peak(lambda: RadialGrid([1.0, 2.0], 257))
+    rad, peak = traced_peak(lambda: RadialGrid([1.0, 2.0], 257))
     assert peak < 6e6                    # 3.3 MB measured
     assert abs(rad.running_integral(rad.r)[-1] - (rad.r[-1] ** 2 - 1.0) / 2) < 1e-12
 
@@ -337,7 +323,7 @@ def test_grid_construction_peaks_near_its_operators():
     nodes = RadialGrid(bp, 16).r
     for build in (lambda: RadialGrid(bp, 16),
                   lambda: fileio.radial_from_nodes(1.0, 5.0, nodes)):
-        assert _traced_peak(build)[1] < 0.25e6     # 0.10 and 0.14 MB measured
+        assert traced_peak(build)[1] < 0.25e6     # 0.10 and 0.14 MB measured
 
 
 @pytest.mark.parametrize("bp", [[1.0, 2.0], [2.0 ** -30, 2.0 ** -29]])
@@ -389,16 +375,24 @@ def test_cumulative_matrix_integrates_panel_polynomials_exactly(n, bp):
 @example(k=-30)
 @example(k=-40)
 def test_radial_operators_follow_the_length_unit(k):
-    # on 2^k [1, 5] every breakpoint and panel width, and so every K entry,
-    # is an exact multiple of its unit-scale value
+    # on 2^k [1, 5] every breakpoint and panel width, and so every K and D
+    # entry, is an exact multiple of its unit-scale value; the wall row is
+    # dimensionless and keeps its bits
     lam = 2.0 ** k
     rad = RadialGrid(lam * np.linspace(1.0, 5.0, 5), 16)
     unit = RadialGrid(np.linspace(1.0, 5.0, 5), 16)
     assert rad._K.tobytes() == (lam * unit._K).tobytes()
+    assert (rad._D * lam).tobytes() == unit._D.tobytes()
+    assert rad._wall_row.tobytes() == unit._wall_row.tobytes()
     for p in range(16):
         want = (rad.r ** (p + 1) - rad.r0 ** (p + 1)) / (p + 1)
         gap = np.abs(rad.running_integral(rad.r ** p) - want).max()
         assert gap <= 1e-14 * np.abs(want).max()
+    # any other unit in [1e-9, 1e9] agrees to rounding (3.7e-14 measured)
+    lam = 10.0 ** np.random.default_rng(k + 40).uniform(-9.0, 9.0)
+    other = RadialGrid(lam * np.linspace(1.0, 5.0, 5), 16)
+    for got, want in ((other._D * lam, unit._D), (other._wall_row, unit._wall_row)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 ############################################

@@ -2,8 +2,6 @@
 Forward/inverse VSH transforms and the spectral differential operators.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from divcurl.transform import (_POINT_BLOCK, ScalarSpectral, SpectralField,
                                _mode_tables, analyze, mode_degrees,
                                mode_index, spectral_curl, spectral_div,
                                spectral_grad, synthesize, synthesize_at)
+from fixtures import traced_peak
 
 SQRT_4PI_3 = 2.046653415892977     # coefficient of z_hat on the (1, 0) mode
 
@@ -293,19 +292,8 @@ def test_transform_peak_memory_stays_near_output_size():
     ang, rad = make_grids(1.0, 5.0, 64, 16)
     S = _random_spectral(rad, 16, seed=17)
     F = synthesize(S, ang)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        F2 = synthesize(S, ang)
-        synth_peak = tracemalloc.get_traced_memory()[1] - held
-        del F2
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        R = analyze(F, 16)
-        analyze_peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    synth_peak = traced_peak(lambda: synthesize(S, ang))[1]
+    R, analyze_peak = traced_peak(lambda: analyze(F, 16))
     assert synth_peak <= 1.5 * F.values.nbytes
     assert analyze_peak <= 0.95 * F.values.nbytes
     assert np.abs(R.coeffs - S.coeffs).max() < 1e-12
@@ -336,17 +324,7 @@ def test_synthesize_at_temporaries_do_not_grow_with_point_count():
     _, rad = _grids(L=8)
     S = _random_spectral(rad, 8, seed=18)
     pts = _special_points(rad, np.random.default_rng(19), 4000)[:4000]
-    peaks = []
-    tracemalloc.start()
-    try:
-        for n in (400, 4000):
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            got = synthesize_at(S, pts[:n])
-            peaks.append(tracemalloc.get_traced_memory()[1] - held)
-            del got
-    finally:
-        tracemalloc.stop()
+    peaks = [traced_peak(lambda: synthesize_at(S, pts[:n]))[1] for n in (400, 4000)]
     extra_out = (4000 - 400) * 3 * 16
     assert peaks[1] < peaks[0] + 2 * extra_out
 
@@ -357,13 +335,7 @@ def test_synthesize_at_peak_halves_with_its_block():
     _, rad = make_grids(1.0, 5.0, 64, 16)
     S = _random_spectral(rad, 16, seed=31)
     pts = _special_points(rad, np.random.default_rng(32), 512)[:512]
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        synthesize_at(S, pts)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: synthesize_at(S, pts))[1]
     assert peak <= 0.5 * 6.97e6
 
 
@@ -658,16 +630,8 @@ def test_operator_peaks_stay_near_their_outputs():
     _, rad = make_grids(1.0, 5.0, 256, 32)
     S = _random_spectral(rad, 32, seed=37)
     peaks = []
-    tracemalloc.start()
-    try:
-        for op in (spectral_curl, spectral_div):
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = op(S)
-            peaks.append((tracemalloc.get_traced_memory()[1] - held)
-                         / out.coeffs.nbytes)
-            del out
-    finally:
-        tracemalloc.stop()
+    for op in (spectral_curl, spectral_div):
+        out, peak = traced_peak(lambda: op(S))
+        peaks.append(peak / out.coeffs.nbytes)
     assert peaks[0] <= 1.15
     assert peaks[1] <= 1.3
