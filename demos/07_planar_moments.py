@@ -9,31 +9,30 @@ every moment equal to zero.
 
 import numpy as np
 
-from divcurl.planar import PlanarGeometry, planar_moments
+from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
 
 ############################################
 # Disk moments of simple fields
 
-geom = PlanarGeometry("disk", 2.0)
-g = geom.grid(32, 17)
+disk = PlanarGeometry("disk", 2.0)
+g = PolarGrid(disk, 32, 17)
 rho, phi = g.rho[:, None], g.phi[None, :]
 
-mom = planar_moments(np.ones((32, 17)), g, geom, 3)
+mom = planar_moments(np.ones((32, 17)), g, 3)
 print("f = 1   : k=0 -> %.6f (area 4 pi = %.6f), k=1 -> %.2e"
       % (mom[0].real, 4 * np.pi, abs(mom[1])))
 
 x1 = rho * np.cos(phi)
-mom = planar_moments(x1, g, geom, 2)
+mom = planar_moments(x1, g, 2)
 print("f = x1  : k=1 -> %.6f (pi R^4 / 4 = %.6f)"
       % (mom[1].real, np.pi * 2.0 ** 4 / 4))
 
 ############################################
 # Annulus: negative powers join in
 
-ann = PlanarGeometry("annulus", 1.0, r1=2.0)
-ga = ann.grid(32, 33)
+ga = PolarGrid(PlanarGeometry("annulus", 1.0, r1=2.0), 32, 33)
 f = (ga.rho[:, None] ** 2) * np.cos(2.0 * ga.phi[None, :])
-mom = planar_moments(f, ga, ann, 2)
+mom = planar_moments(f, ga, 2)
 print("annulus : k=-2 -> %.6f (3 pi / 2 = %.6f)"
       % (mom[-2].real, 1.5 * np.pi))
 
@@ -43,7 +42,7 @@ print("annulus : k=-2 -> %.6f (3 pi / 2 = %.6f)"
 # psi = p(rho) cos(2 phi) with p supported on [0.4, 1.6]; the support
 # edges sit on panel breakpoints so the discrete by-parts identity is
 # exact and every moment collapses to rounding
-gd = geom.grid(64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
+gd = PolarGrid(disk, 64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
 rho = gd.rho
 inside = (rho > 0.4) & (rho < 1.6)
 u = (rho[inside] - 0.4) / 1.2
@@ -57,7 +56,7 @@ d2p[inside] = 12 * s ** 2 * ds ** 2 + 4 * s ** 3 * d2s
 lap = ((d2p + dp / rho - 4 * p / rho ** 2)[:, None]
        * np.cos(2.0 * gd.phi)[None, :]).astype(complex)
 
-mom = planar_moments(lap, gd, geom, 8)
+mom = planar_moments(lap, gd, 8)
 print("\nf = Laplacian(psi), psi compact:")
 for k in sorted(mom):
     print("  k = %d : |moment| = %.3e" % (k, abs(mom[k])))

@@ -33,7 +33,7 @@ from .fileio import (FileFormatError, _dump, open_vfld, read_points,
                      read_polar, read_vfld, read_vshc, write_eval_table,
                      write_vfld_blocks, write_vshc)
 from .grids import AngularGrid, make_grids
-from .planar import planar_moments
+from .planar import PlanarGeometry, PolarGrid, planar_moments
 from .pseudoharmonic import phf_field, verify_pseudoharmonic
 from .solver import (DEFAULT_TOL, IncompatibilityError, boundary_trace,
                      check_compatibility, partial_slip_project, solve_exterior)
@@ -134,8 +134,8 @@ def cmd_biot(args):
 
 
 def cmd_moments2d(args):
-    samples, grid, geom = read_polar(args.input)
-    table = planar_moments(samples, grid, geom, args.kmax)
+    samples, grid = read_polar(args.input)
+    table = planar_moments(samples, grid, args.kmax)
     lines = ["k\tre\tim"]
     lines += ["%d\t%.17g\t%.17g" % (k, table[k].real, table[k].imag)
               for k in sorted(table)]
@@ -218,9 +218,7 @@ def _selftest_checks():
     yield "uniform-flow far value", abs(far_r - 1.0), 1e-13
 
     # planar moments of a Laplacian
-    from .planar import PlanarGeometry
-    geom = PlanarGeometry("disk", 2.0)
-    g = geom.grid(64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
+    g = PolarGrid(PlanarGeometry("disk", 2.0), 64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
     rho = g.rho
     inside = (rho > 0.4) & (rho < 1.6)
     u = (rho[inside] - 0.4) / 1.2
@@ -235,7 +233,7 @@ def _selftest_checks():
     d2p[inside] = 12.0 * s ** 2 * ds ** 2 + 4.0 * s ** 3 * d2s
     lap = ((d2p + dp / rho - 4.0 * p / rho ** 2)[:, None]
            * np.cos(2.0 * g.phi)[None, :]).astype(complex)
-    mom = planar_moments(lap, g, geom, 8)
+    mom = planar_moments(lap, g, 8)
     yield "planar Laplacian moments", max(abs(v) for v in mom.values()), 1e-11
 
 

@@ -577,9 +577,9 @@ def write_eval_table(path, pts, values):
 # Planar scalar samples (.pfld)
 
 
-def write_polar(path, samples, grid, geom):
+def write_polar(path, samples, grid):
     """
-    Write scalar samples on a PolarGrid, with the geometry, to a .pfld
+    Write scalar samples on a PolarGrid, with its geometry, to a .pfld
     text file.  Rows run lexicographically in (rho, phi).
     """
     samples = np.asarray(samples, dtype=complex)
@@ -587,11 +587,9 @@ def write_polar(path, samples, grid, geom):
         raise ValueError("samples shape %r does not match the grid"
                          % (samples.shape,))
     rows = samples.reshape(-1, 1).view(float)
-    head = "pfld 1\nkind %s\nr0 %.17g\n" % (geom.kind, geom.r0)
-    if geom.kind == "annulus":
-        head += "r1 %.17g\n" % geom.r1
-    elif geom.kind == "exterior":
-        head += "rsup %.17g\n" % geom.R_sup
+    geom = grid.geom
+    head = "pfld 1\nkind %s\nr0 %.17g\n" % (geom.kind, geom.r0) + "".join(
+        "%s %.17g\n" % (key, getattr(geom, name)) for name, key in geom.OUTER[geom.kind].items())
     with _output(path) as fh:
         fh.write(head + "nrho %d\nnphi %d\n" % (grid.n_rho, grid.n_phi))
         _write_rows(fh, len(rows), 2, _grid_rows((grid.rho, grid.phi), rows),
@@ -604,21 +602,17 @@ def read_polar(path):
 
     Returns
     -------
-    (samples, grid, geom)
-        complex (n_rho, n_phi) samples, the rebuilt PolarGrid, and the
-        PlanarGeometry from the header.
+    (samples, grid)
+        complex (n_rho, n_phi) samples and the PolarGrid rebuilt on the
+        PlanarGeometry the header names.
     """
     with _Lines(path) as lines:
         _magic(lines, "pfld")
         kind_lineno, kind = lines.keyword("kind")
-        if kind not in ("disk", "exterior", "annulus"):
+        if kind not in PlanarGeometry.KINDS:
             _fail(path, kind_lineno, "kind must be disk, exterior, or annulus")
         r0 = lines.keyfloat("r0")
-        outer = {}
-        if kind == "annulus":
-            outer = {"r1": lines.keyfloat("r1")}
-        elif kind == "exterior":
-            outer = {"R_sup": lines.keyfloat("rsup")}
+        outer = {name: lines.keyfloat(key) for name, key in PlanarGeometry.OUTER[kind].items()}
         try:
             geom = PlanarGeometry(kind, r0, **outer)
         except ValueError as e:     # named at the last radius line read
@@ -630,6 +624,5 @@ def read_polar(path):
         samples, = lines.grid_blocks(
             (n_rho, n_phi), 1, "sample",
             lambda: (2.0 * np.pi * np.arange(n_phi) / n_phi,), n_rho)   # PolarGrid.phi
-        lo, hi = geom.domain()
-        grid = PolarGrid(lo, hi, n_rho, n_phi, breakpoints=lines.radial(lo, hi).breakpoints)
-    return samples.reshape(n_rho, n_phi), grid, geom
+        grid = PolarGrid(geom, n_rho, n_phi, breakpoints=lines.radial(*geom.domain()).breakpoints)
+    return samples.reshape(n_rho, n_phi), grid

@@ -51,7 +51,10 @@ def sph_to_cart_points(r, theta, phi):
 
 def as_points(pts):
     """pts as an (N, 3) float array; a single (3,) point gives one row."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = np.atleast_2d(pts)
+    if np.iscomplexobj(pts):            # a cast would drop the imaginary parts
+        raise ValueError(f"pts must be (N, 3), got a complex {pts.shape} array")
+    pts = pts.astype(float, copy=False)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"pts must be (N, 3), got {pts.shape}")
     return pts

@@ -17,48 +17,9 @@ band-limited integrands.
 
 import numpy as np
 
-from .grids import _panel_grid, node_tolerance
+from .grids import _panel_grid
 
 __all__ = ["PolarGrid", "PlanarGeometry", "planar_moments"]
-
-
-class PolarGrid:
-    """
-    Tensor quadrature grid on an annular (or full-disk) planar region.
-
-    Radial nodes and weights come from composite Gauss-Legendre panels on
-    [rho_min, rho_max] (rho_min = 0 for a disk); the angular grid is
-    uniform with the trapezoid weight 2 pi / n_phi.
-    """
-
-    def __init__(self, rho_min, rho_max, n_rho, n_phi, breakpoints=None):
-        if not (0 <= rho_min < rho_max < np.inf):
-            raise ValueError(f"need 0 <= rho_min < rho_max, both finite, got "
-                             f"[{rho_min}, {rho_max}]")
-        if n_rho < 1 or n_phi < 1:
-            raise ValueError("n_rho and n_phi must be positive")
-        if breakpoints is None:
-            n = next((c for c in (16, 8) if n_rho % c == 0), n_rho)
-            breakpoints = np.linspace(rho_min, rho_max, n_rho // n + 1)
-        self.radial = _panel_grid(rho_min, rho_max, n_rho, breakpoints)
-        self.rho = self.radial.r
-        self.w_rho = self.radial.w
-        self.n_rho = int(n_rho)
-        self.n_phi = int(n_phi)
-        self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        self.w_phi = 2.0 * np.pi / n_phi
-        self.rho_min = float(rho_min)
-        self.rho_max = float(rho_max)
-
-    def integrate(self, samples):
-        """Area integral of samples (n_rho, n_phi) with the rho drho dphi weight."""
-        samples = np.asarray(samples)
-        return self.w_phi * np.einsum("r,rp->", self.w_rho * self.rho,
-                                      samples)
-
-    def __repr__(self):
-        return (f"PolarGrid({self.n_rho} x {self.n_phi}, "
-                f"rho in [{self.rho_min:g}, {self.rho_max:g}])")
 
 
 class PlanarGeometry:
@@ -71,7 +32,9 @@ class PlanarGeometry:
     kind "annulus": r0 <= |x| <= r1; moments use z^k for both signs of k.
     """
 
-    KINDS = ("disk", "exterior", "annulus")
+    # each kind's outer radius: its keyword here -> its .pfld header key
+    OUTER = {"disk": {}, "exterior": {"R_sup": "rsup"}, "annulus": {"r1": "r1"}}
+    KINDS = tuple(OUTER)
 
     def __init__(self, kind, r0, r1=None, R_sup=None):
         if kind not in self.KINDS:
@@ -101,11 +64,6 @@ class PlanarGeometry:
             return self.r0, self.R_sup
         return self.r0, self.r1
 
-    def grid(self, n_rho, n_phi, breakpoints=None):
-        """A PolarGrid covering this geometry's radial domain."""
-        lo, hi = self.domain()
-        return PolarGrid(lo, hi, n_rho, n_phi, breakpoints=breakpoints)
-
     def powers(self, k_max):
         """The moment indices: 0..k_max, or -k_max..k_max for an annulus."""
         if self.kind == "annulus":
@@ -117,17 +75,55 @@ class PlanarGeometry:
         return f"PlanarGeometry({self.kind!r}, rho in [{lo:g}, {hi:g}])"
 
 
-def planar_moments(samples, grid, geom, k_max):
+class PolarGrid:
     """
-    Moments of planar data against the harmonic powers of its geometry.
+    Tensor quadrature grid on the radial domain of a PlanarGeometry.
+
+    Radial nodes and weights come from composite Gauss-Legendre panels on
+    geom.domain(); the angular grid is uniform with the trapezoid weight
+    2 pi / n_phi.
+    """
+
+    def __init__(self, geom, n_rho, n_phi, breakpoints=None):
+        rho_min, rho_max = geom.domain()
+        if not rho_max < np.inf:            # before linspace warns of it
+            raise ValueError(f"the grid needs a finite outer radius, got {geom!r}")
+        if n_rho < 1 or n_phi < 1:
+            raise ValueError("n_rho and n_phi must be positive")
+        if breakpoints is None:
+            n = next((c for c in (16, 8) if n_rho % c == 0), n_rho)
+            breakpoints = np.linspace(rho_min, rho_max, n_rho // n + 1)
+        self.geom = geom
+        self.radial = _panel_grid(rho_min, rho_max, n_rho, breakpoints)
+        self.rho = self.radial.r
+        self.w_rho = self.radial.w
+        self.n_rho = int(n_rho)
+        self.n_phi = int(n_phi)
+        self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        self.w_phi = 2.0 * np.pi / n_phi
+        self.rho_min = float(rho_min)
+        self.rho_max = float(rho_max)
+
+    def integrate(self, samples):
+        """Area integral of samples (n_rho, n_phi) with the rho drho dphi weight."""
+        samples = np.asarray(samples)
+        return self.w_phi * np.einsum("r,rp->", self.w_rho * self.rho,
+                                      samples)
+
+    def __repr__(self):
+        return (f"PolarGrid({self.n_rho} x {self.n_phi}, "
+                f"rho in [{self.rho_min:g}, {self.rho_max:g}])")
+
+
+def planar_moments(samples, grid, k_max):
+    """
+    Moments of planar data against the harmonic powers of grid.geom.
 
     Parameters
     ----------
     samples: (n_rho, n_phi) complex array
         scalar f on the polar grid
     grid: PolarGrid
-        must cover geom.domain()
-    geom: PlanarGeometry
     k_max: int
         highest power; needs k_max <= (n_phi - 1) // 2 so the angular
         quadrature resolves e^{i k phi}
@@ -148,15 +144,10 @@ def planar_moments(samples, grid, geom, k_max):
         raise ValueError(
             f"k_max = {k_max} exceeds the angular resolution of n_phi = "
             f"{grid.n_phi}; need k_max <= {(grid.n_phi - 1) // 2}")
-    lo, hi = geom.domain()
-    tol = node_tolerance(lo, hi)
-    if abs(grid.rho_min - lo) > tol or abs(grid.rho_max - hi) > tol:
-        raise ValueError(f"grid covers [{grid.rho_min:g}, {grid.rho_max:g}] "
-                         f"but the geometry needs [{lo:g}, {hi:g}]")
 
     z = grid.rho[:, None] * np.exp(1j * grid.phi[None, :])
     out = {}
-    for k in geom.powers(k_max):
-        expo = -k if geom.kind == "exterior" else k
+    for k in grid.geom.powers(k_max):
+        expo = -k if grid.geom.kind == "exterior" else k
         out[k] = grid.integrate(samples * (z if expo >= 0 else 1.0 / z) ** abs(expo))
     return out

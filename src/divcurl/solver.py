@@ -147,7 +147,8 @@ def radial_moments(radial, g, ells):
     return out
 
 
-class CompatReport:
+class CompatReport(namedtuple("CompatReport", ["ells", "ems", "normal_trace", "solenoid",
+                                               "boundary_deriv", "moment", "field_norm"])):
     """
     Per-mode solvability residuals of a source field.
 
@@ -158,19 +159,10 @@ class CompatReport:
     used to scale residuals for tolerance decisions.
     """
 
+    __slots__ = ()
     COLUMNS = ("l", "m", "normal_trace", "solenoid", "boundary_deriv",
                "moment_re", "moment_im")
     _KINDS = ("normal_trace", "solenoid", "boundary_deriv", "moment")
-
-    def __init__(self, ells, ems, normal_trace, solenoid, boundary_deriv,
-                 moment, field_norm):
-        self.ells = ells
-        self.ems = ems
-        self.normal_trace = normal_trace
-        self.solenoid = solenoid
-        self.boundary_deriv = boundary_deriv
-        self.moment = moment
-        self.field_norm = float(field_norm)
 
     def worst(self, required_moment=None):
         """
@@ -228,7 +220,7 @@ def check_compatibility(f):
                             - f.ells * (f.ells + 1.0) * rad.at_r0(f1))
     moment = radial_moments(rad, f2, f.ells)
     return CompatReport(f.ells.copy(), f.ems.copy(), normal_trace, solenoid,
-                        boundary_deriv, moment, f.norm())
+                        boundary_deriv, moment, float(f.norm()))
 
 
 ############################################

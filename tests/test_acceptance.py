@@ -10,17 +10,17 @@ import sph_oracle
 from divcurl.biotsavart import (biot_savart_eval, circulation_diagnostic,
                                 sphere_points)
 from divcurl.grids import AngularGrid, SampledField, make_grids, surface_integral
-from divcurl.planar import PlanarGeometry, planar_moments
+from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
 from divcurl.pseudoharmonic import phf_field, verify_pseudoharmonic
 from divcurl.solver import (boundary_trace, check_compatibility,
                             partial_slip_project, radial_moments,
                             solve_exterior)
 from divcurl.transform import (SpectralField, mode_index, spectral_div,
                                synthesize, synthesize_at)
-from fixtures import manufactured, support_grids, two_bump_source
+from fixtures import (SQRT_4PI_3, manufactured, matched_flow_profile, ridge,
+                      support_grids, two_bump_source)
 
 R0, RMAX, N_R, L_MAX = 1.0, 5.0, 64, 8
-SQRT_4PI_3 = 2.046653415892977
 SQRT_3PI = 3.0699801238394655
 
 
@@ -179,14 +179,8 @@ def test_direct_integral_matches_and_converges():
 
 def test_uniform_flow_condition_and_far_value(suite):
     rad, _ = suite
-    r = rad.r
-    g1 = np.clip((r - 2.0) * (3.0 - r), 0.0, None) ** 3
-    g2 = np.clip((r - 3.0) * (4.0 - r), 0.0, None) ** 3
-    mat = np.array([[rad.integrate(g1), rad.integrate(g2)],
-                    [rad.integrate(r ** 3 * g1), rad.integrate(r ** 3 * g2)]])
-    ab = np.linalg.solve(mat, [SQRT_3PI, 0.0])
     F = SpectralField(rad, L_MAX)
-    F.coeffs[mode_index(1, 0), 2] = ab[0] * g1 + ab[1] * g2
+    F.coeffs[mode_index(1, 0), 2] = matched_flow_profile(rad, SQRT_3PI)
 
     # the no-slip requirement on top of v_inf = zhat moves the moment
     # target to 3/2 of the (1, 0) expansion coefficient sqrt(4 pi / 3) of
@@ -268,23 +262,12 @@ def test_circulation_approaches_its_limit():
 
 
 def test_planar_laplacian_has_no_moments():
-    geom = PlanarGeometry("disk", 2.0)
-    g = geom.grid(64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
+    g = PolarGrid(PlanarGeometry("disk", 2.0), 64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
     rho = g.rho
-    inside = (rho > 0.4) & (rho < 1.6)
-    u = (rho[inside] - 0.4) / 1.2
-    s = 4.0 * u * (1.0 - u)
-    ds = 4.0 * (1.0 - 2.0 * u) / 1.2
-    d2s = -8.0 / 1.2 ** 2
-    p = np.zeros_like(rho)
-    dp = np.zeros_like(rho)
-    d2p = np.zeros_like(rho)
-    p[inside] = s ** 4
-    dp[inside] = 4.0 * s ** 3 * ds
-    d2p[inside] = 12.0 * s ** 2 * ds ** 2 + 4.0 * s ** 3 * d2s
+    p, dp, d2p = ridge(rho, 0.4, 1.6)
     f = ((d2p + dp / rho - 4.0 * p / rho ** 2)[:, None]
          * np.cos(2.0 * g.phi)[None, :]).astype(complex)
-    mom = planar_moments(f, g, geom, 8)
+    mom = planar_moments(f, g, 8)
     assert max(abs(v) for v in mom.values()) <= 1e-10
 
 

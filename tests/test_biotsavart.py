@@ -276,8 +276,9 @@ def test_non_finite_source_rejected(bad):
 def test_bad_point_shape_rejected():
     ang, rad = _shell_grids(n_r=12, L=2)
     field = _axial_shell(ang, rad)
-    with pytest.raises(ValueError):
-        biot_savart_eval(field, np.zeros((2, 4)))
+    for pts in (np.zeros((2, 4)), np.array([[5.0 + 1j, 0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            biot_savart_eval(field, pts)
 
 
 ############################################

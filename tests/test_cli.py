@@ -17,12 +17,11 @@ from divcurl.fileio import (FileFormatError, read_vfld, read_vshc, write_polar,
                             write_points, write_vfld, write_vfld_blocks,
                             write_vshc)
 from divcurl.grids import AngularGrid, SampledField, make_grids
-from divcurl.planar import PlanarGeometry, planar_moments
+from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
 from divcurl.transform import (SpectralField, analyze, block_nodes, mode_index,
                                synthesize, synthesize_blocks)
-from fixtures import manufactured, support_grids, traced_peak
-
-SQRT_4PI_3 = 2.046653415892977
+from fixtures import (SQRT_4PI_3, manufactured, matched_flow_profile, support_grids,
+                      traced_peak)
 
 
 def _zhat_field(n_r=16, L=4):
@@ -417,14 +416,8 @@ def test_negative_partial_slip_exits_1(tmp_path, capsys):
 
 def test_solve_with_uniform_far_flow(tmp_path, capsys):
     _, rad = support_grids(2, 48)
-    r = rad.r
-    g1 = np.clip((r - 2.0) * (3.0 - r), 0.0, None) ** 3
-    g2 = np.clip((r - 3.0) * (4.0 - r), 0.0, None) ** 3
-    mat = np.array([[rad.integrate(g1), rad.integrate(g2)],
-                    [rad.integrate(r ** 3 * g1), rad.integrate(r ** 3 * g2)]])
-    ab = np.linalg.solve(mat, [1.5 * SQRT_4PI_3, 0.0])
     F = SpectralField(rad, 2)
-    F.set_mode(1, 0, 2, ab[0] * g1 + ab[1] * g2)
+    F.set_mode(1, 0, 2, matched_flow_profile(rad, 1.5 * SQRT_4PI_3))
     src = tmp_path / "f.vshc"
     sol = tmp_path / "sol.vshc"
     write_vshc(src, F)
@@ -606,16 +599,15 @@ def test_analyze_and_synthesize_hold_the_coefficients_and_a_block(tmp_path):
 
 
 def test_moments2d_table(tmp_path, capsys):
-    geom = PlanarGeometry("disk", 2.0)
-    g = geom.grid(16, 9)
+    g = PolarGrid(PlanarGeometry("disk", 2.0), 16, 9)
     samples = (g.rho[:, None] ** 2 * np.exp(2j * g.phi[None, :]))
     src = tmp_path / "f.pfld"
-    write_polar(src, samples, g, geom)
+    write_polar(src, samples, g)
     assert main(["moments2d", str(src), "--kmax", "3"]) == 0
     stdout = capsys.readouterr().out
     lines = stdout.strip().split("\n")
     assert lines[0] == "k\tre\tim"
-    table = planar_moments(samples, g, geom, 3)
+    table = planar_moments(samples, g, 3)
     got = {int(s.split("\t")[0]):
            float(s.split("\t")[1]) + 1j * float(s.split("\t")[2])
            for s in lines[1:]}
@@ -626,10 +618,9 @@ def test_moments2d_table(tmp_path, capsys):
 
 def test_moments2d_takes_its_geometry_from_the_file(tmp_path, capsys):
     # the .pfld header names the kind; there is no option to repeat it
-    geom = PlanarGeometry("annulus", 1.0, r1=2.0)
-    g = geom.grid(16, 9)
+    g = PolarGrid(PlanarGeometry("annulus", 1.0, r1=2.0), 16, 9)
     src = tmp_path / "f.pfld"
-    write_polar(src, np.ones((16, 9)), g, geom)
+    write_polar(src, np.ones((16, 9)), g)
     assert main(["moments2d", str(src), "--kmax", "1"]) == 0
     assert capsys.readouterr().out.count("\n") == 4     # k = -1, 0, 1
     with pytest.raises(SystemExit):

@@ -17,7 +17,7 @@ from divcurl.fileio import (FileFormatError, radial_from_nodes, read_points,
                             read_polar, read_vfld, read_vshc, write_eval_table,
                             write_points, write_polar, write_vfld, write_vshc)
 from divcurl.grids import AngularGrid, SampledField, make_grids
-from divcurl.planar import PlanarGeometry
+from divcurl.planar import PlanarGeometry, PolarGrid
 from divcurl.transform import SpectralField, synthesize
 from fixtures import traced_peak
 
@@ -107,6 +107,8 @@ def test_points_round_trip(tmp_path):
     (write_points, [[1.0, 2.0, 3.0], [np.nan, 0.0, 0.0]], "evaluation points must be finite"),
     (write_eval_table, np.ones((4, 2)), r"pts must be \(N, 3\), got \(4, 2\)"),
     (write_eval_table, [[np.inf, 0.0, 0.0]], "evaluation points must be finite"),
+    (write_points, np.array([[1.0 + 2.0j, 0.0, 0.0]]), r"got a complex \(1, 3\) array"),
+    (write_eval_table, [[1.0, 2.0j, 0.0]], r"got a complex \(1, 3\) array"),
 ])
 def test_points_writers_refuse_what_read_points_refuses(tmp_path, write, pts, match):
     args = () if write is write_points else (np.zeros((len(pts), 3)),)
@@ -127,19 +129,19 @@ def test_points_skip_blank_lines(tmp_path):
 
 
 def test_polar_round_trip(tmp_path):
-    geom = PlanarGeometry("annulus", 1.0, r1=2.0)
-    g = geom.grid(24, 9, breakpoints=[1.0, 1.25, 1.75, 2.0])
+    g = PolarGrid(PlanarGeometry("annulus", 1.0, r1=2.0), 24, 9,
+                  breakpoints=[1.0, 1.25, 1.75, 2.0])
     rng = np.random.default_rng(2)
     samples = (rng.standard_normal((24, 9))
                + 1j * rng.standard_normal((24, 9)))
     path = tmp_path / "scalar.pfld"
-    write_polar(path, samples, g, geom)
-    back, g2, geom2 = read_polar(path)
+    write_polar(path, samples, g)
+    back, g2 = read_polar(path)
     assert np.array_equal(back, samples)
-    assert geom2.kind == "annulus" and geom2.r1 == 2.0
+    assert g2.geom.kind == "annulus" and g2.geom.r1 == 2.0
     assert np.allclose(g2.rho, g.rho, rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError, match=r"samples shape \(9, 24\) does not match"):
-        write_polar(path, samples.T, g, geom)
+        write_polar(path, samples.T, g)
 
 
 def test_writes_are_byte_identical(tmp_path):
@@ -326,7 +328,8 @@ def _oracle_eval_table(pts, values):
     return "\n".join(out) + "\n"
 
 
-def _oracle_polar(samples, grid, geom):
+def _oracle_polar(samples, grid):
+    geom = grid.geom
     out = ["pfld 1", "kind " + geom.kind, "r0 " + _g(geom.r0)]
     if geom.kind == "annulus":
         out.append("r1 " + _g(geom.r1))
@@ -381,11 +384,9 @@ def test_writers_match_per_number_loops(monkeypatch, block, n_phi):
         == _oracle_eval_table(pts, values)
     assert _written(write_eval_table, pts[:0], values[:0]) == "\n"
 
-    geom = PlanarGeometry("exterior", 1.0, R_sup=3.0)
-    grid = geom.grid(16, n_phi)
+    grid = PolarGrid(PlanarGeometry("exterior", 1.0, R_sup=3.0), 16, n_phi)
     samples = _complex_with_specials(rng, (16, n_phi))
-    assert _written(write_polar, samples, grid, geom) \
-        == _oracle_polar(samples, grid, geom)
+    assert _written(write_polar, samples, grid) == _oracle_polar(samples, grid)
 
 
 def _bits(a):
@@ -415,10 +416,9 @@ def test_round_trips_are_bit_exact(tmp_path):
     write_points(tmp_path / "p.txt", pts)
     assert np.array_equal(_bits(read_points(tmp_path / "p.txt")), _bits(pts))
 
-    geom = PlanarGeometry("disk", 2.0)
-    grid = geom.grid(16, 5)
+    grid = PolarGrid(PlanarGeometry("disk", 2.0), 16, 5)
     samples = _complex_with_specials(rng, (16, 5))
-    write_polar(tmp_path / "s.pfld", samples, grid, geom)
+    write_polar(tmp_path / "s.pfld", samples, grid)
     assert np.array_equal(_bits(read_polar(tmp_path / "s.pfld")[0]),
                           _bits(samples))
 
@@ -513,9 +513,8 @@ def test_readers_reject_non_finite_numbers(tmp_path, bad):
                        match=r"line 2: non-finite entry in point row"):
         read_points(path)
 
-    geom = PlanarGeometry("disk", 1.0)
     path = tmp_path / "s.pfld"
-    write_polar(path, np.ones((8, 3)), geom.grid(8, 3), geom)
+    write_polar(path, np.ones((8, 3)), PolarGrid(PlanarGeometry("disk", 1.0), 8, 3))
     text = path.read_text().split("\n")
     text[8] = " ".join(text[8].split()[:3] + [bad])
     path.write_text("\n".join(text))

@@ -14,7 +14,7 @@ from scipy.special import sph_harm_y
 from divcurl import fileio
 from divcurl.grids import (AngularGrid, RadialGrid, SampledField,
                            _bary_eval_matrix, make_grids, surface_integral)
-from divcurl.planar import PolarGrid
+from divcurl.planar import PlanarGeometry, PolarGrid
 from fixtures import traced_peak
 
 
@@ -451,7 +451,8 @@ def test_make_grids_default_layout_shares_the_nodes_evenly():
 def test_sphere_and_plane_refuse_breakpoints_alike(n, bp, message):
     # one rule for explicit breakpoints, whichever grid asks for them
     for build in (lambda: make_grids(1.0, 5.0, n, 4, breakpoints=bp),
-                  lambda: PolarGrid(1.0, 5.0, n, 9, breakpoints=bp)):
+                  lambda: PolarGrid(PlanarGeometry("annulus", 1.0, r1=5.0), n, 9,
+                                    breakpoints=bp)):
         with pytest.raises(ValueError, match=message):
             build()
 

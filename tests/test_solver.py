@@ -18,9 +18,8 @@ from divcurl.solver import (CompatibilityWarning, CompatReport,
                             radial_moments, solve_exterior)
 from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
                                spectral_div, synthesize_at)
-from fixtures import manufactured, support_grids, traced_peak
-
-C10 = np.sqrt(4.0 * np.pi / 3.0)            # z_hat coefficient on (1, 0)
+from fixtures import (SQRT_4PI_3, manufactured, matched_flow_profile, support_grids,
+                      traced_peak)
 
 
 ############################################
@@ -459,18 +458,7 @@ def test_uniform_flow_without_supporting_source_refuses():
     e = err.value
     assert e.mode[0] == 1
     assert e.residual_name == "moment"
-    assert abs(e.scaled_residual - 1.5 * C10) < 1e-10
-
-
-def _moment_matched_pair(rad):
-    """Radial profile with unit s^0 moment and vanishing s^3 integral."""
-    r = rad.r
-    g1 = np.clip((r - 2.0) * (3.0 - r), 0.0, None) ** 3
-    g2 = np.clip((r - 3.0) * (4.0 - r), 0.0, None) ** 3
-    mat = np.array([[rad.integrate(g1), rad.integrate(g2)],
-                    [rad.integrate(r ** 3 * g1), rad.integrate(r ** 3 * g2)]])
-    ab = np.linalg.solve(mat, [1.0, 0.0])
-    return ab[0] * g1 + ab[1] * g2
+    assert abs(e.scaled_residual - 1.5 * SQRT_4PI_3) < 1e-10
 
 
 def test_uniform_flow_with_matched_source():
@@ -478,7 +466,7 @@ def test_uniform_flow_with_matched_source():
     # pinned to the wall that is exactly the uniform flow beyond the support
     _, rad = support_grids(2)
     vinf = np.array([0.3, -0.4, 0.5])
-    G = _moment_matched_pair(rad)
+    G = matched_flow_profile(rad, 1.0)
     f = SpectralField(rad, 2)
     req = far_field_coeffs(vinf, rad, L_max=2)
     for m in (-1, 0, 1):

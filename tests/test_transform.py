@@ -15,9 +15,7 @@ from divcurl.transform import (_POINT_BLOCK, ScalarSpectral, SpectralField,
                                _mode_tables, analyze, mode_degrees,
                                mode_index, spectral_curl, spectral_div,
                                spectral_grad, synthesize, synthesize_at)
-from fixtures import traced_peak
-
-SQRT_4PI_3 = 2.046653415892977     # coefficient of z_hat on the (1, 0) mode
+from fixtures import SQRT_4PI_3, traced_peak
 
 
 def _grids(L=6, n_r=32):
@@ -380,12 +378,14 @@ def test_synthesize_at_split_calls_agree_and_keep_node_bits(per_call):
             assert np.abs(split - whole).max() <= 1e-14 * np.abs(whole).max()
 
 
-@pytest.mark.parametrize("bad", [(5, 4), (5, 2), (2, 3, 3), (4,)])
+# the complex point is not truncated to its real part, (2, 0, 0)
+@pytest.mark.parametrize("bad", [(5, 4), (5, 2), (2, 3, 3), (4,), np.array([[2 + 3j, 0, 0]])])
 def test_synthesize_at_rejects_points_not_n_by_3(bad):
     _, rad = _grids()
     S = _random_spectral(rad, 6, seed=35)
+    pts = np.full(bad, 1.5) if isinstance(bad, tuple) else bad
     with pytest.raises(ValueError, match=r"pts must be \(N, 3\), got "):
-        synthesize_at(S, np.full(bad, 1.5))
+        synthesize_at(S, pts)
 
 
 def test_synthesize_at_rejects_points_outside_shell():

@@ -24,7 +24,11 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
                      adds no term to the sum; per seed, analyze and
                      synthesize across block boundaries: 40 radial nodes
                      (blocks of 16 + 16 + 8) at L = 4, on the (5, 9) grid
-                     and on a wider (7, 13) one
+                     and on a wider (7, 13) one; per seed, moments2d
+                     --kmax 3 of one seeded .pfld per kind (disk, annulus,
+                     exterior), each file written here as %.17g text
+                     rather than by write_polar, so every tree reads the
+                     same bytes
     solve_sweep      per seed and case: the decisions, the CompatReport
                      arrays, as_table(), worst(), the solutions W and W2
                      and the boundary trace
@@ -187,6 +191,31 @@ def block_commands(m, seed):
             m.add(key + f, (work / f).read_bytes())
 
 
+def planar_commands(m, seed):
+    """moments2d of one .pfld per kind: 2 panels of 8 RadialGrid nodes by 9 angles."""
+    import numpy as np
+    from divcurl import grids
+
+    work = m.work / ("planar_%d" % seed)
+    work.mkdir()
+    rng = np.random.default_rng([seed, 10])
+    n_phi = 9
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    for kind, radii in (("disk", [("r0", 2.0)]), ("annulus", [("r0", 1.0), ("r1", 2.0)]),
+                        ("exterior", [("r0", 1.0), ("rsup", 3.0)])):
+        lo = 0.0 if kind == "disk" else radii[0][1]
+        rad = grids.RadialGrid(np.linspace(lo, radii[-1][1], 3), 8)
+        R, P = np.meshgrid(rad.r, phi, indexing="ij")
+        rows = np.column_stack([R.ravel(), P.ravel(), rng.standard_normal((R.size, 2))])
+        head = ["pfld 1", "kind " + kind] + ["%s %.17g" % kv for kv in radii] + [
+            "nrho %d" % rad.n_r, "nphi %d" % n_phi]
+        text = "\n".join(head + ["%.17g %.17g %.17g %.17g" % tuple(row) for row in rows])
+        (work / (kind + ".pfld")).write_text(text + "\n")
+        key = "commands/%d/moments2d_%s" % (seed, kind)
+        m.add(key + "/" + kind + ".pfld", (work / (kind + ".pfld")).read_bytes())
+        m.cli(key, ["moments2d", kind + ".pfld", "--kmax", "3"], work)
+
+
 def seedless_commands(m):
     """selftest, phf to stdout and to a file, and verify of that member."""
     work = m.work / "commands"
@@ -330,6 +359,7 @@ def manifest(root, groups, seeds):
                 cli_inputs(m, workloads, seed, groups)
             if "commands" in groups:
                 block_commands(m, seed)
+                planar_commands(m, seed)
             if "solve_sweep" in groups:
                 solve_sweep(m, workloads, seed)
             if "transform_large" in groups:
