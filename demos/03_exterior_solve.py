@@ -11,24 +11,14 @@ integral solution should reproduce v_exact.
 import numpy as np
 
 from divcurl.grids import make_grids
+from divcurl.pseudoharmonic import curl_curl_source
 from divcurl.solver import boundary_trace, solve_exterior
-from divcurl.transform import SpectralField, mode_index, spectral_curl, spectral_div
+from divcurl.transform import mode_index, spectral_div
 
-rng = np.random.default_rng(3)
-
-# panels aligned with the support edges keep every radial integral exact
+# panels aligned with the support edges keep every radial integral exact;
+# A has random amplitudes of size (1/3)^l on the bump ((r - 2)(4 - r))^3
 ang, rad = make_grids(1.0, 5.0, 64, 8, breakpoints=[1, 2, 3, 4, 5])
-bump = np.clip((rad.r - 2.0) * (4.0 - rad.r), 0.0, None) ** 3
-
-A = SpectralField(rad, 8)
-amp = (1.0 / 3.0) ** A.ells
-scal = amp[:, None] * (rng.standard_normal((A.n_modes, 3))
-                       + 1j * rng.standard_normal((A.n_modes, 3)))
-A.coeffs[:] = scal[:, :, None] * bump[None, None, :]
-A.coeffs[0, 1:] = 0.0
-
-v_exact = spectral_curl(A)
-f = spectral_curl(v_exact)
+f, v_exact = curl_curl_source(rad, 8, np.random.default_rng(3))
 
 ############################################
 # Solve and compare

@@ -11,12 +11,12 @@ and turns into the uniform flow beyond its support.
 import numpy as np
 
 from divcurl.grids import AngularGrid, make_grids
+from divcurl.pseudoharmonic import matched_flow_profile
 from divcurl.solver import (boundary_trace, check_compatibility,
                             far_field_coeffs, solve_exterior)
 from divcurl.transform import SpectralField, mode_index, synthesize
 
 ang, rad = make_grids(1.0, 5.0, 64, 4, breakpoints=[1, 2, 3, 4, 5])
-r = rad.r
 c10 = np.sqrt(4.0 * np.pi / 3.0)
 target = 1.5 * c10
 print("zhat (1,0) coefficient: %.15f" % c10)
@@ -26,16 +26,10 @@ print("moment target         : %.15f (= sqrt(3 pi) = %.15f)"
 ############################################
 # Tune a two-bump source to the target
 
-# first equation: hit the moment; second: kill the interior multipole so
-# the field is exactly uniform beyond the support
-g1 = np.clip((r - 2.0) * (3.0 - r), 0.0, None) ** 3
-g2 = np.clip((r - 3.0) * (4.0 - r), 0.0, None) ** 3
-mat = np.array([[rad.integrate(g1), rad.integrate(g2)],
-                [rad.integrate(r ** 3 * g1), rad.integrate(r ** 3 * g2)]])
-ab = np.linalg.solve(mat, [target, 0.0])
-
+# bumps on [2, 3] and [3, 4]: one equation hits the moment, the other
+# kills the interior multipole so the field is exactly uniform beyond them
 f = SpectralField(rad, 4)
-f.coeffs[mode_index(1, 0), 2] = ab[0] * g1 + ab[1] * g2
+f.coeffs[mode_index(1, 0), 2] = matched_flow_profile(rad, target)
 rep = check_compatibility(f)
 print("moment achieved       : %.15f" % rep.moment[mode_index(1, 0)].real)
 

@@ -9,7 +9,7 @@ every moment equal to zero.
 
 import numpy as np
 
-from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
+from divcurl.planar import PlanarGeometry, PolarGrid, laplacian_ridge, planar_moments
 
 ############################################
 # Disk moments of simple fields
@@ -43,20 +43,7 @@ print("annulus : k=-2 -> %.6f (3 pi / 2 = %.6f)"
 # edges sit on panel breakpoints so the discrete by-parts identity is
 # exact and every moment collapses to rounding
 gd = PolarGrid(disk, 64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
-rho = gd.rho
-inside = (rho > 0.4) & (rho < 1.6)
-u = (rho[inside] - 0.4) / 1.2
-s, ds, d2s = 4 * u * (1 - u), 4 * (1 - 2 * u) / 1.2, -8.0 / 1.2 ** 2
-p = np.zeros_like(rho)
-dp = np.zeros_like(rho)
-d2p = np.zeros_like(rho)
-p[inside] = s ** 4
-dp[inside] = 4 * s ** 3 * ds
-d2p[inside] = 12 * s ** 2 * ds ** 2 + 4 * s ** 3 * d2s
-lap = ((d2p + dp / rho - 4 * p / rho ** 2)[:, None]
-       * np.cos(2.0 * gd.phi)[None, :]).astype(complex)
-
-mom = planar_moments(lap, gd, 8)
+mom = planar_moments(laplacian_ridge(gd, 0.4, 1.2, 2), gd, 8)
 print("\nf = Laplacian(psi), psi compact:")
 for k in sorted(mom):
     print("  k = %d : |moment| = %.3e" % (k, abs(mom[k])))

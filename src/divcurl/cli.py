@@ -33,11 +33,13 @@ from .fileio import (FileFormatError, _dump, open_vfld, read_points,
                      read_polar, read_vfld, read_vshc, write_eval_table,
                      write_vfld_blocks, write_vshc)
 from .grids import AngularGrid, make_grids
-from .planar import PlanarGeometry, PolarGrid, planar_moments
-from .pseudoharmonic import phf_field, verify_pseudoharmonic
+from .planar import PlanarGeometry, PolarGrid, laplacian_ridge, planar_moments
+from .pseudoharmonic import (curl_curl_source, matched_flow_profile, phf_field,
+                             verify_pseudoharmonic)
 from .solver import (DEFAULT_TOL, IncompatibilityError, boundary_trace,
                      check_compatibility, partial_slip_project, solve_exterior)
-from .transform import analyze, block_nodes, synthesize, synthesize_blocks
+from .transform import (SpectralField, analyze, block_nodes, mode_index, spectral_curl,
+                        spectral_div, synthesize, synthesize_blocks)
 
 __all__ = ["main", "build_parser"]
 
@@ -148,9 +150,6 @@ def cmd_moments2d(args):
 
 def _selftest_checks():
     """Yield (name, value, bound) for the core invariants at small scale."""
-    from .transform import (SpectralField, mode_index, spectral_curl,
-                            spectral_div)
-
     rng = np.random.default_rng(0)
     ang, rad = make_grids(1.0, 5.0, 64, 6)
 
@@ -182,36 +181,18 @@ def _selftest_checks():
             worst = max(worst, rep.residual)
     yield "pseudo-harmonic curl-curl", worst, 1e-9
 
-    # manufactured recovery: random per-mode amplitudes on a fixed smooth
-    # bump whose support edges sit on panel breakpoints, so the discrete
-    # moments of curl(curl A) vanish to rounding
+    # manufactured recovery, the bump's support edges on panel breakpoints
     _, rad3 = make_grids(1.0, 5.0, 64, 6, breakpoints=[1, 2, 3, 4, 5])
-    r3 = rad3.r
-    bump3 = np.clip((r3 - 2.0) * (4.0 - r3), 0.0, None) ** 3
-    A = SpectralField(rad3, 6)
-    amp = (1.0 / 3.0) ** A.ells
-    scal = amp[:, None] * (rng.standard_normal((A.n_modes, 3))
-                           + 1j * rng.standard_normal((A.n_modes, 3)))
-    A.coeffs[:] = scal[:, :, None] * bump3[None, None, :]
-    A.coeffs[0, 1:] = 0.0
-    V = spectral_curl(A)
-    W = solve_exterior(spectral_curl(V))
+    f, V = curl_curl_source(rad3, 6, rng)
+    W = solve_exterior(f)
     yield ("manufactured recovery",
            np.abs(W.coeffs - V.coeffs).max() / np.abs(V.coeffs).max(), 1e-8)
     yield "solution divergence", np.abs(spectral_div(W).coeffs).max(), 1e-13
 
-    # uniform flow: two radial bumps in the (1,0) Phi channel tuned so the
-    # moment equals the no-slip requirement and the interior multipole
-    # vanishes; the solution then sticks to the wall and is exactly the
-    # uniform flow beyond the support
+    # uniform flow: the solution sticks to the wall and is zhat beyond the support
     c10 = np.sqrt(4.0 * np.pi / 3.0)
-    g1 = np.clip((r3 - 2.0) * (3.0 - r3), 0.0, None) ** 3
-    g2 = np.clip((r3 - 3.0) * (4.0 - r3), 0.0, None) ** 3
-    mat = np.array([[rad3.integrate(g1), rad3.integrate(g2)],
-                    [rad3.integrate(r3 ** 3 * g1), rad3.integrate(r3 ** 3 * g2)]])
-    ab = np.linalg.solve(mat, [1.5 * c10, 0.0])
     F = SpectralField(rad3, 6)
-    F.coeffs[mode_index(1, 0), 2] = ab[0] * g1 + ab[1] * g2
+    F.coeffs[mode_index(1, 0), 2] = matched_flow_profile(rad3, 1.5 * c10)
     U = solve_exterior(F, np.array([0.0, 0.0, 1.0]))
     far_r = U.coeffs[mode_index(1, 0), 0, -1] / c10
     yield "uniform-flow wall trace", boundary_trace(U).aggregate, 1e-11
@@ -219,21 +200,7 @@ def _selftest_checks():
 
     # planar moments of a Laplacian
     g = PolarGrid(PlanarGeometry("disk", 2.0), 64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
-    rho = g.rho
-    inside = (rho > 0.4) & (rho < 1.6)
-    u = (rho[inside] - 0.4) / 1.2
-    s = 4.0 * u * (1.0 - u)
-    ds = 4.0 * (1.0 - 2.0 * u) / 1.2
-    d2s = -8.0 / 1.2 ** 2
-    p = np.zeros_like(rho)
-    dp = np.zeros_like(rho)
-    d2p = np.zeros_like(rho)
-    p[inside] = s ** 4
-    dp[inside] = 4.0 * s ** 3 * ds
-    d2p[inside] = 12.0 * s ** 2 * ds ** 2 + 4.0 * s ** 3 * d2s
-    lap = ((d2p + dp / rho - 4.0 * p / rho ** 2)[:, None]
-           * np.cos(2.0 * g.phi)[None, :]).astype(complex)
-    mom = planar_moments(lap, g, 8)
+    mom = planar_moments(laplacian_ridge(g, 0.4, 1.2, 2), g, 8)
     yield "planar Laplacian moments", max(abs(v) for v in mom.values()), 1e-11
 
 

@@ -69,7 +69,9 @@ def finite_points(pts):
 
 def cart_to_sph_points(pts):
     """Cartesian (..., 3) points -> (r, theta, phi) with theta in [0, pi]."""
-    pts = np.asarray(pts, dtype=float)
+    if np.iscomplexobj(pts := np.asarray(pts)):     # as as_points refuses them
+        raise ValueError(f"pts must be real, got a complex {pts.shape} array")
+    pts = pts.astype(float, copy=False)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     r = np.sqrt(x * x + y * y + z * z)
     theta = np.arctan2(np.hypot(x, y), z)

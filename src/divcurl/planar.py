@@ -19,7 +19,7 @@ import numpy as np
 
 from .grids import _panel_grid
 
-__all__ = ["PolarGrid", "PlanarGeometry", "planar_moments"]
+__all__ = ["PolarGrid", "PlanarGeometry", "planar_moments", "laplacian_ridge"]
 
 
 class PlanarGeometry:
@@ -151,3 +151,17 @@ def planar_moments(samples, grid, k_max):
         expo = -k if grid.geom.kind == "exterior" else k
         out[k] = grid.integrate(samples * (z if expo >= 0 else 1.0 / z) ** abs(expo))
     return out
+
+
+def laplacian_ridge(grid, lo, width, k):
+    """
+    Samples of the Laplacian of psi = (4u(1-u))^4 cos(k phi), u = (rho - lo) / width:
+    psi is C^3 and compact, so no moment survives, to rounding when lo and lo +
+    width are breakpoints of grid.
+    """
+    rho, u = grid.rho, (grid.rho - lo) / width
+    s = np.where((u > 0.0) & (u < 1.0), 4.0 * u * (1.0 - u), 0.0)
+    ds, d2s = 4.0 * (1.0 - 2.0 * u) / width, -8.0 / width ** 2
+    lap = (12.0 * s ** 2 * ds ** 2 + 4.0 * s ** 3 * d2s       # psi'' + psi'/rho - k^2 psi/rho^2
+           + 4.0 * s ** 3 * ds / rho - k * k * s ** 4 / rho ** 2)
+    return lap[:, None] * np.cos(k * grid.phi)[None, :]

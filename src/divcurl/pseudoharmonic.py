@@ -17,9 +17,12 @@ as a test bench for the exterior solver:
 
 from collections import namedtuple
 
+import numpy as np
+
 from .transform import SpectralField, mode_index, spectral_curl
 
-__all__ = ["phf_field", "verify_pseudoharmonic", "PseudoHarmonicReport"]
+__all__ = ["phf_field", "verify_pseudoharmonic", "PseudoHarmonicReport", "curl_curl_source",
+           "matched_flow_profile"]
 
 
 def phf_field(l, m, radial, L_max):
@@ -37,14 +40,19 @@ def phf_field(l, m, radial, L_max):
     Returns
     -------
     SpectralField
-        c_2(r) = r^{-(l+1)} in mode (l, m), all other entries zero.
+        c_2(r) = r^{-(l+1)} in mode (l, m), all other entries zero; ValueError
+        if that is not a positive normal float at every node.
     """
     if l < 1:
         raise ValueError(f"family starts at l = 1, got l = {l}")
     if l > L_max:
         raise ValueError(f"l = {l} exceeds L_max = {L_max}")
+    with np.errstate(over="ignore", under="ignore"):
+        prof = radial.r ** (-(l + 1.0))
+    if not np.all((prof >= np.finfo(float).tiny) & (prof < np.inf)):
+        raise ValueError(f"r^-(l+1) at l = {l} is not a normal float on {radial!r}")
     out = SpectralField(radial, L_max)
-    out.coeffs[mode_index(l, m), 2] = radial.r ** (-(l + 1.0))
+    out.coeffs[mode_index(l, m), 2] = prof
     return out
 
 
@@ -74,3 +82,31 @@ def verify_pseudoharmonic(S):
         return PseudoHarmonicReport(cc.norm() / base, curl_norm, True)
     return PseudoHarmonicReport(cc.norm() / curl_norm, curl_norm, False)
 
+
+def curl_curl_source(radial, L_max, rng, decay=1 / 3):
+    """
+    A compatible source f = curl(curl A) and its exact solution, as (f, curl A).
+    A has random complex profiles per mode and channel, scaled by decay^l, on
+    ((x - 2)(4 - x))^3, x = r / r0: f is orthogonal to every member, to
+    rounding when 2 r0 and 4 r0 are breakpoints.
+    """
+    x = radial.r / radial.r0
+    bump = np.clip((x - 2.0) * (4.0 - x), 0.0, None) ** 3
+    A = SpectralField(radial, L_max)
+    z = rng.standard_normal((A.n_modes, 3)) + 1j * rng.standard_normal((A.n_modes, 3))
+    A.coeffs[:] = (decay ** A.ells[:, None] * z)[:, :, None] * bump
+    A.coeffs[0, 1:] = 0.0
+    return spectral_curl(V := spectral_curl(A)), V
+
+
+def matched_flow_profile(radial, target):
+    """
+    Profile of cubic bumps on [2 r0, 3 r0] and [3 r0, 4 r0] with integral (the
+    degree-1 moment) target and no s^3 integral: at 3/2 of v_inf's (1, m)
+    coefficient, the solution sticks to the wall and is v_inf beyond the bumps.
+    """
+    r, x = radial.r, radial.r / radial.r0
+    g1, g2 = (np.clip((x - a) * (a + 1.0 - x), 0.0, None) ** 3 for a in (2.0, 3.0))
+    mat = [[radial.integrate(w * g) for g in (g1, g2)] for w in (1.0, r ** 3)]
+    a, b = np.linalg.solve(mat, [target, 0.0])
+    return a * g1 + b * g2

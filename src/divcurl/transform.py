@@ -146,8 +146,9 @@ class SpectralField(_Profiles):
 
     def set_mode(self, l, m, channel, profile):
         """Assign one radial profile; channel is 0 (Y), 1 (Psi) or 2 (Phi)."""
-        if l == 0 and channel != 0:
-            raise ValueError("l = 0 has no Psi/Phi channels")
+        allowed = (0, 1, 2)[:3 if l else 1]     # l = 0 has no Psi/Phi channels
+        if channel not in allowed:              # numpy would read -1 as Phi
+            raise ValueError(f"channel at l = {l} must be one of {allowed}, got {channel}")
         self.mode(l, m)[channel] = profile
 
     def copy(self):

@@ -10,15 +10,15 @@ import sph_oracle
 from divcurl.biotsavart import (biot_savart_eval, circulation_diagnostic,
                                 sphere_points)
 from divcurl.grids import AngularGrid, SampledField, make_grids, surface_integral
-from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
-from divcurl.pseudoharmonic import phf_field, verify_pseudoharmonic
+from divcurl.planar import PlanarGeometry, PolarGrid, laplacian_ridge, planar_moments
+from divcurl.pseudoharmonic import (curl_curl_source, matched_flow_profile, phf_field,
+                                    verify_pseudoharmonic)
 from divcurl.solver import (boundary_trace, check_compatibility,
                             partial_slip_project, radial_moments,
                             solve_exterior)
 from divcurl.transform import (SpectralField, mode_index, spectral_div,
                                synthesize, synthesize_at)
-from fixtures import (SQRT_4PI_3, manufactured, matched_flow_profile, ridge,
-                      support_grids, two_bump_source)
+from fixtures import SQRT_4PI_3, support_grids, two_bump_source
 
 R0, RMAX, N_R, L_MAX = 1.0, 5.0, 64, 8
 SQRT_3PI = 3.0699801238394655
@@ -27,7 +27,7 @@ SQRT_3PI = 3.0699801238394655
 @pytest.fixture(scope="module")
 def suite():
     _, rad = support_grids(L_MAX)
-    return rad, [manufactured(rad, L_MAX, np.random.default_rng(seed))
+    return rad, [curl_curl_source(rad, L_MAX, np.random.default_rng(seed))
                  for seed in range(5)]
 
 
@@ -263,11 +263,7 @@ def test_circulation_approaches_its_limit():
 
 def test_planar_laplacian_has_no_moments():
     g = PolarGrid(PlanarGeometry("disk", 2.0), 64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
-    rho = g.rho
-    p, dp, d2p = ridge(rho, 0.4, 1.6)
-    f = ((d2p + dp / rho - 4.0 * p / rho ** 2)[:, None]
-         * np.cos(2.0 * g.phi)[None, :]).astype(complex)
-    mom = planar_moments(f, g, 8)
+    mom = planar_moments(laplacian_ridge(g, 0.4, 1.2, 2), g, 8)
     assert max(abs(v) for v in mom.values()) <= 1e-10
 
 
@@ -282,7 +278,7 @@ def test_norm_ratio_stable_under_refinement():
         w = ang.w_ct[:, None] * ang.w_phi
         out = []
         for seed in range(5):
-            f, _ = manufactured(rad, L_MAX, np.random.default_rng(seed))
+            f, _ = curl_curl_source(rad, L_MAX, np.random.default_rng(seed))
             W = solve_exterior(f)
             vals = synthesize(W, ang).values
             dens = (np.abs(vals) ** 2).sum(axis=-1) ** 3

@@ -18,10 +18,10 @@ from divcurl.fileio import (FileFormatError, read_vfld, read_vshc, write_polar,
                             write_vshc)
 from divcurl.grids import AngularGrid, SampledField, make_grids
 from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
+from divcurl.pseudoharmonic import curl_curl_source, matched_flow_profile
 from divcurl.transform import (SpectralField, analyze, block_nodes, mode_index,
                                synthesize, synthesize_blocks)
-from fixtures import (SQRT_4PI_3, manufactured, matched_flow_profile, support_grids,
-                      traced_peak)
+from fixtures import SQRT_4PI_3, support_grids, traced_peak
 
 
 def _zhat_field(n_r=16, L=4):
@@ -222,7 +222,7 @@ def test_phf_lmax_beyond_memory_exits_1_naming_the_grid():
 
 
 def test_check_table_on_stdout_and_file(tmp_path, capsys):
-    f, _ = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
+    f, _ = curl_curl_source(support_grids(4)[1], 4, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     write_vshc(src, f)
     out = tmp_path / "report.tsv"
@@ -234,7 +234,7 @@ def test_check_table_on_stdout_and_file(tmp_path, capsys):
 
 
 def test_solve_compatible_source(tmp_path, capsys):
-    f, V = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
+    f, V = curl_curl_source(support_grids(4)[1], 4, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     sol = tmp_path / "sol.vshc"
     write_vshc(src, f)
@@ -247,7 +247,7 @@ def test_solve_compatible_source(tmp_path, capsys):
 
 
 def test_solve_is_byte_identical_across_runs(tmp_path):
-    f, _ = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
+    f, _ = curl_curl_source(support_grids(4)[1], 4, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     write_vshc(src, f)
     a, b = tmp_path / "a.vshc", tmp_path / "b.vshc"
@@ -272,7 +272,7 @@ def test_solve_incompatible_exits_1_with_mode(tmp_path, capsys):
 
 def test_solve_non_finite_source_exits_1(tmp_path, capsys, monkeypatch):
     # the readers reject NaN, so hand the solver one through the reader
-    f, _ = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
+    f, _ = curl_curl_source(support_grids(4)[1], 4, np.random.default_rng(7))
     f.coeffs[mode_index(2, 1), 2, 30] = np.nan
     monkeypatch.setattr("divcurl.cli.read_vshc", lambda path: f)
     out = tmp_path / "never.vshc"
@@ -283,7 +283,7 @@ def test_solve_non_finite_source_exits_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_solve_with_invalid_tol_exits_1(tmp_path, capsys, tol):
-    f, _ = manufactured(support_grids(4)[1], 4, np.random.default_rng(7))
+    f, _ = curl_curl_source(support_grids(4)[1], 4, np.random.default_rng(7))
     src, out = tmp_path / "f.vshc", tmp_path / "never.vshc"
     write_vshc(src, f)
     assert main(["solve", str(src), "--tol", tol, "--out", str(out)]) == 1
@@ -316,7 +316,7 @@ def test_malformed_input_on_a_pipe_exits_2(tmp_path):
 
     # a .vshc reads through the same chunked body
     src = tmp_path / "f.vshc"
-    write_vshc(src, manufactured(support_grids(2)[1], 2, np.random.default_rng(7))[0])
+    write_vshc(src, curl_curl_source(support_grids(2)[1], 2, np.random.default_rng(7))[0])
     text = src.read_bytes()
     cli[-2] = "check"
     lines = text.splitlines(keepends=True)
@@ -404,7 +404,7 @@ def test_solution_whose_powers_overflow_exits_1(tmp_path, capsys):
 
 
 def test_negative_partial_slip_exits_1(tmp_path, capsys):
-    f, _ = manufactured(support_grids(2)[1], 2, np.random.default_rng(7))
+    f, _ = curl_curl_source(support_grids(2)[1], 2, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     sol = tmp_path / "sol.vshc"
     write_vshc(src, f)
@@ -442,7 +442,7 @@ def test_solve_vinf_at_lmax_0_exits_1(tmp_path, capsys):
 
 
 def test_bad_vinf_exits_1(tmp_path, capsys):
-    f, _ = manufactured(support_grids(2)[1], 2, np.random.default_rng(7))
+    f, _ = curl_curl_source(support_grids(2)[1], 2, np.random.default_rng(7))
     src = tmp_path / "f.vshc"
     write_vshc(src, f)
     assert main(["solve", str(src), "--vinf", "1,2"]) == 1
@@ -480,6 +480,19 @@ def test_phf_with_infinite_rmax_exits_1(tmp_path, capsys):
     assert main(["phf", "--l", "1", "--m", "0", "--rmax", "inf",
                  "--out", str(out)]) == 1
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r0, rmax", [("1e-40", "5e-40"), ("1e40", "5e40")])
+def test_phf_member_beyond_the_normal_floats_exits_1(tmp_path, capsys, r0, rmax):
+    # r^-9 overflows to inf, or underflows to 0: no file, and no numpy warning
+    out = tmp_path / "p.vshc"
+    assert main(["phf", "--l", "8", "--m", "0", "--r0", r0, "--rmax", rmax,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: r^-(l+1) at l = 8 is not a normal float on "
+        "RadialGrid([%g, %g], 4 panels x 16 nodes)\n" % (float(r0), float(rmax)))
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ Conversions between Cartesian and spherical coordinates and vector frames.
 """
 
 import numpy as np
+import pytest
 
 from divcurl.frames import (cart_to_sph_points, sph_to_cart_points,
                             sph_to_cart_vector, spherical_frame)
@@ -61,3 +62,10 @@ def test_axis_points():
     r, theta, _ = cart_to_sph_points(np.array([[0.0, 0.0, -4.0]]))
     assert abs(r[0] - 4.0) < 1e-15
     assert abs(theta[0] - np.pi) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_complex_points_are_refused():
+    # a cast would keep only the real parts: r = 2, theta = pi / 2, phi = 0
+    with pytest.raises(ValueError, match=r"got a complex \(1, 3\) array"):
+        cart_to_sph_points(np.array([[2 + 3j, 0, 0]]))

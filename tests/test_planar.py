@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
-from fixtures import ridge
+from divcurl.planar import PlanarGeometry, PolarGrid, laplacian_ridge, planar_moments
 
 
 def _dense_moment(f, lo, hi, k, conjugate_power=False, n_rho=2001, n_phi=720):
@@ -199,12 +198,7 @@ def test_laplacian_on_disk_has_no_moments():
     # supported: every moment vanishes to rounding when the support edges
     # sit on panel breakpoints
     g = PolarGrid(PlanarGeometry("disk", 2.0), 64, 33, breakpoints=[0.0, 0.4, 1.0, 1.6, 2.0])
-    rho = g.rho
-    p, dp, d2p = ridge(rho, 0.4, 1.6)
-    lap_wave = d2p + dp / rho - 4.0 * p / rho ** 2
-    lap_mono = d2p + dp / rho
-    f = (lap_wave[:, None] * np.cos(2.0 * g.phi)[None, :]
-         + lap_mono[:, None] * np.ones_like(g.phi)[None, :])
+    f = laplacian_ridge(g, 0.4, 1.2, 2) + laplacian_ridge(g, 0.4, 1.2, 0)
     mom = planar_moments(f, g, 8)
     scale = np.abs(f).max() * g.rho_max ** 2
     assert max(abs(v) for v in mom.values()) < 1e-10 * scale
@@ -213,23 +207,17 @@ def test_laplacian_on_disk_has_no_moments():
 def test_laplacian_on_annulus_has_no_moments_either_sign():
     g = PolarGrid(PlanarGeometry("annulus", 1.0, r1=2.0), 48, 33,
                   breakpoints=[1.0, 1.25, 1.75, 2.0])
-    rho = g.rho
-    p, dp, d2p = ridge(rho, 1.25, 1.75)
-    lap = d2p + dp / rho - 4.0 * p / rho ** 2
-    f = lap[:, None] * np.cos(2.0 * g.phi)[None, :]
+    f = laplacian_ridge(g, 1.25, 0.5, 2)
     mom = planar_moments(f, g, 6)
     scale = np.abs(f).max() * g.rho_max ** 2
     assert max(abs(v) for v in mom.values()) < 1e-10 * scale
 
 
 def test_misaligned_support_breaks_the_cancellation():
-    # the same fixture without panel alignment leaves visible residuals --
+    # the same source without panel alignment leaves visible residuals --
     # the discrete by-parts identity needs the support edges on breakpoints
     g = PolarGrid(PlanarGeometry("disk", 2.0), 64, 33)     # default equispaced panels
-    rho = g.rho
-    p, dp, d2p = ridge(rho, 0.4, 1.6)
-    lap = d2p + dp / rho - 4.0 * p / rho ** 2
-    f = lap[:, None] * np.cos(2.0 * g.phi)[None, :]
+    f = laplacian_ridge(g, 0.4, 1.2, 2)
     mom = planar_moments(f, g, 8)
     scale = np.abs(f).max() * g.rho_max ** 2
     assert max(abs(v) for v in mom.values()) > 1e-8 * scale

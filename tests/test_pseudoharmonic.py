@@ -2,15 +2,19 @@
 The tangential r^-(l+1) family: curl-curl annihilation and orthogonality.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from divcurl.grids import make_grids, surface_integral
-from divcurl.pseudoharmonic import phf_field, verify_pseudoharmonic
+from divcurl.grids import RadialGrid, make_grids, surface_integral
+from divcurl.pseudoharmonic import (curl_curl_source, matched_flow_profile, phf_field,
+                                    verify_pseudoharmonic)
 from divcurl.solver import check_compatibility, radial_moments
 from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
                                spectral_curl, spectral_div, spectral_grad,
                                synthesize)
+from fixtures import SQRT_4PI_3
 
 
 def _wide_grids(L=6):
@@ -102,6 +106,19 @@ def test_high_degree_profile_is_the_plain_power():
     assert np.all(prof.imag == 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r0", [1e-40, 1e40])
+def test_member_outside_the_normal_floats_is_refused(r0):
+    # r^-9 overflows at r0 = 1e-40 and underflows to 0 at 1e40: refused
+    # before numpy warns, while the l = 1 member stays representable
+    _, rad = make_grids(r0, 5.0 * r0, 64, 8)
+    want = "r^-(l+1) at l = 8 is not a normal float on RadialGrid([%g, " % r0
+    with pytest.raises(ValueError, match="^" + re.escape(want)):
+        phf_field(8, 0, rad, 8)
+    prof = phf_field(1, 0, rad, 8).coeffs[mode_index(1, 0), 2].real
+    assert np.all(np.isfinite(prof) & (prof > 0.0))
+
+
 ############################################
 # Orthogonality against source data
 
@@ -139,3 +156,38 @@ def test_radial_form_is_the_solver_moment():
     # one moment integral serves both, so they agree to the bit
     moments = radial_moments(rad, f.coeffs[:, 2], f.ells)
     assert np.array_equal(moments, rep.moment)
+
+
+############################################
+# The library's compatible sources in every length unit
+
+
+def _unit_grid(r0):
+    return RadialGrid(r0 * np.linspace(1.0, 5.0, 5), 32)
+
+
+UNITS = [2.0 ** k for k in (-10, 0, 10)]
+
+
+@pytest.mark.parametrize("decay", [1 / 3, 0.9, 1.0])
+@pytest.mark.parametrize("L", [8, 24, 48])
+def test_curl_curl_source_is_compatible_in_every_unit(L, decay):
+    # the data alone: no normal trace at the wall, and each moment is
+    # rounding next to the integral of its integrand's modulus
+    for r0 in UNITS:
+        rad = _unit_grid(r0)
+        f, _ = curl_curl_source(rad, L, np.random.default_rng(L), decay)
+        assert np.all(rad.at_r0(f.coeffs[:, 0]) == 0.0)
+        f2 = f.coeffs[:, 2]
+        scale = radial_moments(rad, np.abs(f2), f.ells)
+        assert np.all(np.abs(radial_moments(rad, f2, f.ells)) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("r0", UNITS)
+def test_matched_flow_profile_meets_its_target_in_every_unit(r0):
+    rad = _unit_grid(r0)
+    s3 = rad.r ** 3
+    for target in (1.0, -1.5 * SQRT_4PI_3):
+        p = matched_flow_profile(rad, target)
+        assert abs(rad.integrate(p) - target) <= 1e-14 * abs(target)
+        assert abs(rad.integrate(s3 * p)) <= 1e-14 * rad.integrate(s3 * np.abs(p))

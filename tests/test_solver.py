@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 import divcurl.solver as solver
 import divcurl.transform as transform
 from divcurl.grids import RadialGrid, make_grids
+from divcurl.pseudoharmonic import curl_curl_source, matched_flow_profile
 from divcurl.solver import (CompatibilityWarning, CompatReport,
                             IncompatibilityError, boundary_trace, check_compatibility,
                             far_field_coeffs, partial_slip_project,
                             radial_moments, solve_exterior)
 from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
                                spectral_div, synthesize_at)
-from fixtures import (SQRT_4PI_3, manufactured, matched_flow_profile, support_grids,
-                      traced_peak)
+from fixtures import SQRT_4PI_3, support_grids, traced_peak
 
 
 ############################################
@@ -28,7 +28,7 @@ from fixtures import (SQRT_4PI_3, manufactured, matched_flow_profile, support_gr
 
 def test_manufactured_recovery():
     _, rad = support_grids(6)
-    f, W = manufactured(rad, 6, np.random.default_rng(0))
+    f, W = curl_curl_source(rad, 6, np.random.default_rng(0))
     V = solve_exterior(f)
     scale = np.abs(W.coeffs).max()
     assert np.abs(V.coeffs - W.coeffs).max() < 1e-8 * scale
@@ -40,29 +40,29 @@ def test_flat_spectrum_recovery_at_high_degree():
     # lose about (b/a)^(l+2) per panel, and at L = 48 the solve, decided
     # clean, recovers only to 1.4e-3
     rad = RadialGrid(np.linspace(1.0, 5.0, 5), 32)
-    f, W = manufactured(rad, 48, np.random.default_rng(0), decay=1.0)
+    f, W = curl_curl_source(rad, 48, np.random.default_rng(0), decay=1.0)
     V = solve_exterior(f)
     assert np.abs(V.coeffs - W.coeffs).max() < 1e-10 * np.abs(W.coeffs).max()
 
 
 def test_solution_is_divergence_free():
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(1))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(1))
     V = solve_exterior(f)
     assert np.abs(spectral_div(V).coeffs).max() < 1e-9 * np.abs(V.coeffs).max()
 
 
 def test_solution_sticks_to_the_wall():
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(2))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(2))
     V = solve_exterior(f)
     assert boundary_trace(V).aggregate < 1e-9 * np.abs(V.coeffs).max()
 
 
 def test_linearity():
     _, rad = support_grids(6)
-    f1, _ = manufactured(rad, 6, np.random.default_rng(3))
-    f2, _ = manufactured(rad, 6, np.random.default_rng(4))
+    f1, _ = curl_curl_source(rad, 6, np.random.default_rng(3))
+    f2, _ = curl_curl_source(rad, 6, np.random.default_rng(4))
     both = f1.copy()
     both.coeffs += 2.0 * f2.coeffs
     V = solve_exterior(both)
@@ -132,7 +132,7 @@ def test_step_source_decays_like_dipole():
 
 def test_report_of_clean_source_is_clean():
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(5))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(5))
     rep = check_compatibility(f)
     assert rep.worst()[3] < 1e-9 * rep.field_norm
 
@@ -172,7 +172,7 @@ def _moment_bump(rad, l):
 
 def test_small_violation_warns_and_proceeds():
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(7))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(7))
     k = mode_index(2, 1)
     f.coeffs[k, 2] += 1e-6 * f.norm() * _moment_bump(rad, 2)
     with pytest.warns(CompatibilityWarning):
@@ -184,7 +184,7 @@ def test_small_violation_warns_and_proceeds():
 
 def test_large_violation_refuses_with_mode_attribution():
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(8))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(8))
     k = mode_index(2, 1)
     f.coeffs[k, 2] += 1e-2 * f.norm() * _moment_bump(rad, 2)
     with pytest.raises(IncompatibilityError) as err:
@@ -203,7 +203,7 @@ def test_non_finite_source_refused(channel, bad):
     # a NaN residual compares False against any threshold; the gate must
     # still refuse, and name the mode the NaN sits in
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(10))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(10))
     f.coeffs[mode_index(3, -2), channel, 20] = bad
     with pytest.raises(IncompatibilityError) as err, \
             np.errstate(invalid="ignore"):
@@ -233,7 +233,7 @@ def test_decision_and_scaled_residual_ignore_amplitude(violation, kind):
     # squares of 1e200 overflow and those of 1e-150 data come near the
     # bottom of the double range; neither may change the outcome
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(7))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(7))
     f.coeffs[mode_index(2, 1), 2] += violation * f.norm() * _moment_bump(rad, 2)
     want = _decision(f)
     assert want[0] == kind
@@ -248,7 +248,7 @@ def test_decision_and_scaled_residual_ignore_amplitude(violation, kind):
 
 def test_as_table_shape():
     _, rad = support_grids(3)
-    f, _ = manufactured(rad, 3, np.random.default_rng(9))
+    f, _ = curl_curl_source(rad, 3, np.random.default_rng(9))
     text = check_compatibility(f).as_table()
     lines = text.strip().split("\n")
     assert lines[0].split("\t")[:2] == ["l", "m"]
@@ -336,7 +336,7 @@ def test_as_table_bytes_match_a_per_row_format():
 
 def test_projection_kills_low_moments_only():
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(10))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(10))
     rng = np.random.default_rng(11)
     for l, m in [(1, 0), (2, -1), (3, 2), (5, 4)]:
         f.coeffs[mode_index(l, m), 2] += rng.uniform(0.5, 2.0) * _moment_bump(rad, l)
@@ -355,7 +355,7 @@ def test_projection_kills_low_moments_only():
 
 def test_projected_source_solves_cleanly():
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(12))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(12))
     f.coeffs[mode_index(4, 0), 2] += _moment_bump(rad, 4)
     g = partial_slip_project(f, 6)
     V = solve_exterior(g)
@@ -383,7 +383,7 @@ def _project_per_mode(f, L):
 @pytest.mark.parametrize("weight", [None])     # the default bump is the only one
 def test_projection_matches_per_mode_reference(weight):
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(13))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(13))
     rng = np.random.default_rng(14)
     f.coeffs[1:, 2] += rng.standard_normal((f.n_modes - 1, rad.n_r)) * 1e-3
     for L in (0, 1, 4, 6):
@@ -405,7 +405,7 @@ def test_projection_refuses_at_the_same_degree_as_per_mode_reference():
 def test_projection_meets_the_uniform_flow_targets():
     # no slip under a uniform flow needs M_1m = 3/2 a_m and M = 0 above l = 1
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(15))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(15))
     f.coeffs[1:, 2] += 1e-3 * np.random.default_rng(16).standard_normal((f.n_modes - 1, rad.n_r))
     vinf = np.array([1.0, 2.0, 0.0])
     target = np.zeros(f.n_modes, dtype=complex)
@@ -521,7 +521,7 @@ def test_solution_whose_powers_overflow_is_refused():
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
 def test_tol_must_be_a_nonnegative_number(tol):
     _, rad = support_grids(6)
-    f, _ = manufactured(rad, 6, np.random.default_rng(0))
+    f, _ = curl_curl_source(rad, 6, np.random.default_rng(0))
     with pytest.raises(ValueError, match="tol must be a nonnegative number"):
         solve_exterior(f, tol=tol)
 

@@ -53,6 +53,16 @@ def test_mode_index_layout():
         mode_index(2, 3)
 
 
+def test_set_mode_refuses_channels_outside_0_1_2():
+    # numpy would read -1 as the Phi channel and fail on 3 with IndexError
+    _, rad = _grids(L=2)
+    S = SpectralField(rad, 2)
+    for channel in (-1, 3):
+        with pytest.raises(ValueError, match="must be one of \\(0, 1, 2\\), got %d" % channel):
+            S.set_mode(2, 0, channel, np.ones(rad.n_r))
+    assert not S.coeffs.any()
+
+
 def test_mode_degrees_round_trip():
     ells, ems = mode_degrees(5)
     assert ells.size == 36

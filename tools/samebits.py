@@ -42,6 +42,7 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
                      without and with a small uniform flow (which warns),
                      the projection of f plus a moment bump and its
                      solution, and the boundary traces
+    demos            demos 01 to 07: each one's stdout, stderr and exit code
     demo08           demos/08_cli_pipeline.py: its files, its stdout without
                      the line naming its temporary directory, its stderr
                      and exit code
@@ -76,7 +77,7 @@ THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                             "MKL_NUM_THREADS")}
 HERE = Path(__file__).resolve().parent.parent
 GROUPS = ("cli_pipeline", "commands", "solve_sweep", "transform_large", "solver",
-          "demo08", "grids")
+          "demos", "demo08", "grids")
 
 # run a demo with its temporary directory kept, so its files can be read
 KEEP_TMP = """\
@@ -335,6 +336,14 @@ def grid_operators(m, workloads, seed):
         m.add(key + "eval_matrix", np.stack(rows))
 
 
+def demos(m):
+    tmp = m.work / "demos"
+    tmp.mkdir()
+    for path in sorted((m.root / "demos").glob("0[1-7]_*.py")):
+        m.process("demos/" + path.stem, [sys.executable, str(path)], tmp,
+                  dict(m.env, TMPDIR=str(tmp)))
+
+
 def demo08(m):
     tmp = m.work / "demo08"
     tmp.mkdir()
@@ -370,6 +379,8 @@ def manifest(root, groups, seeds):
                 grid_operators(m, workloads, seed)
         if "commands" in groups:
             seedless_commands(m)
+        if "demos" in groups:
+            demos(m)
         if "demo08" in groups:
             demo08(m)
     return dict(sorted(m.digests.items()))
