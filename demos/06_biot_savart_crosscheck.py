@@ -13,8 +13,9 @@ import numpy as np
 from divcurl.biotsavart import (biot_savart_eval, circulation_diagnostic,
                                 sphere_points)
 from divcurl.grids import AngularGrid, RadialGrid, SampledField, make_grids
+from divcurl.pseudoharmonic import two_bump_source
 from divcurl.solver import solve_exterior
-from divcurl.transform import SpectralField, mode_index, synthesize, synthesize_at
+from divcurl.transform import synthesize, synthesize_at
 
 ############################################
 # Shell source with a known exterior field
@@ -56,21 +57,10 @@ for R in (6.0, 12.0):
 ############################################
 # Against the spectral solver at off-grid points
 
+# every moment zero (solvable with no slip), the exterior multipoles not
 ang2, rad2 = make_grids(1.0, 5.0, 64, 8, breakpoints=[1.0, 1.4, 1.8, 2.2, 5.0])
-r = rad2.r
-g1 = np.clip((r - 1.4) * (1.8 - r), 0.0, None) ** 3
-g2 = np.clip((r - 1.8) * (2.2 - r), 0.0, None) ** 3
-f = SpectralField(rad2, 6)
 rng = np.random.default_rng(3)
-for l in range(1, 7):
-    beta = -rad2.integrate(r ** (1.0 - l) * g1) / rad2.integrate(r ** (1.0 - l) * g2)
-    prof = g1 + beta * g2           # zero moment: solvable with no slip
-    for m in range(l + 1):
-        c = (rng.standard_normal()
-             + (1j * rng.standard_normal() if m else 0.0)) * 3.0 ** -l
-        f.coeffs[mode_index(l, m), 2] = c * prof
-        f.coeffs[mode_index(l, -m), 2] = (-1) ** m * np.conj(c) * prof
-
+f = two_bump_source(rad2, 6, 1.4, 1.8, 2.2, rng)
 V = solve_exterior(f)
 pts = rng.standard_normal((6, 3))
 pts /= np.linalg.norm(pts, axis=1, keepdims=True)

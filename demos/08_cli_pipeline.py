@@ -18,7 +18,8 @@ import numpy as np
 from divcurl.cli import main
 from divcurl.fileio import read_vshc, write_vfld, write_vshc
 from divcurl.grids import make_grids
-from divcurl.transform import SpectralField, synthesize, mode_index
+from divcurl.pseudoharmonic import two_bump_source
+from divcurl.transform import synthesize
 
 tmp = tempfile.TemporaryDirectory(prefix="divcurl_demo_")
 work = Path(tmp.name)
@@ -28,12 +29,7 @@ print("working directory:", work, "(removed at the end)")
 # Make a compatible source and write it as a sampled field
 
 ang, rad = make_grids(1.0, 5.0, 48, 4, breakpoints=[1.0, 1.4, 1.8, 2.2, 5.0])
-r = rad.r
-g1 = np.clip((r - 1.4) * (1.8 - r), 0.0, None) ** 3
-g2 = np.clip((r - 1.8) * (2.2 - r), 0.0, None) ** 3
-beta = -rad.integrate(r ** -1.0 * g1) / rad.integrate(r ** -1.0 * g2)
-f = SpectralField(rad, 4)
-f.coeffs[mode_index(2, 0), 2] = g1 + beta * g2
+f = two_bump_source(rad, 4, 1.4, 1.8, 2.2, np.random.default_rng(8))
 
 src = work / "source.vfld"
 write_vfld(src, synthesize(f, ang))

@@ -22,7 +22,7 @@ import numpy as np
 from .transform import SpectralField, mode_index, spectral_curl
 
 __all__ = ["phf_field", "verify_pseudoharmonic", "PseudoHarmonicReport", "curl_curl_source",
-           "matched_flow_profile"]
+           "matched_flow_profile", "two_bump_source"]
 
 
 def phf_field(l, m, radial, L_max):
@@ -110,3 +110,27 @@ def matched_flow_profile(radial, target):
     mat = [[radial.integrate(w * g) for g in (g1, g2)] for w in (1.0, r ** 3)]
     a, b = np.linalg.solve(mat, [target, 0.0])
     return a * g1 + b * g2
+
+
+def two_bump_source(radial, L_max, a, mid, b, rng):
+    """
+    Real Phi-channel source f2 = c (g1 + beta_l g2) per degree: cubic bumps on [a, mid] and
+    [mid, b] in r / r0 zero the moment of s^(1-l) f2 but not of s^(2+l) f2; c ~ (1/3)^l from rng.
+    """
+    r, x = radial.r, radial.r / radial.r0
+    g1, g2 = (np.clip((x - lo) * (hi - x), 0.0, None) ** 3 for lo, hi in ((a, mid), (mid, b)))
+    if not (g1.any() and g2.any()):
+        raise ValueError(f"a bump on [{a}, {mid}] or [{mid}, {b}] r0 holds no node of {radial!r}")
+    f = SpectralField(radial, L_max)
+    for l in range(1, L_max + 1):
+        with np.errstate(all="ignore"):
+            den, num = (radial.integrate(r ** (1.0 - l) * g) for g in (g2, g1))
+            beta = -num / den
+        if not (np.finfo(float).tiny <= den < np.inf and np.isfinite(beta)):
+            raise ValueError(f"the bump moments at l = {l} are not representable on {radial!r}")
+        prof, size = g1 + beta * g2, (1.0 / 3.0) ** l
+        for m in range(l + 1):
+            c = (rng.standard_normal() + (1j * rng.standard_normal() if m else 0.0)) * size
+            f.coeffs[mode_index(l, m), 2] = c * prof
+            f.coeffs[mode_index(l, -m), 2] = (-1) ** m * np.conj(c) * prof
+    return f

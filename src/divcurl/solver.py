@@ -138,12 +138,13 @@ def radial_moments(radial, g, ells):
         for the Phi-channel profiles f2 of a source these are the
         solvability moments M_lm, i.e. the inner products of the data with
         the pseudo-harmonic family Phi_lm / r^(l+1) without the l(l+1)
-        factor.
+        factor.  A moment that cannot be represented reads inf or nan.
     """
-    row, (p,) = _powers(radial.r, ells, (1.0, -1))
-    out = np.empty(len(row), dtype=np.result_type(g, float))
-    for b in _mode_blocks(len(row), radial.n_r):
-        out[b] = radial.integrate(p[row[b]] * g[b])
+    with np.errstate(over="ignore", invalid="ignore"):
+        row, (p,) = _powers(radial.r, ells, (1.0, -1))
+        out = np.empty(len(row), dtype=np.result_type(g, float))
+        for b in _mode_blocks(len(row), radial.n_r):
+            out[b] = radial.integrate(p[row[b]] * g[b])
     return out
 
 
@@ -255,13 +256,20 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
         or when a coefficient is NaN or Inf (the data norm is not finite).
     ValueError
         when a power r^(a +- l) of the radial nodes overflows, naming the
-        lowest such degree and the grid.
+        lowest such degree and the grid; checked before compatibility.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
     vinf = _vinf(far)
     if f.L_max < 1 and vinf.any():
         raise ValueError("need L_max >= 1 to hold an l = 1 field")
+    rad, r = f.radial, f.radial.r
+    with np.errstate(over="ignore"):        # a table that overflows is refused
+        row, tables = _powers(r, f.ells, (2.0, 1), (1.0, -1), (-2.0, -1), (-1.0, 1))
+    finite = np.all([np.isfinite(t).all(axis=1) for t in tables], axis=0)[row]
+    if not finite.all():
+        raise ValueError(f"powers of r overflow from degree l = {f.ells[finite.argmin()]} "
+                         f"on {rad!r}; the solution cannot be represented")
     report = check_compatibility(f)
     required = _moment_targets(f.n_modes, vinf)
 
@@ -277,18 +285,10 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
             "the wall trace of the solution will be of that size",
             CompatibilityWarning, stacklevel=2)
 
-    rad = f.radial
-    r = rad.r
     ell = f.ells[:, None].astype(float)
     ll1 = ell * (ell + 1.0)
     coef = -ll1 / (2.0 * ell + 1.0)
     safe = np.where(ll1 > 0, ll1, 1.0)
-    with np.errstate(over="ignore"):        # a table that overflows is refused
-        row, tables = _powers(r, f.ells, (2.0, 1), (1.0, -1), (-2.0, -1), (-1.0, 1))
-    finite = np.all([np.isfinite(t).all(axis=1) for t in tables], axis=0)[row]
-    if not finite.all():
-        raise ValueError(f"powers of r overflow from degree l = {f.ells[finite.argmin()]} "
-                         f"on {rad!r}; the solution cannot be represented")
     up, down, grow, decay = tables
     V = SpectralField(rad, f.L_max)
     for b in _mode_blocks(f.n_modes, rad.n_r):
@@ -370,9 +370,14 @@ def partial_slip_project(f, L, far=None):
     rad = f.radial
     r = rad.r
     ell = np.arange(1, L + 1)                       # row l - 1 of w holds degree l
-    w = r ** (ell[:, None] - 1.0) * (r - rad.r0) ** 2 * (rad.rmax - r) ** 2
-    w = w / np.sqrt(rad.integrate(w * w))[:, None]
-    W = radial_moments(rad, w, ell)
+    with np.errstate(all="ignore"):     # D3 replaces the normalisation; refused if unrepresentable
+        w = r ** (ell[:, None] - 1.0) * (r - rad.r0) ** 2 * (rad.rmax - r) ** 2
+        norm = np.sqrt(rad.integrate(w * w))
+        W = radial_moments(rad, w := w / norm[:, None], ell)
+    bad = ~(np.isfinite(W) & (norm >= np.finfo(float).tiny) & (norm < np.inf))
+    if bad.any():
+        raise ValueError(f"the projection bump of degree l = {ell[bad.argmax()]} is not "
+                         f"representable on {rad!r}")
     low = np.flatnonzero(np.abs(W) < 1e-14)
     if low.size:
         raise ValueError(f"projection weight has vanishing moment at l = {ell[low[0]]}")

@@ -12,13 +12,13 @@ from divcurl.biotsavart import (biot_savart_eval, circulation_diagnostic,
 from divcurl.grids import AngularGrid, SampledField, make_grids, surface_integral
 from divcurl.planar import PlanarGeometry, PolarGrid, laplacian_ridge, planar_moments
 from divcurl.pseudoharmonic import (curl_curl_source, matched_flow_profile, phf_field,
-                                    verify_pseudoharmonic)
+                                    two_bump_source, verify_pseudoharmonic)
 from divcurl.solver import (boundary_trace, check_compatibility,
                             partial_slip_project, radial_moments,
                             solve_exterior)
 from divcurl.transform import (SpectralField, mode_index, spectral_div,
                                synthesize, synthesize_at)
-from fixtures import SQRT_4PI_3, support_grids, two_bump_source
+from fixtures import SQRT_4PI_3, support_grids
 
 R0, RMAX, N_R, L_MAX = 1.0, 5.0, 64, 8
 SQRT_3PI = 3.0699801238394655
@@ -153,7 +153,7 @@ def test_orthogonality_forms_agree():
 def _cross_check_error(nodes_per_panel, L_ang):
     ang, rad = make_grids(R0, RMAX, 4 * nodes_per_panel, L_ang,
                           breakpoints=[1.0, 1.4, 1.8, 2.2, 5.0])
-    f = two_bump_source(rad, L_MAX, 1.4, 1.8, 2.2, seed=11)
+    f = two_bump_source(rad, L_MAX, 1.4, 1.8, 2.2, np.random.default_rng(11))
     V = solve_exterior(f)
     sampled = synthesize(f, ang)
     rng = np.random.default_rng(2)

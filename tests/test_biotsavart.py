@@ -2,6 +2,8 @@
 The direct volume-integral evaluator and the circulation diagnostic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,10 @@ from divcurl.biotsavart import (_POINT_BLOCK, ProximityError, biot_savart_eval,
 from divcurl.cli import main
 from divcurl.fileio import write_points, write_vfld
 from divcurl.grids import AngularGrid, RadialGrid, SampledField, make_grids
-from divcurl.solver import radial_moments, solve_exterior
+from divcurl.pseudoharmonic import two_bump_source
+from divcurl.solver import CompatibilityWarning, radial_moments, solve_exterior
 from divcurl.transform import SpectralField, synthesize, synthesize_at
-from fixtures import traced_peak, two_bump_source
+from fixtures import traced_peak
 
 A_IN, B_OUT = 1.5, 3.5      # shell support radii shared by the fixtures
 
@@ -424,7 +427,7 @@ def test_matches_spectral_solution_for_compatible_source():
     # evaluation beyond the source support, where the direct quadrature
     # converges; the two routes share no code past the sampled field
     ang, rad = make_grids(1.0, 5.0, 48, 8, breakpoints=[1.0, 1.4, 1.8, 2.2, 5.0])
-    f = two_bump_source(rad, 6, 1.4, 1.8, 2.2, seed=3)
+    f = two_bump_source(rad, 6, 1.4, 1.8, 2.2, np.random.default_rng(3))
     V = solve_exterior(f)
     sampled = synthesize(f, ang)
     assert np.abs(sampled.values.imag).max() < 1e-12 * np.abs(sampled.values).max()
@@ -464,14 +467,15 @@ def _shell_points(seed, n, lo, hi):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True) * rng.uniform(lo, hi, (n, 1))
 
 
-def _cavity_grids():
-    # 8 panels of 16 nodes on [1, 5]; the bumps' edges sit on breakpoints
-    return make_grids(1.0, 5.0, 128, 6, breakpoints=np.linspace(1.0, 5.0, 9))
+def _cavity_grids(lam=1.0):
+    # 8 panels of 16 nodes on [1, 5] lam; the bumps' edges sit on breakpoints
+    return make_grids(lam, 5.0 * lam, 128, 6, breakpoints=lam * np.linspace(1.0, 5.0, 9))
 
 
 def test_compatible_source_leaves_the_cavity_field_free():
     _, rad = _cavity_grids()
-    sampled = synthesize(two_bump_source(rad, 6, 1.5, 2.0, 2.5, seed=3), AngularGrid(40, 81))
+    f = two_bump_source(rad, 6, 1.5, 2.0, 2.5, np.random.default_rng(3))
+    sampled = synthesize(f, AngularGrid(40, 81))
     inside = _cavity_field(sampled, _shell_points(5, 8, 0.2, 0.9))
     beyond = biot_savart_eval(sampled, _shell_points(6, 8, 3.5, 4.9))
     assert np.abs(inside).max() <= 1e-12 * np.abs(beyond).max()
@@ -493,12 +497,28 @@ def test_cavity_field_of_a_mode_follows_its_moment():
         assert np.abs(per_moment[0] - per_moment[1]).max() <= 1e-12 * np.abs(per_moment[0]).max()
 
 
-def test_upsampled_direct_sum_matches_the_solution_to_rounding():
+UNITS = [2.0 ** -10, 0.1, 1.0, 10.0, 2.0 ** 10]
+
+
+@pytest.mark.parametrize("lam", UNITS)
+def test_upsampled_direct_sum_matches_the_solution_to_rounding(lam):
     # the solve's own angular grid agrees only to 1e-3 (above); on (60, 121)
-    # the quadrature of the source has converged a radius unit beyond it
-    _, rad = _cavity_grids()
-    f = two_bump_source(rad, 6, 1.5, 2.0, 2.5, seed=3)
-    pts = _shell_points(6, 8, 3.5, 4.9)
+    # the quadrature of the source has converged a radius unit beyond it.
+    # tol = inf: the gate's warning is D3's (below), not the solution's
+    _, rad = _cavity_grids(lam)
+    f = two_bump_source(rad, 6, 1.5, 2.0, 2.5, np.random.default_rng(3))
+    pts = lam * _shell_points(6, 8, 3.5, 4.9)
     direct = biot_savart_eval(synthesize(f, AngularGrid(60, 121)), pts)
-    spectral = synthesize_at(solve_exterior(f), pts)
+    spectral = synthesize_at(solve_exterior(f, tol=np.inf), pts)
     assert np.abs(direct - spectral).max() <= 1e-12 * np.abs(spectral).max()
+
+
+@pytest.mark.xfail(strict=True, raises=CompatibilityWarning, reason="ROADMAP D3")
+def test_compatible_two_bump_source_is_clean_in_every_unit():
+    # the gate scales the moment by the data norm, so at 2^-10 this source is
+    # warned although its solution matches the direct sum to rounding (above)
+    for lam in UNITS:
+        f = two_bump_source(_cavity_grids(lam)[1], 6, 1.5, 2.0, 2.5, np.random.default_rng(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CompatibilityWarning)
+            solve_exterior(f)

@@ -16,7 +16,7 @@ from divcurl.cli import main
 from divcurl.fileio import (FileFormatError, read_vfld, read_vshc, write_polar,
                             write_points, write_vfld, write_vfld_blocks,
                             write_vshc)
-from divcurl.grids import AngularGrid, SampledField, make_grids
+from divcurl.grids import AngularGrid, RadialGrid, SampledField, make_grids
 from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
 from divcurl.pseudoharmonic import curl_curl_source, matched_flow_profile
 from divcurl.transform import (SpectralField, analyze, block_nodes, mode_index,
@@ -388,6 +388,23 @@ def test_partial_slip_under_a_uniform_flow(tmp_path, capsys):
     assert code == 0, err
     trace = float(err.split("boundary trace at r0: ")[1])
     assert trace <= 1e-12 * np.sqrt(5.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unrepresentable_solution_exits_1_before_the_gate(tmp_path, capsys):
+    # at 2^-66 length units the moments from l = 16 read nan: check reports
+    # them without a warning, and solve names the powers that overflow from
+    # l = 14 instead of advising a projection
+    rad = RadialGrid(2.0 ** -66 * np.linspace(1.0, 5.0, 5), 32)
+    F, _ = curl_curl_source(rad, 24, np.random.default_rng(7))
+    write_vshc(tmp_path / "f.vshc", F)
+    assert main(["check", str(tmp_path / "f.vshc")]) == 0
+    assert capsys.readouterr().err == ""
+    code, err = _solve_stderr(tmp_path, capsys, F)
+    assert code == 1
+    assert err == ("error: powers of r overflow from degree l = 14 on RadialGrid([1.35525e-20, "
+                   "6.77626e-20], 4 panels x 32 nodes); the solution cannot be represented\n")
+    assert not (tmp_path / "V.vshc").exists()
 
 
 def test_solution_whose_powers_overflow_exits_1(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from divcurl.grids import RadialGrid, make_grids, surface_integral
 from divcurl.pseudoharmonic import (curl_curl_source, matched_flow_profile, phf_field,
-                                    verify_pseudoharmonic)
+                                    two_bump_source, verify_pseudoharmonic)
 from divcurl.solver import check_compatibility, radial_moments
 from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
                                spectral_curl, spectral_div, spectral_grad,
@@ -191,3 +191,36 @@ def test_matched_flow_profile_meets_its_target_in_every_unit(r0):
         p = matched_flow_profile(rad, target)
         assert abs(rad.integrate(p) - target) <= 1e-14 * abs(target)
         assert abs(rad.integrate(s3 * p)) <= 1e-14 * rad.integrate(s3 * np.abs(p))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r0", UNITS)
+def test_two_bump_source_is_compatible_and_reaches_past_its_support(r0):
+    # a real field whose moments are rounding next to their modulus integrals,
+    # while its exterior multipoles, of s^(2+l) f2, are not
+    rad = RadialGrid(r0 * np.linspace(1.0, 5.0, 9), 16)
+    f = two_bump_source(rad, 8, 1.5, 2.0, 2.5, np.random.default_rng(8))
+    assert not f.coeffs[:, :2].any() and not f.coeffs[0].any()
+    f2, ells = f.coeffs[1:, 2], f.ells[1:]
+    moment = np.abs(radial_moments(rad, f2, ells))
+    assert np.all(moment <= 1e-14 * radial_moments(rad, np.abs(f2), ells))
+    p = rad.r ** (2.0 + ells[:, None])
+    assert np.all(np.abs(rad.integrate(p * f2)) >= 0.3 * rad.integrate(p * np.abs(f2)))
+    for l in range(1, 9):
+        for m in range(l + 1):
+            assert np.array_equal(f.coeffs[mode_index(l, -m)],
+                                  (-1) ** m * np.conj(f.coeffs[mode_index(l, m)]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r0, abc, want", [
+    (1.0, (5.5, 6.0, 6.5), "a bump on [5.5, 6.0] or [6.0, 6.5] r0 holds no node of {}"),
+    (1.0, (1.001, 1.002, 1.5), "a bump on [1.001, 1.002] or [1.002, 1.5] r0 holds no node of {}"),
+    (1e-10, (1.5, 2.0, 2.5), "the bump moments at l = 32 are not representable on {}"),
+    (1e10, (1.5, 2.0, 2.5), "the bump moments at l = 32 are not representable on {}")])
+def test_two_bump_source_refuses_what_it_cannot_represent(r0, abc, want):
+    # a bump beyond the grid or between two nodes, or s^(1-l) g2 that
+    # overflows or underflows: refused before numpy warns
+    rad = RadialGrid(r0 * np.linspace(1.0, 5.0, 9), 16)
+    with pytest.raises(ValueError, match="^" + re.escape(want.format(repr(rad))) + "$"):
+        two_bump_source(rad, 40, *abc, np.random.default_rng(8))

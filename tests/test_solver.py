@@ -518,6 +518,33 @@ def test_solution_whose_powers_overflow_is_refused():
             solve_exterior(f)
 
 
+@pytest.mark.filterwarnings("error")
+def test_unrepresentable_solution_is_refused_before_compatibility_is_judged():
+    # at 2^-66 length units r^(-2-l) overflows from l = 14 and the moments read
+    # nan from l = 16: the refusal names the powers, not a moment residual
+    rad = RadialGrid(2.0 ** -66 * np.linspace(1.0, 5.0, 5), 32)
+    f, _ = curl_curl_source(rad, 24, np.random.default_rng(7))
+    moment = check_compatibility(f).moment
+    assert np.array_equal(np.isnan(moment), f.ells >= 16)
+    with pytest.raises(ValueError, match=r"powers of r overflow from degree l = 14 on "
+                       r"RadialGrid\(\[1.35525e-20, 6.77626e-20\], 4 panels x 32 nodes\); "
+                       r"the solution cannot be represented"):
+        solve_exterior(f)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam, l", [(1e-40, 1), (1e-38, 1), (1e-35, 2), (1e-30, 2),
+                                    (1e30, 2), (1e38, 1), (1e40, 1), (1e60, 1)])
+def test_projection_refuses_a_bump_it_cannot_represent(lam, l):
+    rad = RadialGrid(lam * np.linspace(1.0, 5.0, 5), 16)
+    f = SpectralField(rad, 3)
+    f.set_mode(2, 1, 2, np.clip((rad.r / lam - 2.0) * (3.0 - rad.r / lam), 0.0, None) ** 3)
+    with pytest.raises(ValueError) as e:
+        partial_slip_project(f, 3)
+    assert str(e.value) == (f"the projection bump of degree l = {l} is not representable "
+                            f"on RadialGrid([{lam:g}, {5 * lam:g}], 4 panels x 16 nodes)")
+
+
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
 def test_tol_must_be_a_nonnegative_number(tol):
     _, rad = support_grids(6)

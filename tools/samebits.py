@@ -28,7 +28,10 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
                      --kmax 3 of one seeded .pfld per kind (disk, annulus,
                      exterior), each file written here as %.17g text
                      rather than by write_polar, so every tree reads the
-                     same bytes
+                     same bytes; per seed, check, solve and solve
+                     --partial-slip 3 at the unit edges: curl_curl_source
+                     data at L = 24 on 2^-66 (1 ... 5) and at L = 6 on
+                     2^-100 (1 ... 5), 4 panels of 32 nodes
     solve_sweep      per seed and case: the decisions, the CompatReport
                      arrays, as_table(), worst(), the solutions W and W2
                      and the boundary trace
@@ -217,6 +220,26 @@ def planar_commands(m, seed):
         m.cli(key, ["moments2d", kind + ".pfld", "--kmax", "3"], work)
 
 
+def unit_edge_commands(m, seed):
+    """check, solve and solve --partial-slip 3 where powers of r leave the float range."""
+    import numpy as np
+    from divcurl import fileio, grids, pseudoharmonic
+
+    work = m.work / ("unit_edge_%d" % seed)
+    work.mkdir()
+    for L, k in ((24, -66), (6, -100)):
+        name = "L%d_2^%d" % (L, k)
+        rad = grids.RadialGrid(2.0 ** k * np.linspace(1.0, 5.0, 5), 32)
+        f, _ = pseudoharmonic.curl_curl_source(rad, L, np.random.default_rng(seed))
+        vshc = name + ".vshc"
+        fileio.write_vshc(work / vshc, f)
+        key = "commands/%d/unit_edge/%s/" % (seed, name)
+        m.add(key + vshc, (work / vshc).read_bytes())
+        for cmd, args in (("check", ["check", vshc]), ("solve", ["solve", vshc]),
+                          ("solve_partial_slip", ["solve", vshc, "--partial-slip", "3"])):
+            m.cli(key + cmd, args, work)
+
+
 def seedless_commands(m):
     """selftest, phf to stdout and to a file, and verify of that member."""
     work = m.work / "commands"
@@ -369,6 +392,7 @@ def manifest(root, groups, seeds):
             if "commands" in groups:
                 block_commands(m, seed)
                 planar_commands(m, seed)
+                unit_edge_commands(m, seed)
             if "solve_sweep" in groups:
                 solve_sweep(m, workloads, seed)
             if "transform_large" in groups:
