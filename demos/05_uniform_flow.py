@@ -11,10 +11,10 @@ and turns into the uniform flow beyond its support.
 import numpy as np
 
 from divcurl.grids import AngularGrid, make_grids
-from divcurl.pseudoharmonic import matched_flow_profile
+from divcurl.pseudoharmonic import matched_flow_source
 from divcurl.solver import (boundary_trace, check_compatibility,
                             far_field_coeffs, solve_exterior)
-from divcurl.transform import SpectralField, mode_index, synthesize
+from divcurl.transform import mode_index, synthesize
 
 ang, rad = make_grids(1.0, 5.0, 64, 4, breakpoints=[1, 2, 3, 4, 5])
 c10 = np.sqrt(4.0 * np.pi / 3.0)
@@ -26,10 +26,10 @@ print("moment target         : %.15f (= sqrt(3 pi) = %.15f)"
 ############################################
 # Tune a two-bump source to the target
 
-# bumps on [2, 3] and [3, 4]: one equation hits the moment, the other
-# kills the interior multipole so the field is exactly uniform beyond them
-f = SpectralField(rad, 4)
-f.coeffs[mode_index(1, 0), 2] = matched_flow_profile(rad, target)
+# bumps on [2, 3] and [3, 4]: one equation hits the solver's target for
+# v_inf, the other kills the interior multipole so the field is exactly
+# uniform beyond them
+f = matched_flow_source(rad, 4, [0.0, 0.0, 1.0])
 rep = check_compatibility(f)
 print("moment achieved       : %.15f" % rep.moment[mode_index(1, 0)].real)
 

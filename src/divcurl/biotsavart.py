@@ -9,7 +9,7 @@ by applying the tensor-product quadrature of the sampled source field,
 with f extended by zero inside the sphere and beyond its support.  It is
 deliberately independent of the spherical-harmonic machinery, which makes
 it a cross-check for the spectral exterior solver: for compatible data
-the two must produce the same field.
+the two must produce the same field, and the sum vanishes for |x| < r0.
 
 The sum is direct and exact: no multipole expansion, no truncation.
 Only source nodes where f is exactly zero are left out of it, since
@@ -43,7 +43,7 @@ __all__ = ["biot_savart_eval", "circulation_diagnostic", "sphere_points",
 
 
 class ProximityError(ValueError):
-    """An evaluation point sits too close to a source quadrature node."""
+    """An evaluation point is closer than half the local grid spacing to a live source node."""
 
 
 ############################################
@@ -130,8 +130,7 @@ def biot_savart_eval(field, pts):
         finite Cartesian evaluation points; each must keep a distance of
         at least half the local grid spacing from every source node that
         carries a nonzero value (nodes where f vanishes contribute
-        nothing and impose nothing, a point on one included), and lie
-        strictly outside the inner sphere
+        nothing and impose nothing, a point on one included)
 
     Returns
     -------
@@ -148,12 +147,6 @@ def biot_savart_eval(field, pts):
     pts = finite_points(pts)
     if not np.isfinite(field.values).all():
         raise ValueError("source field values must be finite")
-    r0 = field.radial.r0
-    rr = np.linalg.norm(pts, axis=1)
-    if np.any(rr <= r0):
-        bad = pts[rr <= r0][0]
-        raise ProximityError(
-            f"evaluation point {bad} lies inside the sphere r0 = {r0:g}")
     n = pts.shape[0]
     # only live nodes are kept, in room for every nonzero spherical sample
     # (a zero one converts to zero)

@@ -19,8 +19,8 @@ are printed at full double precision, `%.17g`, and every listing is
 ordered deterministically (l ascending, m ascending, channels r, psi,
 phi), so repeated runs with the same inputs are byte-identical.
 
-Exit codes: 0 success, 1 operational failure (incompatible data, point
-too close to a source node, missing file), 2 malformed input file.
+Exit codes: 0 success, 1 operational failure (incompatible data, a biot point
+too near a live source node, missing file), 2 malformed input file.
 """
 
 import argparse
@@ -34,7 +34,7 @@ from .fileio import (FileFormatError, _dump, open_vfld, read_points,
                      write_vfld_blocks, write_vshc)
 from .grids import AngularGrid, make_grids
 from .planar import PlanarGeometry, PolarGrid, laplacian_ridge, planar_moments
-from .pseudoharmonic import (curl_curl_source, matched_flow_profile, phf_field,
+from .pseudoharmonic import (curl_curl_source, matched_flow_source, phf_field,
                              verify_pseudoharmonic)
 from .solver import (DEFAULT_TOL, IncompatibilityError, boundary_trace,
                      check_compatibility, partial_slip_project, solve_exterior)
@@ -190,11 +190,9 @@ def _selftest_checks():
     yield "solution divergence", np.abs(spectral_div(W).coeffs).max(), 1e-13
 
     # uniform flow: the solution sticks to the wall and is zhat beyond the support
-    c10 = np.sqrt(4.0 * np.pi / 3.0)
-    F = SpectralField(rad3, 6)
-    F.coeffs[mode_index(1, 0), 2] = matched_flow_profile(rad3, 1.5 * c10)
-    U = solve_exterior(F, np.array([0.0, 0.0, 1.0]))
-    far_r = U.coeffs[mode_index(1, 0), 0, -1] / c10
+    zhat = np.array([0.0, 0.0, 1.0])
+    U = solve_exterior(matched_flow_source(rad3, 6, zhat), zhat)
+    far_r = U.coeffs[mode_index(1, 0), 0, -1] / np.sqrt(4.0 * np.pi / 3.0)
     yield "uniform-flow wall trace", boundary_trace(U).aggregate, 1e-11
     yield "uniform-flow far value", abs(far_r - 1.0), 1e-13
 

@@ -19,10 +19,11 @@ from collections import namedtuple
 
 import numpy as np
 
+from .solver import _L1, _moment_targets, _vinf
 from .transform import SpectralField, mode_index, spectral_curl
 
 __all__ = ["phf_field", "verify_pseudoharmonic", "PseudoHarmonicReport", "curl_curl_source",
-           "matched_flow_profile", "two_bump_source"]
+           "matched_flow_source", "two_bump_source"]
 
 
 def phf_field(l, m, radial, L_max):
@@ -67,20 +68,21 @@ def verify_pseudoharmonic(S):
     Returns
     -------
     PseudoHarmonicReport
-        residual = ||curl(curl(S))|| / ||curl(S)||, curl_norm = ||curl(S)||,
-        and degenerate = True when curl(S) is itself negligible next to S
-        (the identity then holds vacuously and the residual is reported
-        relative to ||S|| instead).
+        residual = h ||curl(curl(S))|| / ||curl(S)||, unit-free with h = rmax - r0,
+        curl_norm = ||curl(S)||, and degenerate = True when h ||curl(S)|| is itself
+        negligible next to ||S|| (the identity then holds vacuously and the
+        residual is h^2 ||curl(curl(S))|| / ||S|| instead).
     """
     c = spectral_curl(S)
     cc = spectral_curl(c)
     curl_norm = c.norm()
     base = S.norm()
+    h = S.radial.rmax - S.radial.r0
     if base == 0.0:
         return PseudoHarmonicReport(0.0, 0.0, True)
-    if curl_norm <= 1e-8 * base:
-        return PseudoHarmonicReport(cc.norm() / base, curl_norm, True)
-    return PseudoHarmonicReport(cc.norm() / curl_norm, curl_norm, False)
+    if curl_norm * h <= 1e-8 * base:
+        return PseudoHarmonicReport(cc.norm() / base * h ** 2, curl_norm, True)
+    return PseudoHarmonicReport(cc.norm() / curl_norm * h, curl_norm, False)
 
 
 def curl_curl_source(radial, L_max, rng, decay=1 / 3):
@@ -99,17 +101,23 @@ def curl_curl_source(radial, L_max, rng, decay=1 / 3):
     return spectral_curl(V := spectral_curl(A)), V
 
 
-def matched_flow_profile(radial, target):
+def matched_flow_source(radial, L_max, far):
     """
-    Profile of cubic bumps on [2 r0, 3 r0] and [3 r0, 4 r0] with integral (the
-    degree-1 moment) target and no s^3 integral: at 3/2 of v_inf's (1, m)
-    coefficient, the solution sticks to the wall and is v_inf beyond the bumps.
+    The uniform-flow source: l = 1 Phi profiles of cubic bumps on [2 r0, 3 r0] and [3 r0, 4 r0]
+    whose moments meet the solver's targets for the flow `far` and whose s^3 integrals vanish,
+    so the solution sticks to the wall and is `far` beyond 4 r0.
     """
+    if L_max < 1:
+        raise ValueError("need L_max >= 1 to hold an l = 1 field")
     r, x = radial.r, radial.r / radial.r0
     g1, g2 = (np.clip((x - a) * (a + 1.0 - x), 0.0, None) ** 3 for a in (2.0, 3.0))
+    if not (g1.any() and g2.any()):
+        raise ValueError(f"a bump on [2, 3] or [3, 4] r0 holds no node of {radial!r}")
     mat = [[radial.integrate(w * g) for g in (g1, g2)] for w in (1.0, r ** 3)]
-    a, b = np.linalg.solve(mat, [target, 0.0])
-    return a * g1 + b * g2
+    a, b = np.linalg.solve(mat, [_moment_targets(4, _vinf(far))[_L1], np.zeros(3)])
+    f = SpectralField(radial, L_max)
+    f.coeffs[_L1, 2] = a[:, None] * g1 + b[:, None] * g2
+    return f
 
 
 def two_bump_source(radial, L_max, a, mid, b, rng):

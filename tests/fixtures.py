@@ -4,7 +4,9 @@ Solver grids and the memory probe shared by the test modules.
 `support_grids` puts a breakpoint at every integer radius, so the bumps of
 the compatible sources carry no kink inside a panel.  The sources live in
 the library: `pseudoharmonic.curl_curl_source`, `two_bump_source`,
-`matched_flow_profile` and `planar.laplacian_ridge`.
+`matched_flow_source` (which takes the flow, not its moment target) and
+`planar.laplacian_ridge`.  `SQRT_4PI_3` is the independent oracle of the
+flow: the (1, 0) coefficient of z_hat, restated, not computed by divcurl.
 """
 
 import tracemalloc

@@ -11,7 +11,7 @@ from divcurl.biotsavart import (biot_savart_eval, circulation_diagnostic,
                                 sphere_points)
 from divcurl.grids import AngularGrid, SampledField, make_grids, surface_integral
 from divcurl.planar import PlanarGeometry, PolarGrid, laplacian_ridge, planar_moments
-from divcurl.pseudoharmonic import (curl_curl_source, matched_flow_profile, phf_field,
+from divcurl.pseudoharmonic import (curl_curl_source, matched_flow_source, phf_field,
                                     two_bump_source, verify_pseudoharmonic)
 from divcurl.solver import (boundary_trace, check_compatibility,
                             partial_slip_project, radial_moments,
@@ -179,8 +179,7 @@ def test_direct_integral_matches_and_converges():
 
 def test_uniform_flow_condition_and_far_value(suite):
     rad, _ = suite
-    F = SpectralField(rad, L_MAX)
-    F.coeffs[mode_index(1, 0), 2] = matched_flow_profile(rad, SQRT_3PI)
+    F = matched_flow_source(rad, L_MAX, (0.0, 0.0, 1.0))
 
     # the no-slip requirement on top of v_inf = zhat moves the moment
     # target to 3/2 of the (1, 0) expansion coefficient sqrt(4 pi / 3) of

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divcurl import biotsavart
 from divcurl.biotsavart import (_POINT_BLOCK, ProximityError, biot_savart_eval,
@@ -200,16 +201,17 @@ def test_decay_exponents():
 
 
 ############################################
-# Proximity and domain gating
+# Proximity, and the cavity inside r0
 
 
-def test_point_inside_sphere_rejected():
-    ang, rad = _shell_grids(n_r=12, L=2)
-    field = _axial_shell(ang, rad)
-    with pytest.raises(ProximityError):
-        biot_savart_eval(field, np.array([[0.3, 0.2, 0.1]]))
-    with pytest.raises(ProximityError):
-        biot_savart_eval(field, np.array([[1.0, 0.0, 0.0]]))   # |x| = r0 exactly
+def test_axial_shell_field_vanishes_inside_the_sphere():
+    # the sum is defined wherever no live node is near, the cavity included:
+    # there the shell's field is zero, at the origin and on |x| = r0 too
+    field = _axial_shell(AngularGrid(40, 81), RadialGrid([1.0, A_IN, B_OUT, 5.0], 8))
+    inside = biot_savart_eval(field, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.6, -0.8],
+                                      [0.3, -0.5, 0.2]])
+    beyond = biot_savart_eval(field, _shell_points(6, 8, 3.6, 4.9))
+    assert np.abs(inside).max() <= 1e-12 * np.abs(beyond).max()
 
 
 def test_point_on_live_node_rejected():
@@ -447,18 +449,8 @@ def test_matches_spectral_solution_for_compatible_source():
 # The solvability criterion from the Biot-Savart side.  Extended by zero,
 # f has a Biot-Savart field that is harmonic in the cavity r < r0, and
 # its (l, m) part there is proportional to the moment M_lm, so the paper's
-# criterion reads: compatible data leaves the cavity field-free.
-
-
-def _cavity_field(field, pts):
-    """The direct sum at points inside r0, which biot_savart_eval refuses."""
-    out = np.zeros((len(pts), 3), dtype=complex)
-    for y, fc, w, _ in biotsavart._source_chunks(field):
-        live = fc.any(axis=1)
-        d = pts[:, None, :] - y[live]
-        k = w[live] / np.linalg.norm(d, axis=-1) ** 3
-        out -= np.einsum("pk,pkc->pc", k, np.cross(d, fc[live]))
-    return out / (4.0 * np.pi)
+# criterion reads: compatible data leaves the cavity field-free.  The direct
+# sum evaluates the cavity like any other point away from the live nodes.
 
 
 def _shell_points(seed, n, lo, hi):
@@ -476,7 +468,7 @@ def test_compatible_source_leaves_the_cavity_field_free():
     _, rad = _cavity_grids()
     f = two_bump_source(rad, 6, 1.5, 2.0, 2.5, np.random.default_rng(3))
     sampled = synthesize(f, AngularGrid(40, 81))
-    inside = _cavity_field(sampled, _shell_points(5, 8, 0.2, 0.9))
+    inside = biot_savart_eval(sampled, _shell_points(5, 8, 0.2, 0.9))
     beyond = biot_savart_eval(sampled, _shell_points(6, 8, 3.5, 4.9))
     assert np.abs(inside).max() <= 1e-12 * np.abs(beyond).max()
 
@@ -493,7 +485,7 @@ def test_cavity_field_of_a_mode_follows_its_moment():
             S = SpectralField(rad, 3)
             S.set_mode(l, l - 1, 2, g)
             M = radial_moments(rad, g[None], np.array([l]))[0]
-            per_moment.append(_cavity_field(synthesize(S, ang), pts) / M)
+            per_moment.append(biot_savart_eval(synthesize(S, ang), pts) / M)
         assert np.abs(per_moment[0] - per_moment[1]).max() <= 1e-12 * np.abs(per_moment[0]).max()
 
 
@@ -511,6 +503,22 @@ def test_upsampled_direct_sum_matches_the_solution_to_rounding(lam):
     direct = biot_savart_eval(synthesize(f, AngularGrid(60, 121)), pts)
     spectral = synthesize_at(solve_exterior(f, tol=np.inf), pts)
     assert np.abs(direct - spectral).max() <= 1e-12 * np.abs(spectral).max()
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(e=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_random_compatible_source_agrees_from_both_sides(e, seed):
+    # random two-bump data in a unit r0 = 10^e: the cavity field vanishes, and
+    # beyond the support the upsampled direct sum is the solution
+    r0 = 10.0 ** e
+    f = two_bump_source(_cavity_grids(r0)[1], 6, 1.5, 2.0, 2.5, np.random.default_rng(seed))
+    sampled = synthesize(f, AngularGrid(60, 121))
+    pts = r0 * _shell_points([seed, 1], 8, 3.5, 4.9)
+    direct = biot_savart_eval(sampled, pts)
+    inside = biot_savart_eval(sampled, r0 * _shell_points([seed, 2], 8, 0.2, 0.9))
+    spectral = synthesize_at(solve_exterior(f, tol=np.inf), pts)
+    assert np.abs(inside).max() <= 1e-12 * np.abs(direct).max()
+    assert np.abs(direct - spectral).max() <= 1e-10 * np.abs(spectral).max()
 
 
 @pytest.mark.xfail(strict=True, raises=CompatibilityWarning, reason="ROADMAP D3")

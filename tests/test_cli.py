@@ -18,7 +18,7 @@ from divcurl.fileio import (FileFormatError, read_vfld, read_vshc, write_polar,
                             write_vshc)
 from divcurl.grids import AngularGrid, RadialGrid, SampledField, make_grids
 from divcurl.planar import PlanarGeometry, PolarGrid, planar_moments
-from divcurl.pseudoharmonic import curl_curl_source, matched_flow_profile
+from divcurl.pseudoharmonic import curl_curl_source, matched_flow_source, two_bump_source
 from divcurl.transform import (SpectralField, analyze, block_nodes, mode_index,
                                synthesize, synthesize_blocks)
 from fixtures import SQRT_4PI_3, support_grids, traced_peak
@@ -433,11 +433,9 @@ def test_negative_partial_slip_exits_1(tmp_path, capsys):
 
 def test_solve_with_uniform_far_flow(tmp_path, capsys):
     _, rad = support_grids(2, 48)
-    F = SpectralField(rad, 2)
-    F.set_mode(1, 0, 2, matched_flow_profile(rad, 1.5 * SQRT_4PI_3))
     src = tmp_path / "f.vshc"
     sol = tmp_path / "sol.vshc"
-    write_vshc(src, F)
+    write_vshc(src, matched_flow_source(rad, 2, (0.0, 0.0, 1.0)))
     assert main(["solve", str(src), "--vinf", "0,0,1",
                  "--out", str(sol)]) == 0
     err = capsys.readouterr().err
@@ -562,6 +560,21 @@ def test_biot_point_on_source_node_exits_1(tmp_path, capsys):
     write_points(ptsfile, [node])
     assert main(["biot", str(src), "--points", str(ptsfile)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_biot_in_the_cavity_of_compatible_data(tmp_path):
+    # points inside r0, the origin included, are summed like any other, and
+    # compatible data leaves them field-free (5e-15 of the exterior field)
+    f = two_bump_source(RadialGrid(np.linspace(1.0, 5.0, 9), 4), 4, 1.5, 2.0, 2.5,
+                        np.random.default_rng(1))
+    write_vfld(tmp_path / "f.vfld", synthesize(f, AngularGrid(16, 33)))
+    pts = np.random.default_rng(2).standard_normal((16, 3))
+    pts *= np.repeat([0.4, 4.4], 8)[:, None] / np.linalg.norm(pts, axis=1, keepdims=True)
+    write_points(tmp_path / "p.txt", np.vstack([np.zeros(3), pts]))
+    assert main(["biot", str(tmp_path / "f.vfld"), "--points", str(tmp_path / "p.txt"),
+                 "--out", str(tmp_path / "v.txt")]) == 0
+    v = np.abs(np.loadtxt(tmp_path / "v.txt")[:, 3:])
+    assert v[:9].max() <= 1e-12 * v[9:].max()
 
 
 def _reduced_pipeline_inputs(tmp_path):

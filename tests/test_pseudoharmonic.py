@@ -6,15 +6,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from divcurl.grids import RadialGrid, make_grids, surface_integral
-from divcurl.pseudoharmonic import (curl_curl_source, matched_flow_profile, phf_field,
+from divcurl.pseudoharmonic import (curl_curl_source, matched_flow_source, phf_field,
                                     two_bump_source, verify_pseudoharmonic)
-from divcurl.solver import check_compatibility, radial_moments
+from divcurl.solver import _moment_targets, check_compatibility, radial_moments
 from divcurl.transform import (ScalarSpectral, SpectralField, mode_index,
                                spectral_curl, spectral_div, spectral_grad,
                                synthesize)
-from fixtures import SQRT_4PI_3
 
 
 def _wide_grids(L=6):
@@ -77,6 +77,23 @@ def test_gradient_field_reports_degenerate():
     rep = verify_pseudoharmonic(spectral_grad(s))
     assert rep.degenerate
     assert rep.residual < 1e-9
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(k=st.integers(-40, 40))
+@example(k=-30)
+@example(k=30)
+def test_verify_reports_the_same_ratios_in_every_unit(k):
+    # scaled by h = rmax - r0, a member on 2^k [1, 5] keeps its unit-scale
+    # residual to rounding (0.2 % apart at worst), and a gradient stays degenerate
+    unit = verify_pseudoharmonic(phf_field(3, 1, make_grids(1.0, 5.0, 64, 6)[1], 6))
+    _, rad = make_grids(2.0 ** k, 5.0 * 2.0 ** k, 64, 6)
+    rep = verify_pseudoharmonic(phf_field(3, 1, rad, 6))
+    assert not rep.degenerate and abs(rep.residual - unit.residual) <= 1e-2 * unit.residual
+    s = ScalarSpectral(rad, 3)
+    s.coeffs[mode_index(2, 1)] = (rad.r / rad.r0) ** 2
+    grad = verify_pseudoharmonic(spectral_grad(s))
+    assert grad.degenerate and grad.residual < 1e-9
 
 
 def test_validation():
@@ -185,12 +202,25 @@ def test_curl_curl_source_is_compatible_in_every_unit(L, decay):
 
 @pytest.mark.parametrize("r0", UNITS)
 def test_matched_flow_profile_meets_its_target_in_every_unit(r0):
-    rad = _unit_grid(r0)
+    # the l = 1 profiles meet the solve's flow targets and have no s^3 integral
+    rad = RadialGrid(r0 * np.linspace(1.0, 5.0, 5), 16)
     s3 = rad.r ** 3
-    for target in (1.0, -1.5 * SQRT_4PI_3):
-        p = matched_flow_profile(rad, target)
-        assert abs(rad.integrate(p) - target) <= 1e-14 * abs(target)
-        assert abs(rad.integrate(s3 * p)) <= 1e-14 * rad.integrate(s3 * np.abs(p))
+    for far in ((0.0, 0.0, 1.0), (0.3, -0.4, 0.5), (1.0, 2.0, 0.0)):
+        f = matched_flow_source(rad, 2, far)
+        target = _moment_targets(f.n_modes, far)
+        gap = check_compatibility(f).moment - target
+        assert np.abs(gap).max() <= 1e-14 * np.abs(target).max()
+        f2 = f.coeffs[:, 2]
+        assert np.all(np.abs(rad.integrate(s3 * f2)) <= 1e-14 * rad.integrate(s3 * np.abs(f2)))
+
+
+def test_matched_flow_source_refuses_what_it_cannot_hold():
+    # no l = 1 mode, or no node in [3, 4] r0: a ValueError, not a LinAlgError
+    rad = RadialGrid([1.0, 2.0, 3.0], 8)
+    with pytest.raises(ValueError, match="need L_max >= 1 to hold an l = 1 field"):
+        matched_flow_source(rad, 0, (0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(f"holds no node of {rad!r}")):
+        matched_flow_source(rad, 2, (0.0, 0.0, 1.0))
 
 
 @pytest.mark.filterwarnings("error")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import divcurl.solver as solver
 import divcurl.transform as transform
 from divcurl.grids import RadialGrid, make_grids
-from divcurl.pseudoharmonic import curl_curl_source, matched_flow_profile
+from divcurl.pseudoharmonic import curl_curl_source, matched_flow_source
 from divcurl.solver import (CompatibilityWarning, CompatReport,
                             IncompatibilityError, boundary_trace, check_compatibility,
                             far_field_coeffs, partial_slip_project,
@@ -461,23 +461,17 @@ def test_uniform_flow_without_supporting_source_refuses():
     assert abs(e.scaled_residual - 1.5 * SQRT_4PI_3) < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
 def test_uniform_flow_with_matched_source():
-    # a source whose moment equals the no-slip requirement gives a solution
-    # pinned to the wall that is exactly the uniform flow beyond the support
-    _, rad = support_grids(2)
-    vinf = np.array([0.3, -0.4, 0.5])
-    G = matched_flow_profile(rad, 1.0)
-    f = SpectralField(rad, 2)
-    req = far_field_coeffs(vinf, rad, L_max=2)
-    for m in (-1, 0, 1):
-        k = mode_index(1, m)
-        f.coeffs[k, 2] = 1.5 * req.coeffs[k, 0, 0] * G
-    U = solve_exterior(f, vinf)
-    assert boundary_trace(U).aggregate < 1e-10
-    pts = np.array([[0.0, 0.0, 4.7], [3.1, 2.9, -1.5], [-4.4, 0.3, 0.8]])
-    vals = synthesize_at(U, pts)
-    assert np.abs(vals.real - vinf).max() < 1e-12
-    assert np.abs(vals.imag).max() < 1e-12
+    # in every unit the matched source's solution sticks to the wall and is
+    # the flow beyond 4 r0; its moments are checked in test_pseudoharmonic
+    for r0 in (2.0 ** -10, 1.0, 2.0 ** 10):
+        rad = RadialGrid(r0 * np.linspace(1.0, 5.0, 5), 16)
+        pts = r0 * np.array([[0, 0, 4.7], [3.1, 2.9, -1.5], [-4.4, 0.3, 0.8]])
+        for far in ((0.0, 0.0, 1.0), (0.3, -0.4, 0.5), (1.0, 2.0, 0.0)):
+            U = solve_exterior(matched_flow_source(rad, 2, far), far)
+            assert boundary_trace(U).aggregate <= 1e-11
+            assert np.abs(synthesize_at(U, pts) - far).max() <= 1e-12 * np.linalg.norm(far)
 
 
 def test_far_spec_validation():

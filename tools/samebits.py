@@ -21,7 +21,9 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
                      cli_pipeline inputs; biot at one point exactly on
                      the last node of source.vfld where f vanishes (a
                      node of its last shell, beyond the support), which
-                     adds no term to the sum; per seed, analyze and
+                     adds no term to the sum; biot at 8 seeded cavity
+                     points, 0.2 r0 <= |x| <= 0.9 r0, written here as
+                     %.17g text; per seed, analyze and
                      synthesize across block boundaries: 40 radial nodes
                      (blocks of 16 + 16 + 8) at L = 4, on the (5, 9) grid
                      and on a wider (7, 13) one; per seed, moments2d
@@ -145,7 +147,9 @@ def cli_inputs(m, workloads, seed, groups):
     if not (work / "source.vshc").exists():
         m.cli("commands/%d/analyze" % seed, pipeline.commands()[0][1], work)
     dead_node(work)
-    m.add("commands/%d/dead_node.txt" % seed, (work / "dead_node.txt").read_bytes())
+    cavity_points(work, seed)
+    for name in ("dead_node.txt", "cavity.txt"):
+        m.add("commands/%d/%s" % (seed, name), (work / name).read_bytes())
     for name, args in (
             ("check", ["check", "source.vshc"]),
             ("verify", ["verify", "source.vshc"]),
@@ -157,8 +161,19 @@ def cli_inputs(m, workloads, seed, groups):
             ("solve_vinf_partial_slip", ["solve", "source.vshc", "--vinf", "1,2,0",
                                          "--partial-slip", "3"]),
             ("biot", ["biot", "source.vfld", "--points", "points.txt"]),
-            ("biot_dead_node", ["biot", "source.vfld", "--points", "dead_node.txt"])):
+            ("biot_dead_node", ["biot", "source.vfld", "--points", "dead_node.txt"]),
+            ("biot_cavity", ["biot", "source.vfld", "--points", "cavity.txt"])):
         m.cli("commands/%d/%s" % (seed, name), args, work)
+
+
+def cavity_points(work, seed):
+    """Write cavity.txt: 8 seeded points with 0.2 <= |x| / r0 <= 0.9, as %.17g text."""
+    import numpy as np
+
+    rng = np.random.default_rng([seed, 11])
+    pts = rng.standard_normal((8, 3))
+    pts *= rng.uniform(0.2, 0.9, (8, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
+    (work / "cavity.txt").write_text("".join("%.17g %.17g %.17g\n" % tuple(p) for p in pts))
 
 
 def dead_node(work):
