@@ -15,10 +15,11 @@ Both grid transforms are split by azimuthal order m, as in SHTns
 (Schaeffer 2013): one FFT along phi, and per order one dense product of
 the l >= |m| Legendre rows with the (n_theta, n) slab of frequency bin
 m % n_phi, on a block of n radial nodes (block_nodes: at most a quarter
-of the coefficients' size).  analyze projects each block as it comes,
-from a SampledField or a .vfld file, through a bin-major copy in which
-every slab is contiguous; synthesize_blocks makes the samples block by
-block; synthesize, its one-block case, peaks near its output; synthesize_at
+of the coefficients' size), contiguous in a bin-major (n_phi, n_theta,
+3, n) spectrum.  analyze projects each block as it comes, from a
+SampledField or a .vfld file; synthesize_blocks fills one spectrum per
+quarter block and its inverse FFT writes the samples, so synthesize,
+the one-block case, holds its output and a quarter of it; synthesize_at
 takes the theta rows from their exact Fourier series (_fourier).
 
 In this basis divergence and curl act mode by mode on the radial profiles:
@@ -208,9 +209,9 @@ def _require_band_limit(n_theta, n_phi, L_max):
                          f"{L_max}; need at least {L_max + 1} x {2 * L_max + 1}")
 
 
-def _real_gemm(M, Z):
-    """Real M times complex Z (unit-stride rows) as one real product on Z's float view."""
-    return (M @ Z.view(float)).view(complex)
+def _real_gemm(M, Z, out=None):
+    """Real M times complex Z (unit-stride rows) as one real product on float views."""
+    return np.matmul(M, Z.view(float), out=None if out is None else out.view(float)).view(complex)
 
 
 ############################################
@@ -281,28 +282,37 @@ def synthesize_blocks(S, angular, step):
     """
     Evaluate a SpectralField on the tensor grid, yielding the samples
     (n, n_theta, n_phi, 3) of step radial nodes at a time in one buffer.
-    Per order m, products of the l >= |m| Legendre rows with that order's
-    coefficients give the theta profiles in frequency bin m % n_phi; one
-    in-place inverse FFT along phi then yields the samples.
+    Each block is made a quarter at a time (cut at multiples of
+    _RADIAL_STEP nodes): per order m, products of the l >= |m| Legendre
+    rows with its coefficients fill bin m % n_phi of a bin-major buffer,
+    whose inverse FFT along phi writes the samples into the block.
     """
-    _require_band_limit(angular.n_theta, angular.n_phi, S.L_max)
+    n_t, n_p = angular.n_theta, angular.n_phi
+    _require_band_limit(n_t, n_p, S.L_max)
     orders, n_r = _orders(S.L_max, angular), S.radial.n_r
-    buf = np.empty((min(step, n_r), angular.n_theta, angular.n_phi, 3), dtype=complex)
+    step = min(step, n_r)
+    sub = min(step, max(1, step // (4 * _RADIAL_STEP)) * _RADIAL_STEP)
+    buf = np.empty((step, n_t, n_p, 3), dtype=complex)
+    g_buf = np.empty(n_p * n_t * 3 * sub, dtype=complex)
+    coef_buf = np.empty(4 * (S.L_max + 1) * sub, dtype=complex)
     for a in range(0, n_r, step):
         values = buf[:min(step, n_r - a)]
-        n = len(values)
-        values.fill(0.0)                             # bins of no order stay zero
-        for b, k, A_m, BC_m in orders:
-            c = S.coeffs[k, :, a:a + n]              # (n_lm, 3, n)
-            T_r = _real_gemm(A_m.T, c[:, 0])
-            # [T_t | T_p] = [B^T C^T] [[c_1, c_2], [-i c_2, i c_1]]
-            coef = np.block([[c[:, 1], c[:, 2]], [-1j * c[:, 2], 1j * c[:, 1]]])
-            T_tp = _real_gemm(BC_m.T, coef)
-            slab = values[:, :, b]                   # (n, n_t, 3) view
-            slab[..., 0] = T_r.T
-            slab[..., 1] = T_tp[:, :n].T
-            slab[..., 2] = T_tp[:, n:].T
-        np.fft.ifft(values, axis=2, norm="forward", out=values)   # in place
+        for s in range(0, len(values), sub):
+            n = min(sub, len(values) - s)
+            g = g_buf[:n_p * n_t * 3 * n].reshape(n_p, n_t, 3, n)
+            g[S.L_max + 1:n_p - S.L_max] = 0.0           # the bins of no order
+            for b, k, A_m, BC_m in orders:
+                c = S.coeffs[k, :, a + s:a + s + n]              # (n_lm, 3, n)
+                _real_gemm(A_m.T, c[:, 0], out=g[b, :, 0])
+                # [T_t | T_p] = [B^T C^T] [[c_1, c_2], [-i c_2, i c_1]]
+                coef = coef_buf[:4 * k.size * n].reshape(2, k.size, 2, n)
+                coef[0] = c[:, 1:]
+                np.multiply(-1j, c[:, 2], out=coef[1, :, 0])
+                np.multiply(1j, c[:, 1], out=coef[1, :, 1])
+                _real_gemm(BC_m.T, coef.reshape(2 * k.size, 2 * n),
+                           out=g[b, :, 1:].reshape(n_t, 2 * n))
+            np.fft.ifft(g, axis=0, norm="forward",
+                        out=values[s:s + n].transpose(2, 1, 3, 0))
         yield values
 
 
@@ -310,7 +320,7 @@ def synthesize(S, angular):
     """
     Evaluate a SpectralField on the tensor grid of angular (which must
     resolve its band limit), the inverse of analyze, as one block of
-    synthesize_blocks: it peaks near the size of its output.  Returns the
+    synthesize_blocks: it peaks near 1.3 times its output.  Returns the
     SampledField of the pointwise sum of c_r Y_lm + c_1 Psi_lm + c_2 Phi_lm.
     """
     from .grids import SampledField
@@ -343,7 +353,8 @@ def synthesize_at(S, pts):
     order, runs = S.radial.locate(r)
     n, K, L = S.radial.nodes_per_panel, S.n_modes, S.L_max
     series, orders = theta_series(L), np.arange(-L, L + 1)
-    slab = (None, None)                  # (panel, its node-major float view)
+    rows, panel = S.coeffs.reshape(3 * K, -1), None      # (mode, channel) rows
+    slab = np.empty((n, 3 * K), dtype=complex)             # a panel's, node-major
     out = np.empty((r.size, 3), dtype=complex)
     # (block, 6 K): (Re, Im) of (c_r, c_1, c_2) for every mode, per point
     buf = np.empty((min(r.size, _POINT_BLOCK), 6 * K))
@@ -354,10 +365,11 @@ def synthesize_at(S, pts):
             a, b = max(a, lo), min(b, hi)
             if a >= b:
                 continue
-            if slab[0] != p:             # panels come in order: one view each
-                view = S.coeffs[:, :, p * n:(p + 1) * n].transpose(2, 0, 1)
-                slab = (p, np.ascontiguousarray(view).view(float).reshape(n, 6 * K))
-            np.matmul(S.radial.eval_matrix(p, r[order[a:b]]), slab[1],
+            if panel != p:               # panels come in order: one copy each,
+                panel = p                # in tiles of rows that stay in cache
+                for t in range(0, 3 * K, 256):
+                    slab[:, t:t + 256] = rows[t:t + 256, p * n:(p + 1) * n].T
+            np.matmul(S.radial.eval_matrix(p, r[order[a:b]]), slab.view(float),
                       out=c[a - lo:b - lo])
         c = c.view(complex).reshape(hi - lo, K, 3)
         # e^{i m phi} per point and order, spread over the modes 16 points

@@ -8,13 +8,14 @@ import pytest
 import sph_oracle
 from divcurl import transform
 from divcurl._fourier import THETA_ROWS, theta_rows, theta_series
-from divcurl.frames import sph_to_cart_points
+from divcurl.frames import sph_to_cart_points, sph_to_cart_vector
 from divcurl.grids import AngularGrid, SampledField, make_grids
 from divcurl.solver import far_field_coeffs
 from divcurl.transform import (_POINT_BLOCK, ScalarSpectral, SpectralField,
                                _mode_tables, analyze, mode_degrees,
                                mode_index, spectral_curl, spectral_div,
-                               spectral_grad, synthesize, synthesize_at)
+                               spectral_grad, synthesize, synthesize_at,
+                               synthesize_blocks)
 from fixtures import SQRT_4PI_3, traced_peak
 
 
@@ -122,6 +123,45 @@ def test_round_trip_on_oversampled_grids(n_phi):
     assert np.abs(synthesize(one, ang).values - want).max() < 1e-13
 
 
+def _synthesize_by_scatter(S, ang):
+    """
+    Reference samples made in one whole-field pass: per order m, the theta
+    profiles scattered into bin m % n_phi of the zeroed (n_r, n_theta,
+    n_phi, 3) samples, then one in-place inverse FFT along phi.
+    """
+    n = S.radial.n_r
+    values = np.zeros((n, ang.n_theta, ang.n_phi, 3), dtype=complex)
+    A, B, C = _mode_tables(S.L_max, ang.ct)
+    for m in range(-S.L_max, S.L_max + 1):
+        k = np.flatnonzero(S.ems == m)
+        c = S.coeffs[k]
+        T_r = (A[k].T @ c[:, 0].view(float)).view(complex)
+        coef = np.block([[c[:, 1], c[:, 2]], [-1j * c[:, 2], 1j * c[:, 1]]])
+        T_tp = (np.concatenate([B[k], C[k]]).T @ coef.view(float)).view(complex)
+        values[:, :, m % ang.n_phi] = np.stack([T_r.T, T_tp[:, :n].T, T_tp[:, n:].T], axis=-1)
+    np.fft.ifft(values, axis=2, norm="forward", out=values)
+    return values
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_synthesize_chunks_keep_the_bits_of_one_scatter_pass(wide):
+    # synthesize_blocks makes a block a quarter at a time, cut at multiples
+    # of 16 nodes: 208 nodes in one block are 4 x 48 + 16, steps of 128
+    # give 4 x 32 and 32 + 32 + 16, and steps of 16 and 40 give 16 + 16 + 8.
+    # Every sample keeps the bits of one whole pass; on the wide grid that
+    # includes the zeros of the bins of no order, in every chunk
+    _, rad = make_grids(1.0, 5.0, 208, 8)
+    ang = AngularGrid(12, 23) if wide else AngularGrid(9, 17)
+    rng = np.random.default_rng(24)
+    shape = (81, 3, rad.n_r)
+    S = SpectralField(rad, 8, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    want = _synthesize_by_scatter(S, ang)
+    assert synthesize(S, ang).values.tobytes() == want.tobytes()
+    for step in (16, 40, 128, rad.n_r):
+        got = np.concatenate([v.copy() for v in synthesize_blocks(S, ang, step)])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_analyze_below_band_limit_truncates_exactly():
     # analyzing a band-6 field at L' = 3 returns its l <= 3 coefficients
     ang, rad = _grids()
@@ -208,21 +248,19 @@ def test_analyze_refuses_negative_band_limit():
 
 
 def test_synthesize_at_matches_grid_synthesis():
-    ang, rad = _grids()
-    S = _random_spectral(rad, 6, seed=2)
-    v = synthesize(S, ang).values
-    ii, jj, kk = [4, 17, 30], [1, 3, 6], [0, 5, 11]
-    pts, want = [], []
-    for i, j, k in zip(ii, jj, kk):
-        pts.append(sph_to_cart_points(rad.r[i], ang.theta[j], ang.phi[k]))
-        want.append(v[i, j, k])
-    got = synthesize_at(S, np.array(pts))
-    want_cart = []
-    for (i, j, k), w in zip(zip(ii, jj, kk), want):
-        from divcurl.frames import sph_to_cart_vector
-        want_cart.append(sph_to_cart_vector(w[0], w[1], w[2],
-                                            ang.theta[j], ang.phi[k]))
-    assert np.abs(got - np.array(want_cart)).max() < 1e-12
+    # grid nodes on all four panels.  synthesize_at copies each panel's
+    # 3 (L+1)^2 coefficient rows in tiles of 256 rows: 75 at L = 4 fit in
+    # one tile, 300 at L = 9 take two
+    for L in (4, 6, 9):
+        ang, rad = _grids(L, n_r=64)
+        S = _random_spectral(rad, L, seed=2)
+        v = synthesize(S, ang).values
+        ii, jj = [4, 17, 30, 45, 63], [1, 3, ang.n_theta - 1, 0, 2]
+        kk = [0, 5, ang.n_phi - 2, 7, 3]
+        got = synthesize_at(S, sph_to_cart_points(rad.r[ii], ang.theta[jj], ang.phi[kk]))
+        w = v[ii, jj, kk]
+        want = sph_to_cart_vector(w[:, 0], w[:, 1], w[:, 2], ang.theta[jj], ang.phi[kk])
+        assert np.abs(got - want).max() < 1e-12
 
 
 def _special_points(rad, rng, n):
@@ -294,17 +332,20 @@ def test_synthesize_at_poles_and_nodes_of_uniform_flows():
 
 
 def test_transform_peak_memory_stays_near_output_size():
-    # synthesize writes into its output and transforms it in place; analyze
-    # holds the coefficients it returns (0.52 of the field here) and one FFT
-    # chunk of 16 radial nodes (0.25); it peaks at 0.89 of the field
-    ang, rad = make_grids(1.0, 5.0, 64, 16)
-    S = _random_spectral(rad, 16, seed=17)
-    F = synthesize(S, ang)
-    synth_peak = traced_peak(lambda: synthesize(S, ang))[1]
-    R, analyze_peak = traced_peak(lambda: analyze(F, 16))
-    assert synth_peak <= 1.5 * F.values.nbytes
-    assert analyze_peak <= 0.95 * F.values.nbytes
-    assert np.abs(R.coeffs - S.coeffs).max() < 1e-12
+    # synthesize holds its output and one bin-major spectrum of a quarter
+    # of it, 16 radial nodes at (n_r, L) = (64, 16) and 64 at (256, 8); it
+    # peaks at 1.36 and 1.31 of the field.  analyze holds the coefficients
+    # it returns (0.52 and 0.19 of the field) and one FFT chunk (0.25 and
+    # 0.5); it peaks at 0.87 and 0.69 of the field
+    for n_r, L in ((64, 16), (256, 8)):
+        ang, rad = make_grids(1.0, 5.0, n_r, L)
+        S = _random_spectral(rad, L, seed=17)
+        F = synthesize(S, ang)
+        synth_peak = traced_peak(lambda: synthesize(S, ang))[1]
+        R, analyze_peak = traced_peak(lambda: analyze(F, L))
+        assert synth_peak <= 1.5 * F.values.nbytes
+        assert analyze_peak <= 0.95 * F.values.nbytes
+        assert np.abs(R.coeffs - S.coeffs).max() < 1e-12
 
 
 @pytest.mark.parametrize("step", [16, 32, 48])
