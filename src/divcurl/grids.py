@@ -176,28 +176,6 @@ class RadialGrid:
         self._matmul(self._panels(g), self._D.transpose(0, 2, 1), out=self._panels(out))
         return out
 
-    def running_integral(self, g):
-        """
-        Cumulative integral I(r_i) = integral_{r0}^{r_i} g(s) ds at every node.
-
-        g is interpolated per panel, so the value is exact for samples of
-        panel-wise polynomials up to the panel order.
-        """
-        g = np.asarray(g)
-        out = np.empty(g.shape, dtype=np.result_type(g, float))
-        v, ov = self._panels(g), self._panels(out)
-        self._matmul(v, self._K.transpose(0, 2, 1), out=ov)
-        # panel p starts from the totals of panels 0..p-1.  numpy buffers
-        # each operand of an add into the strided panels, so the add runs
-        # with buffers of 1,024 numbers (errstate restores the size): at the
-        # default 8,192 they come to 0.75 of a solver block
-        w = self.w.reshape(self.n_panels, -1, 1)
-        tot = np.cumsum(self._matmul(v[:-1], w[:-1]), axis=0)
-        with np.errstate():
-            np.setbufsize(1 << 10)
-            ov[1:] += tot
-        return out
-
     def at_r0(self, g):
         """Interpolant of sampled g at the wall r0, equal to interp(g, [r0])[..., 0]."""
         g = np.asarray(g)

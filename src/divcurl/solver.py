@@ -17,15 +17,17 @@ or M_lm matched to the l = 1 coefficients of v_inf in the uniform-flow
 variant.  `check_compatibility` quantifies all of these; `solve_exterior`
 enforces them with a graded tolerance and returns the unique solution.
 
-With A(r) = integral_{r0}^{r} s^(2+l) f2 ds and B(r) the tail of the
-moment integrand, the no-slip solution per mode reads
+With u(r) = integral_{r0}^{r} (s/r)^(l+2) f2 ds and w(r) =
+integral_{r}^{rmax} (r/s)^(l-1) f2 ds, the no-slip solution per mode reads
 
-    V_r  = -l(l+1)/(2l+1) [ r^(-2-l) A + r^(l-1) B ]
-    V_1  =  l/(2l+1) r^(-2-l) A - (l+1)/(2l+1) r^(l-1) B
+    V_r  = -l(l+1)/(2l+1) (u + w)
+    V_1  =  l/(2l+1) u - (l+1)/(2l+1) w
     V_2  = -r f_r / (l(l+1)),
 
-which vanishes at r0 exactly when M_lm = 0 (there A(r0) = 0 and
-B(r0) = M_lm) and decays like r^(-2-l) beyond the support of f.
+which vanishes at r0 exactly when M_lm = 0 (there u = 0 and
+w = r0^(l-1) M_lm) and decays like r^(-2-l) beyond the support of f.  The
+solve weights each panel [a, b] by (s/a)^(l+2) and (b/s)^(l-1) and carries
+u and w across panel ends: every weight is a ratio of radii in [1, b/a].
 
 No step needs every mode at once.  The divergence residual, the data
 norm, the moments, the solve and the projection take the modes in the
@@ -255,8 +257,8 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
         when a residual exceeds REFUSE_TOL, carrying the offending mode,
         or when a coefficient is NaN or Inf (the data norm is not finite).
     ValueError
-        when a power r^(a +- l) of the radial nodes overflows, naming the
-        lowest such degree and the grid; checked before compatibility.
+        when a power of the panels' ratios of radii is not finite (r0 = 0),
+        or when finite data have a moment M_lm that is not; both name degree and grid.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
@@ -264,13 +266,21 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     if f.L_max < 1 and vinf.any():
         raise ValueError("need L_max >= 1 to hold an l = 1 field")
     rad, r = f.radial, f.radial.r
-    with np.errstate(over="ignore"):        # a table that overflows is refused
-        row, tables = _powers(r, f.ells, (2.0, 1), (1.0, -1), (-2.0, -1), (-1.0, 1))
-    finite = np.all([np.isfinite(t).all(axis=1) for t in tables], axis=0)[row]
+    P, n, N, bp = rad.n_panels, rad.nodes_per_panel, rad.n_r, rad.breakpoints
+    # columns: r/a and b/r at the nodes of each panel [a, b], then a/b per panel
+    with np.errstate(divide="ignore", over="ignore"):   # non-finite tables are refused
+        ratios = np.concatenate([r / np.repeat(bp[:-1], n), np.repeat(bp[1:], n) / r,
+                                 bp[:-1] / bp[1:]])
+        row, (grow, shrink) = _powers(ratios, f.ells, (2.0, 1), (-1.0, 1))
+    finite = (np.isfinite(grow).all(axis=1) & np.isfinite(shrink).all(axis=1))[row]
     if not finite.all():
-        raise ValueError(f"powers of r overflow from degree l = {f.ells[finite.argmin()]} "
-                         f"on {rad!r}; the solution cannot be represented")
+        raise ValueError(f"powers of the ratios of radii are not finite from degree l = "
+                         f"{f.ells[finite.argmin()]} on {rad!r}; r0 must be positive")
     report = check_compatibility(f)
+    bad = ~np.isfinite(report.moment)
+    if np.isfinite(report.field_norm) and bad.any():    # finite data, moment out of range
+        raise ValueError(f"the moment of degree l = {f.ells[bad.argmax()]} is not finite "
+                         f"on {rad!r}; the solution cannot be represented")
     required = _moment_targets(f.n_modes, vinf)
 
     denom = report.field_norm + float(np.linalg.norm(vinf)) or 1.0
@@ -289,25 +299,34 @@ def solve_exterior(f, far=None, tol=DEFAULT_TOL):
     ll1 = ell * (ell + 1.0)
     coef = -ll1 / (2.0 * ell + 1.0)
     safe = np.where(ll1 > 0, ll1, 1.0)
-    up, down, grow, decay = tables
     V = SpectralField(rad, f.L_max)
     for b in _mode_blocks(f.n_modes, rad.n_r):
         k, f2, v = row[b], f.coeffs[b, 2], V.coeffs[b]
-        # A r^(-2-l) waits in V_r; the sums go into the contiguous B, as numpy
-        # copies a strided operand that is also the output
-        prod = up[k] * f2                           # the block's product buffer
-        np.multiply(rad.running_integral(prod), grow[k], out=v[:, 0])
-        B = rad.running_integral(np.multiply(down[k], f2, out=prod))
-        np.subtract(report.moment[b, None], B, out=B)  # tail: M - integral to r
-        B *= decay[k]
-        np.multiply(coef[b], np.add(v[:, 0], B, out=B), out=v[:, 0])
-        del B                                       # before the derivative's temporaries
-        # V_1 = l/(2l+1) grow - (l+1)/(2l+1) decay, realized through the identity
+        # outward: u(r) = (a/r)^(l+2) [u(a) + integral_a^r (s/a)^(l+2) f2 ds]
+        g = np.multiply(grow[k, :N], f2)                # the block's product buffer
+        G, I = rad._panels(g), np.empty_like(g)
+        rad._matmul(G, rad._K.transpose(0, 2, 1), out=rad._panels(I))  # from each panel start
+        tot = rad._matmul(G, rad.w.reshape(P, n, 1))[..., 0]           # (P, K) whole panels
+        for p in range(1, P):                           # tot becomes u(a) + integral_a^b
+            tot[p] += grow[k, 2 * N + p - 1] * tot[p - 1]
+        I.reshape(-1, P, n)[:, 1:] += (grow[k, 2 * N:-1] * tot[:-1].T)[..., None]
+        np.divide(I, grow[k, :N], out=v[:, 0])          # u waits in V_r
+        # inward: w(r) = (r/b)^(l-1) [w(b) + integral_r^b (b/s)^(l-1) f2 ds]
+        np.multiply(shrink[k, N:2 * N], f2, out=g)
+        rad._matmul(G, rad._K.transpose(0, 2, 1), out=rad._panels(I))
+        tot = rad._matmul(G, rad.w.reshape(P, n, 1))[..., 0]
+        for p in range(P - 1, 0, -1):                   # tot becomes w(b) + integral_a^b
+            tot[p - 1] += shrink[k, 2 * N + p] * tot[p]
+        np.subtract(tot.T[..., None], I.reshape(-1, P, n), out=I.reshape(-1, P, n))
+        I /= shrink[k, N:2 * N]
+        np.multiply(coef[b], np.add(v[:, 0], I, out=I), out=v[:, 0])
+        del I                                           # before the derivative's temporaries
+        # V_1 = l/(2l+1) u - (l+1)/(2l+1) w, realized through the identity
         # V_1 = (r^2 V_r)' / (l(l+1) r) so the discrete divergence of the
         # solution vanishes to rounding (same derivative matrix as spectral_div)
-        np.divide(rad.differentiate(np.multiply(r ** 2, v[:, 0], out=prod)),
+        np.divide(rad.differentiate(np.multiply(r ** 2, v[:, 0], out=g)),
                   safe[b] * r, out=v[:, 1])
-        np.divide(np.multiply(-r, f.coeffs[b, 0], out=prod), safe[b], out=v[:, 2])
+        np.divide(np.multiply(-r, f.coeffs[b, 0], out=g), safe[b], out=v[:, 2])
     V.coeffs[0] = 0.0                       # no l = 0 content in the solution
 
     if vinf.any():                          # adding +0.0 would flip a -0.0
@@ -373,7 +392,8 @@ def partial_slip_project(f, L, far=None):
     with np.errstate(all="ignore"):     # D3 replaces the normalisation; refused if unrepresentable
         w = r ** (ell[:, None] - 1.0) * (r - rad.r0) ** 2 * (rad.rmax - r) ** 2
         norm = np.sqrt(rad.integrate(w * w))
-        W = radial_moments(rad, w := w / norm[:, None], ell)
+        w = w / norm[:, None]       # moments in one pass: BLAS rounds a real row by its call
+        W = rad.integrate(_powers(r, ell, (1.0, -1))[1][0] * w)
     bad = ~(np.isfinite(W) & (norm >= np.finfo(float).tiny) & (norm < np.inf))
     if bad.any():
         raise ValueError(f"the projection bump of degree l = {ell[bad.argmax()]} is not "

@@ -62,9 +62,10 @@ def test_differentiate_matrix_shape_and_batch():
 def test_running_and_tail_integrals():
     _, rad = make_grids(1.0, 5.0, 64, 8)
     r = rad.r
-    # running integral of s^2 from r0, tail integral of s^(-2) to rmax
-    run = rad.running_integral(r ** 2)
-    tail = r ** -2 @ rad.w - rad.running_integral(r ** -2)
+    # running integral of s^2 from r0, tail integral of s^(-2) to rmax,
+    # through the stacked cumulative matrices K
+    run = _ref_running_integral(rad, rad._K, r ** 2)
+    tail = r ** -2 @ rad.w - _ref_running_integral(rad, rad._K, r ** -2)
     assert np.abs(run - (r ** 3 - 1.0) / 3.0).max() < 1e-12
     assert np.abs(tail - (1.0 / r - 0.2)).max() < 1e-12
 
@@ -260,13 +261,11 @@ def test_stacked_operators_match_per_panel_loops(n, r0, widths, lead, complex_da
     if fortran:
         g = np.asfortranarray(g)
     assert rad.differentiate(g).tobytes() == _ref_differentiate(rad, Ds, g).tobytes()
-    run = rad.running_integral(g)
-    assert run.tobytes() == _ref_running_integral(rad, rad._K, g).tobytes()
     assert rad.at_r0(g).tobytes() == rad.interp(g, [rad.r0])[..., 0].tobytes()
-    total = rad.integrate(g)[..., None]
+    # the stacked K integrates from r0 to every node as the node-by-node one does
+    run = _ref_running_integral(rad, rad._K, g)
     scale = np.abs(g) @ rad.w
-    tail = (g @ rad.w)[..., None] - rad.running_integral(g)     # the solver's tail
-    assert np.all(np.abs(run + tail - total) <= 1e-13 * scale[..., None])
+    assert np.all(np.abs(run - _ref_running_integral(rad, Ks, g)) <= 1e-13 * scale[..., None])
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -296,24 +295,12 @@ def test_panel_view_and_wall_slope_match_full_passes(n, r0, widths, lead, comple
     assert rad.slope_at_r0(g).tobytes() == rad.at_r0(rad.differentiate(g)).tobytes()
 
 
-def test_running_integral_peaks_near_its_output():
-    # the panel offsets are added with 1,024-number ufunc buffers, small
-    # beside the output (numpy's default 8,192 made them 0.75 of it); what
-    # remains is matmul's complex copy of K, 0.2 of this (156, 128) block,
-    # the size of one solver block at (24, 128)
-    rad = RadialGrid(np.linspace(1.0, 5.0, 5), 32)
-    rng = np.random.default_rng(23)
-    g = rng.standard_normal((156, 128)) + 1j * rng.standard_normal((156, 128))
-    run, peak = traced_peak(lambda: rad.running_integral(g))
-    assert peak <= 1.25 * run.nbytes            # 1.21 measured, 1.78 before
-    assert run.tobytes() == _ref_running_integral(rad, rad._K, g).tobytes()
-
-
 def test_one_wide_panel_builds_in_bounded_memory():
     # make_grids falls back to one panel when n_r is prime
     rad, peak = traced_peak(lambda: RadialGrid([1.0, 2.0], 257))
     assert peak < 6e6                    # 3.3 MB measured
-    assert abs(rad.running_integral(rad.r)[-1] - (rad.r[-1] ** 2 - 1.0) / 2) < 1e-12
+    run = _ref_running_integral(rad, rad._K, rad.r)
+    assert abs(run[-1] - (rad.r[-1] ** 2 - 1.0) / 2) < 1e-12
 
 
 def test_grid_construction_peaks_near_its_operators():
@@ -386,7 +373,7 @@ def test_radial_operators_follow_the_length_unit(k):
     assert rad._wall_row.tobytes() == unit._wall_row.tobytes()
     for p in range(16):
         want = (rad.r ** (p + 1) - rad.r0 ** (p + 1)) / (p + 1)
-        gap = np.abs(rad.running_integral(rad.r ** p) - want).max()
+        gap = np.abs(_ref_running_integral(rad, rad._K, rad.r ** p) - want).max()
         assert gap <= 1e-14 * np.abs(want).max()
     # any other unit in [1e-9, 1e9] agrees to rounding (3.7e-14 measured)
     lam = 10.0 ** np.random.default_rng(k + 40).uniform(-9.0, 9.0)

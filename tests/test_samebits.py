@@ -15,8 +15,7 @@ SOLVER_KEYS = {"f", "projected"} | {"report." + k for k in (
     "normal_trace", "solenoid", "boundary_deriv", "moment", "field_norm")} | {
     v + k for v in ("V", "V_vinf", "V_projected")
     for k in ("", ".warnings", ".trace", ".trace.aggregate")}
-GRID_KEYS = {"integrate", "differentiate", "running_integral", "at_r0", "slope_at_r0",
-             "eval_matrix"}
+GRID_KEYS = {"integrate", "differentiate", "at_r0", "slope_at_r0", "eval_matrix"}
 DEMO_KEYS = {"run.stdout", "run.stderr", "run.code", "source.vfld",
              "source.vshc", "report.tsv", "solution.vshc", "points.txt",
              "eval.txt", "again.vshc"}

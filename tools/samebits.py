@@ -53,8 +53,8 @@ checkout's `perfbench/`, so two trees see the same workload code.  Groups
                      and exit code
     grids            per seed and radial layout (cli_pipeline's, each
                      solve_sweep case's, and solve_sweep's at r0 = 2^-30
-                     and 2^30): integrate, differentiate, running_integral,
-                     at_r0 and slope_at_r0 of a seeded complex stack, and
+                     and 2^30): integrate, differentiate, at_r0 and
+                     slope_at_r0 of a seeded complex stack, and
                      eval_matrix of each panel at its ends and four random
                      points, so that a changed digest names the operator;
                      a layout RadialGrid refuses records its message
@@ -365,8 +365,7 @@ def grid_operators(m, workloads, seed):
         except ValueError as e:             # weights out of range: the refusal is the output
             m.add(key + "refused", str(e))
             continue
-        for op in ("integrate", "differentiate", "running_integral", "at_r0",
-                   "slope_at_r0"):
+        for op in ("integrate", "differentiate", "at_r0", "slope_at_r0"):
             m.add(key + op, getattr(rad, op)(g))
         with np.errstate(all="ignore"):     # unscaled weights overflow rows at 2^-30
             rows = [rad.eval_matrix(p, bp[p] + t * (bp[p + 1] - bp[p]))
