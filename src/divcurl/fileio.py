@@ -221,13 +221,13 @@ class _Lines:
         except ValueError:
             _fail(self.path, lineno, "%s is not an integer: %r" % (key, tok))
 
-    def floats(self, count, what, row=None, head=None):
+    def floats(self, count, what, row, head=None):
         """
-        The next line (or the given row) as exactly count finite floats.
+        The row (line number, tokens) as exactly count finite floats.
         With head, the line starts with those tokens and `what % head`
         names it.
         """
-        lineno, toks = self.next(what) if row is None else row
+        lineno, toks = row
         if head is None:
             if len(toks) != count:
                 _fail(self.path, lineno, "expected %d numbers (%s), got %d"
@@ -523,7 +523,7 @@ def read_vshc(path):
             _fail(path, lines.lineno,
                   "nr must be positive and lmax nonnegative")
         n, lo, head = 3 * (L_max + 1) ** 2, 0, lines.lineno
-        nodes = lines.floats(n_r, "radial nodes")
+        (nodes,), _ = next(lines.body(n_r, "radial nodes", 1))
         radial = radial_from_nodes(r0, rmax, nodes, path, lines.lineno)
         with _sized(path, head, n, 2 * n_r):
             out = SpectralField(radial, L_max)      # filled in place, not copied

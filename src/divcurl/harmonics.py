@@ -31,16 +31,20 @@ __all__ = ["pbar_table", "qbar_table", "dpbar_table"]
 # Normalized Legendre recurrences
 
 
-def _upward(T, x, m0):
+def _upward(L, x, m0, seed):
     """
-    Fill T[l, m] for m0 <= m <= l from the seed T[m0, m0] (in place).
+    Allocate the (L+1, L+1, len(x)) table T, seed T[m0, m0] = seed and fill T[l, m], m0 <= m <= l.
 
     The sectorial band T[m, m] follows from the seed by
     T[m, m] = -sqrt((2m+1)/(2m)) sin(theta) T[m-1, m-1], the first step up by
     T[m+1, m] = sqrt(2m+3) x T[m, m], and the rest by the three-term
     recurrence in l, taken for all orders m <= l - 2 at once.
     """
-    L = T.shape[0] - 1
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    T = np.zeros((L + 1, L + 1, x.size))
+    if L < m0:
+        return T
+    T[m0, m0] = seed
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     for m in range(m0 + 1, L + 1):
         T[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * T[m - 1, m - 1]
@@ -73,10 +77,7 @@ def pbar_table(L, x):
     P: array of shape (L+1, L+1, len(x))
         P[l, m] holds Pbar_l^m(x) for 0 <= m <= l; entries with m > l are 0.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    P = np.zeros((L + 1, L + 1, x.size))
-    P[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
-    return _upward(P, x, 0)
+    return _upward(L, x, 0, np.sqrt(1.0 / (4.0 * np.pi)))
 
 
 def qbar_table(L, x):
@@ -88,12 +89,7 @@ def qbar_table(L, x):
     poles (where it vanishes for m >= 2 and is nonzero for m = 1).
     Entries with m = 0 or m > l are 0.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    Q = np.zeros((L + 1, L + 1, x.size))
-    if L == 0:
-        return Q
-    Q[1, 1] = -np.sqrt(3.0 / (8.0 * np.pi))
-    return _upward(Q, x, 1)
+    return _upward(L, x, 1, -np.sqrt(3.0 / (8.0 * np.pi)))
 
 
 def dpbar_table(L, x, P, Q):

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .solver import _L1, _moment_targets, _vinf
+from .solver import _L1, _moment_targets, _vinf, radial_moments
 from .transform import SpectralField, mode_index, spectral_curl
 
 __all__ = ["phf_field", "verify_pseudoharmonic", "PseudoHarmonicReport", "curl_curl_source",
@@ -126,14 +126,14 @@ def two_bump_source(radial, L_max, a, mid, b, rng):
     Real Phi-channel source f2 = c (g1 + beta_l g2) per degree: cubic bumps on [a, mid] and
     [mid, b] in r / r0 zero the moment of s^(1-l) f2 but not of s^(2+l) f2; c ~ (1/3)^l from rng.
     """
-    r, x = radial.r, radial.r / radial.r0
+    x = radial.r / radial.r0
     g1, g2 = (np.clip((x - lo) * (hi - x), 0.0, None) ** 3 for lo, hi in ((a, mid), (mid, b)))
     if not (g1.any() and g2.any()):
         raise ValueError(f"a bump on [{a}, {mid}] or [{mid}, {b}] r0 holds no node of {radial!r}")
     f = SpectralField(radial, L_max)
     for l in range(1, L_max + 1):
         with np.errstate(all="ignore"):
-            den, num = (radial.integrate(r ** (1.0 - l) * g) for g in (g2, g1))
+            den, num = (radial_moments(radial, g[None], [l])[0] for g in (g2, g1))
             beta = -num / den
         if not (np.finfo(float).tiny <= den < np.inf and np.isfinite(beta)):
             raise ValueError(f"the bump moments at l = {l} are not representable on {radial!r}")

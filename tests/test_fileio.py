@@ -204,6 +204,30 @@ def test_truncated_node_line_is_diagnosed(tmp_path):
         in str(err.value)
 
 
+@pytest.mark.parametrize("node_line, message", [
+    ("nan", "line 6: non-finite entry in radial nodes row"),
+    ("inf", "line 6: non-finite entry in radial nodes row"),
+    ("x1", "line 6: non-numeric entry in radial nodes row"),
+    ("", "line 7: expected 16 numbers (radial nodes), got 35"),
+    (None, "line 6: unexpected end of file, expected radial nodes"),
+])
+def test_node_line_refusals_name_their_line(tmp_path, node_line, message):
+    # a bad first node; a blank node line, so the first mode's row is read
+    # as the nodes; a file that ends right after lmax (node_line None)
+    _, rad = make_grids(1.0, 5.0, 16, 1)
+    path = tmp_path / "nodes.vshc"
+    write_vshc(path, SpectralField(rad, 1))
+    lines = path.read_text().split("\n")
+    if node_line is None:
+        lines = lines[:5]
+    else:
+        lines[5] = " ".join([node_line] + lines[5].split()[1:]) if node_line else ""
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        read_vshc(path)
+    assert "nodes.vshc: " + message in str(err.value)
+
+
 def test_wrong_magic(tmp_path):
     path = tmp_path / "bad.vfld"
     path.write_text("vfld 2\n")

@@ -324,6 +324,16 @@ def test_panel_whose_weights_overflow_is_refused(bp):
     assert not rows.called
 
 
+def test_wall_row_that_overflows_after_d_is_finite_is_refused():
+    # on [1e-302, 2e-302], log2(4 / h) = 1005.22 rounds down, so 128 weights
+    # grow by 2^(0.22 * 127): D, made of their ratios, stays finite, and the
+    # wall row's w_j / (r0 - x_j) overflows
+    with mock.patch("divcurl.grids._bary_eval_matrix", wraps=_bary_eval_matrix) as rows, \
+            pytest.raises(ValueError, match="128 nodes per panel overflow the weights"):
+        RadialGrid([1e-302, 2e-302], 128)
+    assert rows.called
+
+
 @pytest.mark.parametrize("bp, n", [([1.0, 2.0], 512), ([1.0, 2.0], 513), ([1.0, 2.0], 600),
                                    ([1.0, 2.0], 601), ([1.0, 1.001], 84),
                                    ([1.0, 1.001], 86), (2.0 ** -30 * np.linspace(1, 5, 5), 32)])

@@ -784,6 +784,8 @@ def test_solver_keeps_the_bits_of_the_full_passes(L, r0, widths, n, L_proj, vinf
        n=st.integers(2, 16), L_proj=st.integers(0, 9),
        vinf=st.none() | st.tuples(*[st.floats(-2.0, 2.0)] * 3).filter(any),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(L=4, per=2, amplitude=1.0, widths=[1.0, 1.0, 1.0, 0.5], n=2, L_proj=4, vinf=None,
+         seed=0)    # bump weights taken per block of one or two degrees lost whole-array bits here
 def test_solver_mode_blocks_keep_the_bits_of_the_full_passes(L, per, amplitude, widths,
                                                             n, L_proj, vinf, seed):
     # blocks of `per` modes or more, equal to within one mode; blocks of 2
